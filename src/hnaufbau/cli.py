@@ -5,7 +5,8 @@ can also come from a key=value config file (--config); explicit flags win.
 CSV output starts with '#'-prefixed key=value parameter lines and carries
 complex values as separate _re/_im columns; JSON mirrors the same payload.
 Nothing time- or host-dependent is ever written, so identical inputs give
-byte-identical files at any worker count.
+byte-identical files. Everything runs serially; --workers is accepted for
+compatibility and has no effect.
 
 Exit codes: 0 success, 1 verification/computation failure, 2 usage error.
 """
@@ -16,7 +17,6 @@ import argparse
 import json
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import verify as verify_mod
 from .aufbau import ManyBodyLevel, OccupationConfig, build_spectrum, occupation_string
@@ -82,7 +82,7 @@ def _build_parser():
     common.add_argument("--out", default=None)
     common.add_argument("--format", choices=("csv", "json"), default=None)
     common.add_argument("--config", default=None, help="key=value file, '#' comments")
-    common.add_argument("--workers", type=int, default=None)
+    common.add_argument("--workers", type=int, default=None, help="accepted, no effect")
     common.add_argument(
         "--tol", type=float, default=None,
         help="tie tolerance override for degeneracy grouping",
@@ -310,8 +310,7 @@ def _state_report(p, level):
 def cmd_observables(args) -> int:
     p, effective_twist, spec = _spectrum_for(args)
     ranks = _select_ranks(args.ranks, len(spec))
-    with ThreadPoolExecutor(max_workers=max(1, args.workers)) as ex:
-        reports = list(ex.map(lambda r: _state_report(p, spec[r]), ranks))
+    reports = [_state_report(p, spec[r]) for r in ranks]
     header = _base_header(args, "observables", effective_twist)
     header["ranks"] = ";".join(str(r) for r in ranks)
     columns = ["rank", "kind", "index", "grid", "value"]
@@ -339,8 +338,7 @@ def cmd_observables(args) -> int:
 def cmd_skin(args) -> int:
     p, effective_twist, spec = _spectrum_for(args)
     ranks = _select_ranks(args.ranks, len(spec))
-    with ThreadPoolExecutor(max_workers=max(1, args.workers)) as ex:
-        reports = list(ex.map(lambda r: _state_report(p, spec[r]), ranks))
+    reports = [_state_report(p, spec[r]) for r in ranks]
     header = _base_header(args, "skin", effective_twist)
     columns = ["rank", "energy_re", "energy_im", "left_fraction", "ipr", "log_slope"]
     rows = []
@@ -379,12 +377,7 @@ def _parse_lengths(spec_str):
 def cmd_hcb_compare(args) -> int:
     lengths = _parse_lengths(args.lengths)
     g, t, filling = float(args.g), float(args.t), float(args.filling)
-
-    def point(L):
-        return delta_E_scan([L], filling, g, t)[0]
-
-    with ThreadPoolExecutor(max_workers=max(1, args.workers)) as ex:
-        gaps = list(ex.map(point, sorted(lengths)))
+    gaps = delta_E_scan(sorted(lengths), filling, g, t)
     header = {
         "command": "hcb-compare",
         "g": g,

@@ -1,12 +1,20 @@
 """Explicit Fock-space engine: bases, Hamiltonian application, product states.
 
-Fermion and hard-core bases are stored as ascending L-bit occupation words
-(site j at bit j); boson bases as colexicographically ordered occupation
-matrices with an integer key per state (occupations read as digits in base
-N+1), kept sorted so lookups are binary searches. Fermion matrix elements
-carry Jordan-Wigner string signs counted below the acted-on site; hard-core
-bosons use bosonic rules with occupancy capped at 1 and no sign, which is
-exactly where the two statistics part ways on a periodic wrap-around bond.
+A basis lists the occupation vectors of one sector in colexicographic order,
+with one ascending int64 key per state: the occupations read as digits with
+place values ``radix`` (base 2 for fermions and hard-core bosons, so a key
+is the L-bit occupation word; base N+1 for bosons). Lookups are binary
+searches over the keys.
+
+Every operator goes through one lowering table per basis: c_j|s> =
+coef[s, j] |down[s, j]> in the N-1 sector. The factor is the Jordan-Wigner
+sign (-1)^(occupied sites below j) for fermions and sqrt(n_j) for bosons
+and hard-core bosons; hard-core bosons thus follow bosonic rules with
+occupancy capped at 1 and no sign, which is exactly where the two
+statistics part ways on a periodic wrap-around bond. Annihilation is a
+scatter over the table, creation a gather, so H v, the dense sector
+Hamiltonian, correlation matrices and product states are all numpy array
+operations.
 
 Product states are built by applying creation operators sequentially to the
 vacuum, one sector at a time; determinant antisymmetry and permanent
@@ -15,14 +23,13 @@ symmetrization come out automatically.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import kernels
-from .aufbau import STATISTICS, SectorError, SectorTooLargeError
+from .aufbau import SectorError, SectorTooLargeError, _check_sector, count_configs
 from .lattice import HNParams, hopping_bonds, single_particle_levels
 
 __all__ = [
@@ -30,6 +37,7 @@ __all__ = [
     "FockBasis",
     "FockVector",
     "NullStateError",
+    "annihilate",
     "apply_bonds",
     "apply_hamiltonian",
     "build_dense_hamiltonian",
@@ -48,91 +56,86 @@ class BasisMismatchError(ValueError):
     """Vector basis does not match the requested operation."""
 
 
-class NullStateError(ValueError):
+class NullStateError(ArithmeticError):
     """Construction produced a vector of (numerically) zero norm."""
 
 
 class FockBasis:
     """Ordered N-particle basis for one statistics over L sites.
 
-    Fermion and hardcore states live in ``words`` (ascending int64 bit
-    words); boson and hardcore states also expose ``states`` (dim x L int16
-    occupation matrix), ``keys`` (ascending int64 state keys) and ``radix``
-    (per-site place values). ``cap`` is the per-site occupancy bound used by
-    the bosonic kernels: N for bosons, 1 for hard-core.
+    ``occupations`` is the dim x L int16 occupation matrix, ``keys`` the
+    ascending int64 state keys and ``radix`` their per-site place values.
+    The lowering table ``down``/``coef`` (dim x L each) is built on first
+    use and kept on the basis; ``down`` points at ``lower_dim``, one past
+    the last state of the N-1 sector, where n_j = 0.
     """
 
     def __init__(self, statistics, L, N):
-        if statistics not in STATISTICS:
-            raise ValueError(
-                f"statistics must be one of {STATISTICS}, got {statistics!r}"
-            )
-        if not isinstance(L, (int, np.integer)) or isinstance(L, bool) or L < 1:
-            raise SectorError(f"L must be a positive integer, got {L!r}")
-        if not isinstance(N, (int, np.integer)) or isinstance(N, bool) or N < 0:
-            raise SectorError(f"N must be a non-negative integer, got {N!r}")
-        if statistics in ("fermion", "hardcore") and N > L:
-            raise SectorError(f"{statistics} requires N <= L, got N={N}, L={L}")
-        if statistics in ("fermion", "hardcore") and L > 62:
+        _check_sector(L, N, statistics)
+        if statistics != "boson" and L > 62:
             raise SectorTooLargeError(f"word storage supports L <= 62, got {L}")
-        self.statistics = statistics
-        self.L = int(L)
-        self.N = int(N)
-        if statistics == "boson":
-            dim = math.comb(L + N - 1, N)
-        else:
-            dim = math.comb(L, N)
+        dim = count_configs(L, N, statistics)
         if dim > BASIS_DIM_CAP:
             raise SectorTooLargeError(
                 f"sector has {dim} states, above the cap of {BASIS_DIM_CAP}"
             )
+        self.statistics = statistics
+        self.L = int(L)
+        self.N = int(N)
         self.dim = dim
-        self._occupations = None
-        if statistics == "fermion":
-            self.words = kernels.fermion_words(L, N, dim)
-            self.keys = None
-            self.radix = None
-            self.cap = 1
-        elif statistics == "hardcore":
-            self.words = kernels.fermion_words(L, N, dim)
-            self.radix = np.array([1 << j for j in range(L)], dtype=np.int64)
-            self.keys = self.words
-            self.cap = 1
-        else:
+        self.lower_dim = count_configs(L, N - 1, statistics) if N > 0 else 0
+        if statistics == "boson":
             base = N + 1
             if base**max(L - 1, 0) >= 1 << 62:
                 raise SectorTooLargeError(
                     f"state keys overflow int64 for base {base}, L={L}"
                 )
-            self.words = None
-            self.radix = np.array([base**j for j in range(L)], dtype=np.int64)
-            states = kernels.boson_states(L, N, dim)
-            self.keys = states.astype(np.int64) @ self.radix
-            self._occupations = states
-            self.cap = max(N, 1)
+            self.radix = base ** np.arange(L, dtype=np.int64)
+            self._occupations = kernels.boson_states(L, N, dim)
+            self.keys = self._occupations.astype(np.int64) @ self.radix
+        else:
+            self.radix = np.int64(1) << np.arange(L, dtype=np.int64)
+            self._occupations = None
+            self.keys = kernels.fermion_words(L, N, dim)
 
     @property
     def occupations(self) -> np.ndarray:
         """dim x L int16 occupation matrix, row order = basis order."""
         if self._occupations is None:
-            self._occupations = kernels.fermion_occupations(self.words, self.L)
+            self._occupations = kernels.fermion_occupations(self.keys, self.L)
         return self._occupations
+
+    @cached_property
+    def coef(self) -> np.ndarray:
+        """Factor of c_j|s>: Jordan-Wigner sign or sqrt(n_j); 0 where n_j = 0."""
+        occ = self.occupations
+        if self.statistics == "fermion":
+            below = np.cumsum(occ, axis=1) - occ
+            return np.where(occ == 1, 1.0 - 2.0 * (below % 2), 0.0)
+        return np.sqrt(occ.astype(np.float64))
+
+    @cached_property
+    def down(self) -> np.ndarray:
+        """Index of c_j|s> in the N-1 sector; lower_dim where n_j = 0."""
+        if self.N == 0:
+            return np.zeros((self.dim, self.L), dtype=np.intp)
+        lower = get_basis(self.statistics, self.L, self.N - 1)
+        # keyed with this sector's radix: ascending keys are still colex order
+        lower_keys = lower.occupations.astype(np.int64) @ self.radix
+        down = np.searchsorted(lower_keys, self.keys[:, None] - self.radix)
+        down[self.occupations == 0] = self.lower_dim
+        return down
 
     def index_of(self, occ) -> int:
         """Position of an occupation vector in the basis."""
         occ = tuple(int(n) for n in occ)
         if len(occ) != self.L or sum(occ) != self.N:
             raise BasisMismatchError(f"occupation {occ} not in sector (L={self.L}, N={self.N})")
-        if self.statistics != "boson":
-            if any(n > 1 for n in occ):
-                raise BasisMismatchError(f"occupation {occ} exceeds the hard-core cap")
-            key = sum(1 << j for j, n in enumerate(occ) if n)
-            arr = self.words
-        else:
-            key = int(np.asarray(occ, dtype=np.int64) @ self.radix)
-            arr = self.keys
-        i = int(np.searchsorted(arr, key))
-        if i >= self.dim or arr[i] != key:
+        if self.statistics != "boson" and any(n > 1 for n in occ):
+            raise BasisMismatchError(f"occupation {occ} exceeds the hard-core cap")
+        key = sum(n * int(r) for n, r in zip(occ, self.radix))
+        i = int(np.searchsorted(self.keys, key))
+        if i >= self.dim or self.keys[i] != key:
             raise BasisMismatchError(f"occupation {occ} not found in basis")
         return i
 
@@ -178,30 +181,34 @@ class FockVector:
         return FockVector(self.basis, self.amplitudes / n, norm_applied=True)
 
 
-def _bond_arrays(bonds, L):
-    bi = np.array([b[0] for b in bonds], dtype=np.int64)
-    bj = np.array([b[1] for b in bonds], dtype=np.int64)
-    amps = np.array([b[2] for b in bonds], dtype=np.complex128)
-    if bonds and (bi.min() < 0 or bi.max() >= L or bj.min() < 0 or bj.max() >= L):
-        raise ValueError(f"bond site index outside 0..{L - 1}")
-    return bi, bj, amps
+def _bond_matrix(bonds, L):
+    """h[i, j] = summed amplitude of the bonds (i, j, amp)."""
+    h = np.zeros((L, L), dtype=np.complex128)
+    for i, j, amp in bonds:
+        if not (0 <= i < L and 0 <= j < L):
+            raise ValueError(f"bond site index outside 0..{L - 1}")
+        h[i, j] += amp
+    return h
+
+
+def annihilate(v: FockVector) -> np.ndarray:
+    """Matrix A of shape (dim_{N-1}, L) whose column j is c_j v."""
+    basis = v.basis
+    A = np.zeros((basis.lower_dim + 1, basis.L), dtype=np.complex128)
+    A[basis.down, np.arange(basis.L)] = basis.coef * v.amplitudes[:, None]
+    return A[:-1]
+
+
+def _create(basis: FockBasis, A) -> np.ndarray:
+    """Amplitudes of sum_j c_j^dag A[:, j] in basis, A indexed by its N-1 sector."""
+    padded = np.vstack([A, np.zeros((1, basis.L), dtype=A.dtype)])
+    return np.sum(basis.coef * padded[basis.down, np.arange(basis.L)], axis=1)
 
 
 def apply_bonds(v: FockVector, bonds) -> FockVector:
     """w = H v for H = sum over (i, j, amp) of amp * c_i^dag c_j."""
-    basis = v.basis
-    bi, bj, amps = _bond_arrays(bonds, basis.L)
-    out = np.zeros(basis.dim, dtype=np.complex128)
-    if basis.dim == 0 or len(bonds) == 0:
-        return FockVector(basis, out)
-    if basis.statistics == "fermion":
-        kernels.apply_bonds_fermion(basis.words, v.amplitudes, bi, bj, amps, basis.L, out)
-    else:
-        kernels.apply_bonds_boson(
-            basis.occupations, basis.keys, basis.radix, v.amplitudes, bi, bj, amps,
-            basis.cap, out,
-        )
-    return FockVector(basis, out)
+    h = _bond_matrix(bonds, v.basis.L)
+    return FockVector(v.basis, _create(v.basis, annihilate(v) @ h.T))
 
 
 def apply_hamiltonian(p: HNParams, statistics, v: FockVector) -> FockVector:
@@ -223,13 +230,19 @@ def build_dense_hamiltonian(p: HNParams, statistics, N) -> np.ndarray:
         raise SectorTooLargeError(
             f"dense sector has {basis.dim} states, above the cap of {DENSE_DIM_CAP}"
         )
-    bonds = hopping_bonds(p)
-    bi, bj, amps = _bond_arrays(bonds, p.L)
-    if basis.statistics == "fermion":
-        return kernels.dense_bonds_fermion(basis.words, bi, bj, amps, p.L)
-    return kernels.dense_bonds_boson(
-        basis.occupations, basis.keys, basis.radix, bi, bj, amps, basis.cap
-    )
+    h = _bond_matrix(hopping_bonds(p), p.L)
+    down, coef = basis.down, basis.coef
+    sites = np.arange(p.L)
+    # inverse table: up[r, i] is the state s with down[s, i] = r, -1 if none
+    up = np.full((basis.lower_dim + 1, p.L), -1, dtype=np.intp)
+    up[down, sites] = np.arange(basis.dim)[:, None]
+    H = np.zeros((basis.dim, basis.dim), dtype=np.complex128)
+    for i, j in zip(*np.nonzero(h)):
+        s = np.flatnonzero(coef[:, j])
+        t = up[down[s, j], i]
+        s, t = s[t >= 0], t[t >= 0]
+        H[t, s] += coef[t, i] * (h[i, j] * coef[s, j])
+    return H
 
 
 def construct_product_state(orbitals, statistics, L=None) -> FockVector:
@@ -263,31 +276,10 @@ def construct_product_state(orbitals, statistics, L=None) -> FockVector:
             raise NullStateError("zero orbital")
         normed.append(o / nn)
 
-    target = get_basis(statistics, L, N)
     vec = np.ones(1, dtype=np.complex128)
-    if statistics == "fermion":
-        src_words = get_basis("fermion", L, 0).words
-        for n, orb in enumerate(normed):
-            dst_words = get_basis("fermion", L, n + 1).words
-            out = np.zeros(dst_words.shape[0], dtype=np.complex128)
-            kernels.create_fermion(src_words, dst_words, vec, orb, out)
-            vec, src_words = out, dst_words
-    else:
-        # shared radix across sectors so every intermediate key is comparable
-        cap = 1 if statistics == "hardcore" else max(N, 1)
-        radix = target.radix if N > 0 else np.ones(L, dtype=np.int64)
-        src = get_basis(statistics, L, 0)
-        for n, orb in enumerate(normed):
-            dst = get_basis(statistics, L, n + 1)
-            dst_keys = (
-                dst.occupations.astype(np.int64) @ radix
-                if statistics == "boson"
-                else dst.keys
-            )
-            out = np.zeros(dst.dim, dtype=np.complex128)
-            kernels.create_boson(src.occupations, dst_keys, radix, vec, orb, cap, out)
-            vec, src = out, dst
-    return FockVector(target, vec).normalized()
+    for n, orb in enumerate(normed):
+        vec = _create(get_basis(statistics, L, n + 1), np.outer(vec, orb))
+    return FockVector(get_basis(statistics, L, N), vec).normalized()
 
 
 def residual(p: HNParams, statistics, v: FockVector, E) -> float:

@@ -1,11 +1,9 @@
-"""Low-level numeric kernels, JIT-compiled when numba is available.
+"""Low-level numeric loops: dense linear algebra, sector enumeration and
+configuration energies.
 
-Every kernel is written once in numba-compatible NumPy style. The module
-exposes two callables per kernel: ``<name>`` (compiled when the JIT backend
-is active) and ``<name>_py`` (always the interpreted original). Setting the
-environment variable ``HNAUFBAU_JIT=0`` before import forces the interpreted
-path even when numba is installed; ``benchmarks/benchmark_kernels.py`` times
-the two paths against each other.
+Plain interpreted NumPy; there is no compiled backend. The Fock-space
+operators do not live here: they are gathers and scatters over each
+basis's lowering table (see ``fock.FockBasis``).
 
 Kernels never raise: failure modes come back as status flags and the calling
 modules translate them into exceptions.
@@ -13,13 +11,9 @@ modules translate them into exceptions.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 __all__ = [
-    "JIT_ENABLED",
-    "NUMBA_AVAILABLE",
     "balance_inplace",
     "hessenberg_inplace",
     "qr_eigvals",
@@ -29,49 +23,12 @@ __all__ = [
     "fermion_words",
     "boson_states",
     "fermion_occupations",
-    "apply_bonds_fermion",
-    "apply_bonds_boson",
-    "dense_bonds_fermion",
-    "dense_bonds_boson",
-    "create_fermion",
-    "create_boson",
-    "correlation_fermion",
-    "correlation_boson",
     "config_energies_fermion",
     "config_energies_boson",
-    "warmup_jit",
 ]
 
-
-def _env_wants_jit() -> bool:
-    raw = os.environ.get("HNAUFBAU_JIT")
-    if raw is None:
-        return True
-    return raw.strip().lower() not in ("0", "false", "no", "off")
-
-
-NUMBA_AVAILABLE = False
-_njit = None
-if _env_wants_jit():
-    try:
-        import warnings
-
-        from numba import njit as _njit
-        from numba.core.errors import NumbaPerformanceWarning
-
-        # '@' on Hessenberg column slices trips a contiguity hint; harmless
-        warnings.simplefilter("ignore", NumbaPerformanceWarning)
-        NUMBA_AVAILABLE = True
-    except ImportError:
-        _njit = None
-
-JIT_ENABLED = NUMBA_AVAILABLE and _njit is not None
-
-
-def _jit(fn):
-    if JIT_ENABLED:
-        return _njit(cache=True)(fn)
-    return fn
+# no compiled backend; kept so tools that record the backend can read it
+JIT_ENABLED = NUMBA_AVAILABLE = False
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +36,7 @@ def _jit(fn):
 # ---------------------------------------------------------------------------
 
 
-def balance_inplace_py(a):
+def balance_inplace(a):
     """Parlett-Reinsch diagonal balancing, radix 2; eigenvalue-preserving."""
     n = a.shape[0]
     radix = 2.0
@@ -113,7 +70,7 @@ def balance_inplace_py(a):
                     a[j, i] *= f
 
 
-def hessenberg_inplace_py(h):
+def hessenberg_inplace(h):
     """Reduce a complex square matrix to upper Hessenberg form by Householder
     similarity transforms, in place."""
     n = h.shape[0]
@@ -137,7 +94,7 @@ def hessenberg_inplace_py(h):
             h[i, k] = 0.0
 
 
-def qr_eigvals_py(h, max_sweeps, tol, exc_every):
+def qr_eigvals(h, max_sweeps, tol, exc_every):
     """Shifted QR iteration (explicit complex Givens form) on an upper
     Hessenberg matrix. Deflates when a subdiagonal entry drops below
     tol * (|diag above| + |diag below|); Wilkinson shift, with an exceptional
@@ -247,7 +204,7 @@ def qr_eigvals_py(h, max_sweeps, tol, exc_every):
     return eigs, ok, total
 
 
-def lu_factor_inplace_py(a, pivot_rtol):
+def lu_factor_inplace(a, pivot_rtol):
     """LU with partial pivoting, in place (L strict lower, U upper).
 
     Returns (piv, sign, singular, scale) where ``scale`` is the max row
@@ -284,7 +241,7 @@ def lu_factor_inplace_py(a, pivot_rtol):
     return piv, sign, singular, scale
 
 
-def lu_solve_factored_py(lu, piv, b):
+def lu_solve_factored(lu, piv, b):
     """Solve for a factored system; b has shape (n, m), overwritten copy returned."""
     n = lu.shape[0]
     x = b.copy()
@@ -303,7 +260,7 @@ def lu_solve_factored_py(lu, piv, b):
     return x
 
 
-def permanent_ryser_py(a):
+def permanent_ryser(a):
     """Permanent by Ryser's formula with Gray-code subset updates, O(2^n n)."""
     n = a.shape[0]
     if n == 0:
@@ -345,11 +302,11 @@ def permanent_ryser_py(a):
 
 
 # ---------------------------------------------------------------------------
-# Fock-space enumeration and operators
+# sector enumeration and configuration energies
 # ---------------------------------------------------------------------------
 
 
-def fermion_words_py(L, N, count):
+def fermion_words(L, N, count):
     """All L-bit words of population N, ascending (colexicographic order)."""
     out = np.zeros(count, np.int64)
     if N == 0:
@@ -369,7 +326,7 @@ def fermion_words_py(L, N, count):
     return out
 
 
-def boson_states_py(L, N, count):
+def boson_states(L, N, count):
     """All occupation vectors of L modes summing to N, colexicographic order."""
     out = np.zeros((count, L), np.int16)
     cur = np.zeros(L, np.int64)
@@ -389,7 +346,7 @@ def boson_states_py(L, N, count):
     return out
 
 
-def fermion_occupations_py(words, L):
+def fermion_occupations(words, L):
     out = np.zeros((words.shape[0], L), np.int16)
     for s in range(words.shape[0]):
         w = words[s]
@@ -398,236 +355,7 @@ def fermion_occupations_py(words, L):
     return out
 
 
-def _popcount(x):
-    c = 0
-    while x:
-        x &= x - 1
-        c += 1
-    return c
-
-
-def apply_bonds_fermion_py(words, vec, bi, bj, amps, L, out):
-    """out += H v for H = sum_b amps[b] c^dag_{bi[b]} c_{bj[b]} with
-    Jordan-Wigner string signs; basis words ascending."""
-    dim = words.shape[0]
-    nb = bi.shape[0]
-    for s in range(dim):
-        a = vec[s]
-        if a == 0:
-            continue
-        w = words[s]
-        for b in range(nb):
-            i = bi[b]
-            j = bj[b]
-            if (w >> j) & 1 == 0:
-                continue
-            if (w >> i) & 1 == 1:
-                continue
-            wj = w & ~(np.int64(1) << j)
-            cnt = 0
-            m = w & ((np.int64(1) << j) - 1)
-            while m:
-                m &= m - 1
-                cnt += 1
-            m = wj & ((np.int64(1) << i) - 1)
-            while m:
-                m &= m - 1
-                cnt += 1
-            w2 = wj | (np.int64(1) << i)
-            t = np.searchsorted(words, w2)
-            if cnt % 2:
-                out[t] -= amps[b] * a
-            else:
-                out[t] += amps[b] * a
-    return out
-
-
-def apply_bonds_boson_py(states, keys, radix, vec, bi, bj, amps, cap, out):
-    """out += H v for bosonic (cap = N) or hard-core (cap = 1) statistics."""
-    dim = states.shape[0]
-    nb = bi.shape[0]
-    for s in range(dim):
-        a = vec[s]
-        if a == 0:
-            continue
-        for b in range(nb):
-            i = bi[b]
-            j = bj[b]
-            nj = states[s, j]
-            if nj == 0:
-                continue
-            ni = states[s, i]
-            if ni >= cap:
-                continue
-            key2 = keys[s] + radix[i] - radix[j]
-            t = np.searchsorted(keys, key2)
-            out[t] += amps[b] * np.sqrt(nj * (ni + 1.0)) * a
-    return out
-
-
-def dense_bonds_fermion_py(words, bi, bj, amps, L):
-    dim = words.shape[0]
-    nb = bi.shape[0]
-    h = np.zeros((dim, dim), np.complex128)
-    for s in range(dim):
-        w = words[s]
-        for b in range(nb):
-            i = bi[b]
-            j = bj[b]
-            if (w >> j) & 1 == 0:
-                continue
-            if (w >> i) & 1 == 1:
-                continue
-            wj = w & ~(np.int64(1) << j)
-            cnt = 0
-            m = w & ((np.int64(1) << j) - 1)
-            while m:
-                m &= m - 1
-                cnt += 1
-            m = wj & ((np.int64(1) << i) - 1)
-            while m:
-                m &= m - 1
-                cnt += 1
-            w2 = wj | (np.int64(1) << i)
-            t = np.searchsorted(words, w2)
-            if cnt % 2:
-                h[t, s] -= amps[b]
-            else:
-                h[t, s] += amps[b]
-    return h
-
-
-def dense_bonds_boson_py(states, keys, radix, bi, bj, amps, cap):
-    dim = states.shape[0]
-    nb = bi.shape[0]
-    h = np.zeros((dim, dim), np.complex128)
-    for s in range(dim):
-        for b in range(nb):
-            i = bi[b]
-            j = bj[b]
-            nj = states[s, j]
-            if nj == 0:
-                continue
-            ni = states[s, i]
-            if ni >= cap:
-                continue
-            key2 = keys[s] + radix[i] - radix[j]
-            t = np.searchsorted(keys, key2)
-            h[t, s] += amps[b] * np.sqrt(nj * (ni + 1.0))
-    return h
-
-
-def create_fermion_py(words_src, words_dst, vec, orb, out):
-    """out += (sum_j orb[j] c^dag_j) vec, sector N -> N+1."""
-    dim = words_src.shape[0]
-    L = orb.shape[0]
-    for s in range(dim):
-        a = vec[s]
-        if a == 0:
-            continue
-        w = words_src[s]
-        for j in range(L):
-            if (w >> j) & 1 == 1:
-                continue
-            cnt = 0
-            m = w & ((np.int64(1) << j) - 1)
-            while m:
-                m &= m - 1
-                cnt += 1
-            w2 = w | (np.int64(1) << j)
-            t = np.searchsorted(words_dst, w2)
-            if cnt % 2:
-                out[t] -= orb[j] * a
-            else:
-                out[t] += orb[j] * a
-    return out
-
-
-def create_boson_py(states_src, keys_dst, radix, vec, orb, cap, out):
-    """out += (sum_j orb[j] b^dag_j) vec, sector n -> n+1; radix must be the
-    destination basis radix (shared base across sectors)."""
-    dim = states_src.shape[0]
-    L = orb.shape[0]
-    for s in range(dim):
-        a = vec[s]
-        if a == 0:
-            continue
-        key0 = np.int64(0)
-        for j in range(L):
-            key0 += states_src[s, j] * radix[j]
-        for j in range(L):
-            nj = states_src[s, j]
-            if nj >= cap:
-                continue
-            t = np.searchsorted(keys_dst, key0 + radix[j])
-            out[t] += orb[j] * np.sqrt(nj + 1.0) * a
-    return out
-
-
-def correlation_fermion_py(words, vec, L):
-    """G[i][j] = <v| c^dag_i c_j |v> for a normalized fermion Fock vector."""
-    dim = words.shape[0]
-    G = np.zeros((L, L), np.complex128)
-    for s in range(dim):
-        a = vec[s]
-        if a == 0:
-            continue
-        w = words[s]
-        for j in range(L):
-            if (w >> j) & 1 == 0:
-                continue
-            G[j, j] += (np.conj(a) * a).real
-            wj = w & ~(np.int64(1) << j)
-            cj = 0
-            m = w & ((np.int64(1) << j) - 1)
-            while m:
-                m &= m - 1
-                cj += 1
-            for i in range(L):
-                if i == j:
-                    continue
-                if (wj >> i) & 1 == 1:
-                    continue
-                ci = 0
-                m = wj & ((np.int64(1) << i) - 1)
-                while m:
-                    m &= m - 1
-                    ci += 1
-                w2 = wj | (np.int64(1) << i)
-                t = np.searchsorted(words, w2)
-                if (ci + cj) % 2:
-                    G[i, j] -= np.conj(vec[t]) * a
-                else:
-                    G[i, j] += np.conj(vec[t]) * a
-    return G
-
-
-def correlation_boson_py(states, keys, radix, vec, cap):
-    """G[i][j] = <v| b^dag_i b_j |v> for bosons (cap=N) or hard-core (cap=1)."""
-    dim, L = states.shape
-    G = np.zeros((L, L), np.complex128)
-    for s in range(dim):
-        a = vec[s]
-        if a == 0:
-            continue
-        for j in range(L):
-            nj = states[s, j]
-            if nj == 0:
-                continue
-            G[j, j] += nj * (np.conj(a) * a).real
-            for i in range(L):
-                if i == j:
-                    continue
-                ni = states[s, i]
-                if ni >= cap:
-                    continue
-                key2 = keys[s] + radix[i] - radix[j]
-                t = np.searchsorted(keys, key2)
-                G[i, j] += np.conj(vec[t]) * np.sqrt(nj * (ni + 1.0)) * a
-    return G
-
-
-def config_energies_fermion_py(words, perm, eps, out):
+def config_energies_fermion(words, perm, eps, out):
     """Occupation-weighted level sums, compensated, in sorted-mode order."""
     dim = words.shape[0]
     Lp = perm.shape[0]
@@ -646,7 +374,7 @@ def config_energies_fermion_py(words, perm, eps, out):
     return out
 
 
-def config_energies_boson_py(states, perm, eps, out):
+def config_energies_boson(states, perm, eps, out):
     dim = states.shape[0]
     Lp = perm.shape[0]
     for s in range(dim):
@@ -662,66 +390,3 @@ def config_energies_boson_py(states, perm, eps, out):
                 acc = t
         out[s] = acc
     return out
-
-
-balance_inplace = _jit(balance_inplace_py)
-hessenberg_inplace = _jit(hessenberg_inplace_py)
-qr_eigvals = _jit(qr_eigvals_py)
-lu_factor_inplace = _jit(lu_factor_inplace_py)
-lu_solve_factored = _jit(lu_solve_factored_py)
-permanent_ryser = _jit(permanent_ryser_py)
-fermion_words = _jit(fermion_words_py)
-boson_states = _jit(boson_states_py)
-fermion_occupations = _jit(fermion_occupations_py)
-apply_bonds_fermion = _jit(apply_bonds_fermion_py)
-apply_bonds_boson = _jit(apply_bonds_boson_py)
-dense_bonds_fermion = _jit(dense_bonds_fermion_py)
-dense_bonds_boson = _jit(dense_bonds_boson_py)
-create_fermion = _jit(create_fermion_py)
-create_boson = _jit(create_boson_py)
-correlation_fermion = _jit(correlation_fermion_py)
-correlation_boson = _jit(correlation_boson_py)
-config_energies_fermion = _jit(config_energies_fermion_py)
-config_energies_boson = _jit(config_energies_boson_py)
-
-
-def warmup_jit():
-    """Compile the hot kernels on tiny inputs so later timings are steady-state."""
-    if not JIT_ENABLED:
-        return
-    a = np.array([[1.0 + 0j, 2.0], [3.0, 4.0 + 1j]])
-    h = a.copy()
-    balance_inplace(h)
-    hessenberg_inplace(h)
-    qr_eigvals(h.copy(), 40, 1e-13, 10)
-    lu, piv = a.copy(), None
-    piv, sign, singular, scale = lu_factor_inplace(lu, 1e-14)
-    lu_solve_factored(lu, piv, np.eye(2, dtype=np.complex128))
-    permanent_ryser(a)
-    words = fermion_words(4, 2, 6)
-    fermion_occupations(words, 4)
-    states = boson_states(3, 2, 6)
-    radix = np.array([1, 3, 9], np.int64)
-    keys = states.astype(np.int64) @ radix
-    bi = np.array([0, 1], np.int64)
-    bj = np.array([1, 0], np.int64)
-    amps = np.array([1.0 + 0j, 1.0 + 0j])
-    v = np.zeros(6, np.complex128)
-    v[0] = 1.0
-    apply_bonds_fermion(words, v, bi, bj, amps, 4, np.zeros(6, np.complex128))
-    apply_bonds_boson(states, keys, radix, v, bi, bj, amps, 2, np.zeros(6, np.complex128))
-    dense_bonds_fermion(words, bi, bj, amps, 4)
-    dense_bonds_boson(states, keys, radix, bi, bj, amps, 2)
-    w0 = fermion_words(4, 0, 1)
-    w1 = fermion_words(4, 1, 4)
-    orb = np.ones(4, np.complex128)
-    create_fermion(w0, w1, np.ones(1, np.complex128), orb, np.zeros(4, np.complex128))
-    s1 = boson_states(3, 1, 3)
-    k2 = (boson_states(3, 2, 6).astype(np.int64) @ radix)
-    create_boson(s1, np.sort(k2), radix, np.ones(3, np.complex128), orb[:3], 2, np.zeros(6, np.complex128))
-    correlation_fermion(w1, np.ones(4, np.complex128) / 2.0, 4)
-    correlation_boson(states, keys, radix, v, 2)
-    perm = np.arange(4, dtype=np.int64)
-    eps = np.arange(4, dtype=np.complex128)
-    config_energies_fermion(words, perm, eps, np.zeros(6, np.complex128))
-    config_energies_boson(states, perm[:3], eps[:3], np.zeros(6, np.complex128))

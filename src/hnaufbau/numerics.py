@@ -2,11 +2,15 @@
 non-symmetric eigensolver.
 
 Matrices are numpy arrays of complex128. Everything here is hand-rolled on
-top of the kernels module (LU with partial pivoting, Ryser permanents,
-Hessenberg + shifted QR); numpy supplies only array storage and slicing.
-The eigensolver balances the matrix first, which keeps badly scaled inputs
-(e.g. open-boundary hopping matrices at large g, whose natural basis spans
-e^{2gL} in magnitude) within reach of the relative deflation test.
+top of the interpreted loops in the kernels module (LU with partial
+pivoting, Ryser permanents, Hessenberg + shifted QR); numpy supplies only
+array storage and slicing. The eigensolver balances the matrix first, which
+keeps badly scaled inputs (e.g. open-boundary hopping matrices at large g,
+whose natural basis spans e^{2gL} in magnitude) within reach of the
+relative deflation test.
+
+Bad input raises ValueError; a singular matrix is a computation failure and
+raises SingularMatrixError, an ArithmeticError.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ __all__ = [
 PIVOT_RTOL = 1e-14
 
 
-class SingularMatrixError(ValueError):
+class SingularMatrixError(ArithmeticError):
     """A pivot fell below the singularity threshold during factorization."""
 
 

@@ -22,8 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import kernels, numerics
-from .fock import FockVector
+from . import numerics
+from .fock import FockVector, annihilate
 
 __all__ = [
     "CorrelationMatrix",
@@ -105,15 +105,9 @@ def density_from_fock(v: FockVector) -> DistributionProfile:
 
 
 def correlation_matrix(v: FockVector) -> CorrelationMatrix:
-    """Full G by applying c_i^dag c_j basis state by basis state."""
-    basis = v.basis
-    if basis.statistics == "fermion":
-        G = kernels.correlation_fermion(basis.words, v.amplitudes, basis.L)
-    else:
-        G = kernels.correlation_boson(
-            basis.occupations, basis.keys, basis.radix, v.amplitudes, basis.cap
-        )
-    return CorrelationMatrix(G, source=f"fock-{basis.statistics}")
+    """Full G = A^H A, where column j of A is c_j v."""
+    A = annihilate(v)
+    return CorrelationMatrix(A.conj().T @ A, source=f"fock-{v.basis.statistics}")
 
 
 def density_matrix_from_orbitals(orbitals) -> CorrelationMatrix:

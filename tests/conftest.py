@@ -1,19 +1,7 @@
-"""Shared fixtures.
-
-JIT compilation is front-loaded once per session so that individual tests
-(and the acceptance runtime budgets) measure steady-state behaviour rather
-than compiler latency.
-"""
+"""Shared fixtures."""
 
 import numpy as np
 import pytest
-
-from hnaufbau import kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    kernels.warmup_jit()
 
 
 @pytest.fixture

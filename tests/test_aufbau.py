@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hnaufbau import kernels
 from hnaufbau.aufbau import (
     DEFAULT_MAX_STATES,
     ManyBodyLevel,
@@ -172,6 +173,33 @@ def test_enumeration_matches_itertools_combinations():
             occ[p] = 1
         want.add(tuple(occ))
     assert got == want
+
+
+def test_fermion_words_match_combinations():
+    # independent reference: bit words from combinations, sorted ascending
+    L, N = 10, 4
+    words = kernels.fermion_words(L, N, math.comb(L, N))
+    ref = sorted(
+        sum(1 << p for p in positions)
+        for positions in itertools.combinations(range(L), N)
+    )
+    np.testing.assert_array_equal(words, np.array(ref, dtype=np.int64))
+
+
+def test_boson_states_match_compositions():
+    # independent reference: all compositions, colexicographically sorted
+    def compositions(L, N):
+        if L == 1:
+            yield (N,)
+            return
+        for head in range(N + 1):
+            for rest in compositions(L - 1, N - head):
+                yield (head,) + rest
+
+    L, N = 5, 4
+    states = kernels.boson_states(L, N, math.comb(L + N - 1, N))
+    ref = sorted(compositions(L, N), key=lambda occ: tuple(reversed(occ)))
+    np.testing.assert_array_equal(states, np.array(ref, dtype=np.int16))
 
 
 def test_enumeration_vacuum_and_full():

@@ -310,6 +310,15 @@ def test_exit_2_on_bad_ranks_string():
     )
 
 
+def test_exit_1_on_computation_failure(capsys):
+    # at g=3 the open-chain orbitals of rank 0 are numerically dependent,
+    # so the product state vanishes: a computation failure, not a usage error
+    argv = ["observables", "-L", "10", "-N", "5", "-g", "3", "--bc", "obc",
+            "--stats", "fermion", "--ranks", "0"]
+    assert run_cli(argv) == 1
+    assert "computation failed" in capsys.readouterr().err
+
+
 def test_help_exits_zero(capsys):
     assert run_cli(["--help"]) == 0
     assert "spectrum" in capsys.readouterr().out

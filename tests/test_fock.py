@@ -5,9 +5,15 @@ dense linear algebra layer: fermion amplitudes must be proportional to
 orbital-submatrix determinants, boson amplitudes to permanents divided by
 sqrt of the occupation factorials. One global scalar (phase/normalization)
 is fixed from the largest amplitude and everything else must follow.
+
+The operators themselves are checked against a brute-force reference that
+works on dicts over occupation tuples, counting Jordan-Wigner signs site by
+site: a second implementation that shares nothing with the lowering tables.
 """
 
+import itertools
 import math
+from collections import defaultdict
 
 import numpy as np
 import pytest
@@ -33,8 +39,15 @@ from hnaufbau.fock import (
     get_basis,
     residual,
 )
-from hnaufbau.lattice import HNParams, hopping_matrix, obc_spectrum, pbc_spectrum
+from hnaufbau.lattice import (
+    HNParams,
+    hopping_bonds,
+    hopping_matrix,
+    obc_spectrum,
+    pbc_spectrum,
+)
 from hnaufbau.numerics import determinant, eigenvalues, permanent
+from hnaufbau.observables import correlation_matrix
 
 
 # ------------------------------------------------------------------- basis
@@ -169,6 +182,95 @@ def test_apply_bonds_rejects_bad_sites():
     v = get_basis("fermion", 4, 2).zero_vector()
     with pytest.raises(ValueError):
         apply_bonds(v, [(0, 4, 1.0)])
+
+
+@pytest.mark.parametrize("stats", ["fermion", "boson", "hardcore"])
+def test_diagonal_bond_is_number_operator(stats, rng):
+    basis = get_basis(stats, 5, 3)
+    amps = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+    v = FockVector(basis, amps)
+    a = 0.7 - 0.4j
+    for i in range(5):
+        w = apply_bonds(v, [(i, i, a)])
+        want = a * basis.occupations[:, i] * amps
+        np.testing.assert_allclose(w.amplitudes, want, rtol=0, atol=1e-13)
+
+
+# ------------------------------------------------- brute-force reference
+
+
+def ref_states(stats, L, N):
+    cap = N if stats == "boson" else 1
+    return [o for o in itertools.product(range(cap + 1), repeat=L) if sum(o) == N]
+
+
+def ref_hop(stats, occ, i, j):
+    """c_i^dag c_j |occ> as (factor, occ'), or None when it vanishes."""
+    occ = list(occ)
+    nj = occ[j]
+    if nj == 0:
+        return None
+    factor = (-1) ** sum(occ[:j]) if stats == "fermion" else math.sqrt(nj)
+    occ[j] -= 1
+    ni = occ[i]
+    if stats != "boson" and ni == 1:
+        return None
+    factor *= (-1) ** sum(occ[:i]) if stats == "fermion" else math.sqrt(ni + 1)
+    occ[i] += 1
+    return factor, tuple(occ)
+
+
+def ref_apply(stats, vec, bonds):
+    """H v for H = sum amp c_i^dag c_j, v a dict over occupation tuples."""
+    out = defaultdict(complex)
+    for occ, a in vec.items():
+        for i, j, amp in bonds:
+            hop = ref_hop(stats, occ, i, j)
+            if hop is not None:
+                out[hop[1]] += amp * hop[0] * a
+    return out
+
+
+@pytest.mark.parametrize("stats", ["fermion", "boson", "hardcore"])
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+def test_engine_matches_brute_force_reference(stats, boundary, rng):
+    for L in range(2, 7):
+        p = HNParams(L=L, t=1.0, g=0.5, boundary=boundary)
+        bonds = hopping_bonds(p)
+        for N in range(min(L, 4) + 1):
+            basis = get_basis(stats, L, N)
+            occs = [tuple(int(n) for n in row) for row in basis.occupations]
+            assert sorted(occs) == sorted(ref_states(stats, L, N))
+
+            amps = rng.standard_normal(basis.dim) + 1j * rng.standard_normal(basis.dim)
+            amps /= np.linalg.norm(amps)
+            v = FockVector(basis, amps)
+            vec = dict(zip(occs, amps))
+            with_diag = bonds + [(L - 1, L - 1, 0.3 - 0.2j)]
+            want = ref_apply(stats, vec, with_diag)
+            np.testing.assert_allclose(
+                apply_bonds(v, with_diag).amplitudes,
+                [want.get(o, 0) for o in occs], rtol=0, atol=1e-13,
+            )
+
+            if N > 0:
+                dense = np.zeros((basis.dim, basis.dim), dtype=complex)
+                index = {o: k for k, o in enumerate(occs)}
+                for col, occ in enumerate(occs):
+                    for row_occ, val in ref_apply(stats, {occ: 1.0}, bonds).items():
+                        dense[index[row_occ], col] = val
+                np.testing.assert_allclose(
+                    build_dense_hamiltonian(p, stats, N), dense, rtol=0, atol=1e-13
+                )
+
+            G = np.zeros((L, L), dtype=complex)
+            for i in range(L):
+                for j in range(L):
+                    hv = ref_apply(stats, vec, [(i, j, 1.0)])
+                    G[i, j] = sum(np.conj(vec[o]) * a for o, a in hv.items())
+            np.testing.assert_allclose(
+                correlation_matrix(v).entries, G, rtol=0, atol=1e-13
+            )
 
 
 # ------------------------------------------------------------ dense builder
