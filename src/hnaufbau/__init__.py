@@ -9,6 +9,7 @@ from .aufbau import (
     OccupationConfig,
     SectorError,
     SectorTooLargeError,
+    Spectrum,
     build_spectrum,
     count_configs,
     enumerate_configs,

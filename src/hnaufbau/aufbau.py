@@ -3,8 +3,10 @@
 Single-particle levels are ordered by the real part of their complex energy;
 imaginary parts never influence which level fills first, only the tie-break
 inside real-part-degenerate groups (ascending imaginary part, then label).
-Occupation configurations are enumerated per statistics and their energies
-are plain occupation-weighted sums of level energies.
+Each sector is enumerated once as an occupation matrix (kernels), its
+energies are occupation-weighted sums of level energies over all rows at
+once, and build_spectrum returns the rank-ordered arrays as a Spectrum that
+builds a ManyBodyLevel only for the rank it is asked for.
 
 Ties are resolved with a tolerance, not exact comparison: levels (or
 many-body energies) whose real parts differ by at most tie_tol are chained
@@ -19,6 +21,7 @@ that a spectrum row and the direct ground-state fill agree bit for bit.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,6 +36,7 @@ __all__ = [
     "OccupationConfig",
     "SectorError",
     "SectorTooLargeError",
+    "Spectrum",
     "build_spectrum",
     "count_configs",
     "default_tie_tol",
@@ -91,6 +95,44 @@ class ManyBodyLevel:
     config: OccupationConfig
     rank: int
     degeneracy_group: int
+
+
+@dataclass(frozen=True, eq=False)
+class Spectrum:
+    """A sector's many-body levels in rank order, held as arrays.
+
+    Row r of ``energies`` (complex128), ``occupations`` (dim x L, int16) and
+    ``groups`` (real-part degeneracy cluster ids, non-decreasing) belongs to
+    rank r. ``spectrum[r]`` builds the ManyBodyLevel of rank r (negative r
+    counts from the end), a slice gives the list of levels it selects, and
+    iteration yields every level in rank order.
+    """
+
+    statistics: str
+    energies: np.ndarray = field(repr=False)
+    occupations: np.ndarray = field(repr=False)
+    groups: np.ndarray = field(repr=False)
+
+    def __len__(self) -> int:
+        return self.energies.shape[0]
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return [self[rank] for rank in range(*key.indices(len(self)))]
+        rank = operator.index(key)
+        if rank < 0:
+            rank += len(self)
+        if not 0 <= rank < len(self):
+            raise IndexError(f"rank {key} outside a spectrum of {len(self)} states")
+        return ManyBodyLevel(
+            energy=complex(self.energies[rank]),
+            config=OccupationConfig(self.statistics, tuple(self.occupations[rank].tolist())),
+            rank=rank,
+            degeneracy_group=int(self.groups[rank]),
+        )
+
+    def __iter__(self):
+        return (self[rank] for rank in range(len(self)))
 
 
 @dataclass(frozen=True)
@@ -178,40 +220,26 @@ def count_configs(L, N, statistics) -> int:
 def enumerate_configs(L, N, statistics):
     """Yield every OccupationConfig of the sector once, in colexicographic
     order over occupation vectors (for fermion/hardcore this coincides with
-    ascending order of the L-bit occupation words)."""
-    _check_sector(L, N, statistics)
+    ascending order of the L-bit occupation words). The sector is built as
+    one array, so sectors above DEFAULT_MAX_STATES raise SectorTooLargeError."""
+    dim = _capped_dim(L, N, statistics, DEFAULT_MAX_STATES)
+    for occ in _occupation_rows(L, N, statistics, dim).tolist():
+        yield OccupationConfig(statistics, tuple(occ))
+
+
+def _capped_dim(L, N, statistics, cap):
+    """count_configs, raising SectorTooLargeError above cap."""
+    dim = count_configs(L, N, statistics)
+    if dim > cap:
+        raise SectorTooLargeError(f"sector has {dim} states, above the cap of {cap}")
+    return dim
+
+
+def _occupation_rows(L, N, statistics, dim):
+    """The sector's dim x L int16 occupation matrix, colex order."""
     if statistics == "boson":
-        yield from _enumerate_boson(L, N)
-    else:
-        yield from _enumerate_binary(L, N, statistics)
-
-
-def _enumerate_binary(L, N, statistics):
-    count = math.comb(L, N)
-    word = (1 << N) - 1
-    for r in range(count):
-        occ = tuple((word >> j) & 1 for j in range(L))
-        yield OccupationConfig(statistics, occ)
-        if r + 1 < count:
-            t = word | (word - 1)
-            tz = (word & -word).bit_length() - 1
-            word = (t + 1) | ((((~t) & (t + 1)) - 1) >> (tz + 1))
-
-
-def _enumerate_boson(L, N):
-    cur = [0] * L
-    cur[0] = N
-    count = math.comb(L + N - 1, N)
-    for r in range(count):
-        yield OccupationConfig("boson", tuple(cur))
-        if r + 1 < count:
-            i0 = 0
-            while cur[i0] == 0:
-                i0 += 1
-            carry = cur[i0] - 1
-            cur[i0] = 0
-            cur[i0 + 1] += 1
-            cur[0] = carry
+        return kernels.boson_states(L, N, dim)
+    return kernels.fermion_occupations(L, N, dim)
 
 
 def _level_energies(levels):
@@ -239,58 +267,28 @@ def _kahan_energy(eps, perm_positions, occupations):
 
 
 def build_spectrum(levels, statistics, N, tie_tol=None, max_states=DEFAULT_MAX_STATES):
-    """All many-body levels of the sector, sorted by (Re E, Im E).
+    """All many-body levels of the sector, sorted by (Re E, Im E), as a Spectrum.
 
-    Ranks run 0..dim-1 in sorted order; degeneracy_group ids are maximal
+    Ranks run 0..dim-1 in sorted order; degeneracy groups are maximal
     runs of energies whose real parts chain within tie_tol. The ground
     state is rank 0. Sectors larger than max_states raise
     SectorTooLargeError before any allocation.
     """
     L = len(levels)
-    _check_sector(L, N, statistics)
-    dim = count_configs(L, N, statistics)
-    if dim > max_states:
-        raise SectorTooLargeError(
-            f"sector has {dim} states, above the cap of {max_states}"
-        )
+    dim = _capped_dim(L, N, statistics, max_states)
     ordering = sort_levels(levels, tie_tol)
     eps = _level_energies(levels)
     perm = np.array(ordering.positions, dtype=np.int64)
-
+    occupations = _occupation_rows(L, N, statistics, dim)
     if statistics == "boson":
-        states = kernels.boson_states(L, N, dim)
-        energies = kernels.config_energies_boson(
-            states, perm, eps, np.zeros(dim, dtype=np.complex128)
-        )
-        occ_rows = states
+        energies = kernels.config_energies_boson(occupations, perm, eps)
     else:
-        if L > 62:
-            raise SectorTooLargeError(
-                f"word-based enumeration supports L <= 62, got L={L}"
-            )
-        words = kernels.fermion_words(L, N, dim)
-        energies = kernels.config_energies_fermion(
-            words, perm, eps, np.zeros(dim, dtype=np.complex128)
-        )
-        occ_rows = kernels.fermion_occupations(words, L)
+        energies = kernels.config_energies_fermion(occupations, perm, eps)
 
     mb_tol = default_tie_tol(energies.real) if tie_tol is None else float(tie_tol)
     positions = np.arange(dim, dtype=np.int64)
     order, groups = _clustered_order(energies.real, energies.imag, positions, mb_tol)
-
-    out = []
-    for rank in range(dim):
-        s = order[rank]
-        config = OccupationConfig(statistics, tuple(int(n) for n in occ_rows[s]))
-        out.append(
-            ManyBodyLevel(
-                energy=complex(energies[s]),
-                config=config,
-                rank=rank,
-                degeneracy_group=int(groups[rank]),
-            )
-        )
-    return out
+    return Spectrum(statistics, energies[order], occupations[order], groups)
 
 
 def ground_state(levels, statistics, N, tie_tol=None) -> ManyBodyLevel:
@@ -328,13 +326,18 @@ def energy_of_config(levels, config, tie_tol=None) -> complex:
     return _kahan_energy(eps, ordering.positions, config.occupations)
 
 
+# byte n -> ASCII digit n, for occupation numbers 0..9
+_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+
+
 def occupation_string(config) -> str:
-    """Compact occupation text: digit string when all n <= 9 ("0101100000"),
+    """Compact occupation text of an OccupationConfig or of a sequence of
+    occupation numbers: digit string when all n <= 9 ("0101100000"),
     comma-joined otherwise ("0,11,0")."""
-    occ = config.occupations
-    if all(n <= 9 for n in occ):
-        return "".join(str(n) for n in occ)
-    return ",".join(str(n) for n in occ)
+    occ = getattr(config, "occupations", config)
+    if max(occ, default=0) <= 9:
+        return bytes(occ).translate(_DIGITS).decode("ascii")
+    return ",".join(map(str, occ))
 
 
 def parse_occupation_string(s, statistics) -> OccupationConfig:

@@ -14,12 +14,13 @@ Exit codes: 0 success, 1 verification/computation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
 
 from . import verify as verify_mod
-from .aufbau import ManyBodyLevel, OccupationConfig, build_spectrum, occupation_string
+from .aufbau import build_spectrum, occupation_string
 from .fock import eigenstate_from_config
 from .hardcore import delta_E_scan, im_delta_closed_form
 from .lattice import HNParams, single_particle_levels
@@ -190,8 +191,10 @@ def _fmt(x):
 
 
 def _emit(args, header, columns, rows, comments=(), metrics=None):
+    """Write the table as CSV or JSON; rows is any iterable of row lists,
+    consumed once."""
     if args.format == "json":
-        payload = {"params": header, "columns": list(columns), "rows": rows}
+        payload = {"params": header, "columns": list(columns), "rows": list(rows)}
         if metrics is not None:
             payload["metrics"] = metrics
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
@@ -199,8 +202,7 @@ def _emit(args, header, columns, rows, comments=(), metrics=None):
         lines = [f"# {k}={_fmt(v)}" for k, v in header.items()]
         lines.extend(comments)
         lines.append(",".join(columns))
-        for row in rows:
-            lines.append(",".join(_fmt(cell) for cell in row))
+        lines.extend(",".join(map(_fmt, row)) for row in rows)
         text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -240,15 +242,7 @@ def _spectrum_for(args):
     spec = build_spectrum(levels, fill_stats, args.N, tie_tol=args.tol)
     if args.stats == "hardcore":
         # relabel: the filling ran on the fermion image, the sector is hard-core
-        spec = [
-            ManyBodyLevel(
-                energy=lv.energy,
-                config=OccupationConfig("hardcore", lv.config.occupations),
-                rank=lv.rank,
-                degeneracy_group=lv.degeneracy_group,
-            )
-            for lv in spec
-        ]
+        spec = dataclasses.replace(spec, statistics="hardcore")
     return p, effective_twist, spec
 
 
@@ -274,11 +268,12 @@ def cmd_spectrum(args) -> int:
     header = _base_header(args, "spectrum", effective_twist)
     header["states"] = len(spec)
     columns = ["rank", "energy_re", "energy_im", "degeneracy_group", "occupation"]
-    rows = [
-        [lv.rank, lv.energy.real, lv.energy.imag, lv.degeneracy_group,
-         occupation_string(lv.config)]
-        for lv in spec
-    ]
+    rows = (
+        [rank, energy.real, energy.imag, group, occupation_string(occ)]
+        for rank, (energy, group, occ) in enumerate(
+            zip(spec.energies.tolist(), spec.groups.tolist(), spec.occupations.tolist())
+        )
+    )
     _emit(args, header, columns, rows)
     return 0
 

@@ -91,19 +91,11 @@ class FockBasis:
                     f"state keys overflow int64 for base {base}, L={L}"
                 )
             self.radix = base ** np.arange(L, dtype=np.int64)
-            self._occupations = kernels.boson_states(L, N, dim)
-            self.keys = self._occupations.astype(np.int64) @ self.radix
+            self.occupations = kernels.boson_states(L, N, dim)
         else:
             self.radix = np.int64(1) << np.arange(L, dtype=np.int64)
-            self._occupations = None
-            self.keys = kernels.fermion_words(L, N, dim)
-
-    @property
-    def occupations(self) -> np.ndarray:
-        """dim x L int16 occupation matrix, row order = basis order."""
-        if self._occupations is None:
-            self._occupations = kernels.fermion_occupations(self.keys, self.L)
-        return self._occupations
+            self.occupations = kernels.fermion_occupations(L, N, dim)
+        self.keys = self.occupations.astype(np.int64) @ self.radix
 
     @cached_property
     def coef(self) -> np.ndarray:

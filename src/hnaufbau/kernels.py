@@ -1,7 +1,9 @@
-"""Low-level numeric loops: dense linear algebra, sector enumeration and
-configuration energies.
+"""Low-level numerics: dense linear algebra loops, and whole-sector numpy
+builds of the occupation rows and their configuration energies.
 
-Plain interpreted NumPy; there is no compiled backend. The Fock-space
+Plain interpreted NumPy; there is no compiled backend. Enumeration builds a
+sector's occupation matrix mode by mode in colex order, and configuration
+energies are one compensated sum over all rows at once. The Fock-space
 operators do not live here: they are gathers and scatters over each
 basis's lowering table (see ``fock.FockBasis``).
 
@@ -306,87 +308,74 @@ def permanent_ryser(a):
 # ---------------------------------------------------------------------------
 
 
+def _colex_rows(L, N, cap):
+    """All rows of L occupation numbers in 0..cap summing to N, colex order.
+
+    Built one mode at a time: the rows over modes 0..m are the rows over
+    modes 0..m-1 extended by n_m = 0, then by n_m = 1, and so on, so each
+    row's last occupied mode varies slowest. ``blocks[n]`` holds the rows
+    over the modes seen so far that carry n particles.
+    """
+    blocks = [np.zeros((1, 0), np.int16)] + [None] * N
+    for m in range(L):
+        # fewest particles on modes 0..m that the remaining modes can top up
+        lo = max(0, N - cap * (L - 1 - m))
+        new = [None] * (N + 1)
+        for n in range(lo, min(N, cap * (m + 1)) + 1):
+            parts = [(k, blocks[n - k]) for k in range(min(cap, n) + 1)
+                     if blocks[n - k] is not None]
+            rows = np.empty((sum(b.shape[0] for _k, b in parts), m + 1), np.int16)
+            r = 0
+            for k, b in parts:
+                rows[r : r + b.shape[0], :m] = b
+                rows[r : r + b.shape[0], m] = k
+                r += b.shape[0]
+            new[n] = rows
+        blocks = new
+    return blocks[N]
+
+
+def fermion_occupations(L, N, count):
+    """The count = C(L, N) rows (int16) of every 0/1 occupation of L modes
+    with N ones, in colex order, i.e. ascending as L-bit words. No bit words
+    are formed, so any L works."""
+    return _colex_rows(L, N, 1)
+
+
 def fermion_words(L, N, count):
-    """All L-bit words of population N, ascending (colexicographic order)."""
-    out = np.zeros(count, np.int64)
-    if N == 0:
-        return out
-    v = np.int64((1 << N) - 1)
-    for i in range(count):
-        out[i] = v
-        if i + 1 < count:
-            t = v | (v - 1)
-            low = v & (-v)
-            tz = 0
-            lw = low
-            while lw > 1:
-                lw >>= 1
-                tz += 1
-            v = (t + 1) | ((((~t) & (t + 1)) - 1) >> (tz + 1))
-    return out
+    """The count = C(L, N) L-bit words of population N, ascending
+    (colexicographic order); L <= 62."""
+    radix = np.int64(1) << np.arange(L, dtype=np.int64)
+    return fermion_occupations(L, N, count) @ radix
 
 
 def boson_states(L, N, count):
-    """All occupation vectors of L modes summing to N, colexicographic order."""
-    out = np.zeros((count, L), np.int16)
-    cur = np.zeros(L, np.int64)
-    cur[0] = N
-    for r in range(count):
-        for j in range(L):
-            out[r, j] = cur[j]
-        if r + 1 == count:
-            break
-        i0 = 0
-        while cur[i0] == 0:
-            i0 += 1
-        carry = cur[i0] - 1
-        cur[i0] = 0
-        cur[i0 + 1] += 1
-        cur[0] = carry
-    return out
+    """The count = C(L+N-1, N) occupation vectors (int16) of L modes summing
+    to N, in colexicographic order."""
+    return _colex_rows(L, N, N)
 
 
-def fermion_occupations(words, L):
-    out = np.zeros((words.shape[0], L), np.int16)
-    for s in range(words.shape[0]):
-        w = words[s]
-        for j in range(L):
-            out[s, j] = (w >> j) & 1
-    return out
+def config_energies_boson(occupations, perm, eps):
+    """Occupation-weighted level sums of every row at once, compensated
+    (Kahan) and visiting the modes in sorted-level order ``perm``.
+
+    A row adds eps[m] itself where n_m = 1, n_m * eps[m] where n_m > 1, and
+    skips the update where n_m = 0, so each sum is bit-identical to the
+    scalar ``aufbau._kahan_energy`` of the same row.
+    """
+    dim = occupations.shape[0]
+    acc = np.zeros(dim, np.complex128)
+    comp = np.zeros(dim, np.complex128)
+    for m in perm:
+        n = occupations[:, m]
+        hit = n != 0
+        y = np.where(n > 1, n * eps[m], eps[m]) - comp
+        t = acc + y
+        comp = np.where(hit, (t - acc) - y, comp)
+        acc = np.where(hit, t, acc)
+    return acc
 
 
-def config_energies_fermion(words, perm, eps, out):
-    """Occupation-weighted level sums, compensated, in sorted-mode order."""
-    dim = words.shape[0]
-    Lp = perm.shape[0]
-    for s in range(dim):
-        w = words[s]
-        acc = 0.0 + 0.0j
-        comp = 0.0 + 0.0j
-        for l in range(Lp):
-            m = perm[l]
-            if (w >> m) & 1 == 1:
-                y = eps[m] - comp
-                t = acc + y
-                comp = (t - acc) - y
-                acc = t
-        out[s] = acc
-    return out
-
-
-def config_energies_boson(states, perm, eps, out):
-    dim = states.shape[0]
-    Lp = perm.shape[0]
-    for s in range(dim):
-        acc = 0.0 + 0.0j
-        comp = 0.0 + 0.0j
-        for l in range(Lp):
-            m = perm[l]
-            n = states[s, m]
-            if n != 0:
-                y = n * eps[m] - comp
-                t = acc + y
-                comp = (t - acc) - y
-                acc = t
-        out[s] = acc
-    return out
+def config_energies_fermion(occupations, perm, eps):
+    """config_energies_boson over 0/1 occupation rows."""
+    return config_energies_boson(occupations, perm, eps)

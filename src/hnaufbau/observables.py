@@ -7,9 +7,12 @@ come from the one-body correlation matrix G[i][j] = <c_i^dag c_j> through
 
 the unitary-transform convention, so sum_m n_{k_m} = trace G = N and a
 plane-wave eigenstate puts integer weight exactly on its occupied momenta.
-For determinant states an independent route to the same G is provided via
-the non-orthogonal projector Phi (Phi^dag Phi)^{-1} Phi^dag; the two routes
-cross-check each other in the verification suite.
+For determinant states an independent route to the same G is the projector
+Q Q^dag onto the span of the occupied (non-orthogonal) orbitals, Q from the
+QR factorization Phi = Q R. QR keeps the condition number of Phi, where
+the normal equations (Phi^dag Phi)^{-1} would square that of the graded
+open-chain orbitals e^{-gj} sin(jk). The two routes cross-check each other
+in the verification suite.
 
 All expectation values are right-state averages over self-normalized
 vectors; no biorthogonal weighting anywhere.
@@ -112,12 +115,18 @@ def correlation_matrix(v: FockVector) -> CorrelationMatrix:
 
 def density_matrix_from_orbitals(orbitals) -> CorrelationMatrix:
     """G for a fermion determinant state from its (possibly non-orthogonal)
-    occupied orbitals: the projector Phi (Phi^dag Phi)^{-1} Phi^dag, read in
-    the <c_i^dag c_j> index convention."""
+    occupied orbitals: the projector Q Q^dag onto their span, Q from the QR
+    factorization Phi = Q R, read in the <c_i^dag c_j> index convention.
+    Raises SingularMatrixError when the orbitals are linearly dependent to
+    working precision (|R_kk| <= PIVOT_RTOL * max |R_jj|)."""
     phi = np.column_stack([np.asarray(o, dtype=np.complex128).ravel() for o in orbitals])
-    overlap = np.conj(phi.T) @ phi
-    x = numerics.lu_solve(overlap, np.conj(phi.T))
-    rho = phi @ x
+    q, r = np.linalg.qr(phi)
+    diag = np.abs(np.diag(r))
+    if not diag.min() > numerics.PIVOT_RTOL * diag.max():
+        raise numerics.SingularMatrixError(
+            f"{phi.shape[1]} orbitals are linearly dependent to working precision"
+        )
+    rho = q @ np.conj(q.T)
     return CorrelationMatrix(rho.T, source="orbital-projector")
 
 

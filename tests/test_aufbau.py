@@ -21,6 +21,7 @@ from hnaufbau.aufbau import (
     OccupationConfig,
     SectorError,
     SectorTooLargeError,
+    Spectrum,
     build_spectrum,
     count_configs,
     energy_of_config,
@@ -214,6 +215,8 @@ def test_enumeration_invalid_sectors():
         list(enumerate_configs(4, -1, "boson"))
     with pytest.raises(ValueError):
         list(enumerate_configs(4, 2, "anyon"))
+    with pytest.raises(SectorTooLargeError):
+        next(enumerate_configs(40, 20, "fermion"))
 
 
 def test_occupation_config_validation():
@@ -294,12 +297,46 @@ def test_spectrum_real_when_reciprocal():
 
 
 def test_spectrum_energy_consistency():
-    # each level's energy re-derives from its config
-    levels = ring_levels(7)
-    spec = build_spectrum(levels, "boson", 3)
-    for lv in spec[:40]:
-        redo = energy_of_config(levels, lv.config)
-        assert redo == lv.energy
+    # each level's energy re-derives from its config, bit for bit, through
+    # the scalar compensated loop
+    for levels in (ring_levels(7), chain_levels(7, g=1.5)):
+        for stats in ("fermion", "boson", "hardcore"):
+            for lv in build_spectrum(levels, stats, 3):
+                redo = energy_of_config(levels, lv.config)
+                assert redo == lv.energy
+
+
+def test_spectrum_arrays_and_level_views():
+    spec = build_spectrum(ring_levels(6), "boson", 3)
+    assert isinstance(spec, Spectrum)
+    assert len(spec) == 56
+    assert spec.energies.dtype == np.complex128 and spec.energies.shape == (56,)
+    assert spec.occupations.dtype == np.int16 and spec.occupations.shape == (56, 6)
+    assert np.all(np.diff(spec.groups) >= 0)
+    levels = list(spec)
+    assert [lv.rank for lv in levels] == list(range(56))
+    for lv in levels:
+        assert lv.energy == complex(spec.energies[lv.rank])
+        assert lv.config.occupations == tuple(spec.occupations[lv.rank].tolist())
+        assert lv.config.statistics == "boson"
+        assert lv.degeneracy_group == spec.groups[lv.rank]
+    assert spec[-1] == levels[-1] and spec[-1].rank == 55
+    assert spec[-56] == levels[0]
+    assert spec[2:5] == levels[2:5]
+    assert spec[::-7] == levels[::-7]
+    assert spec[np.int64(3)] == levels[3]
+    with pytest.raises(IndexError):
+        spec[56]
+    with pytest.raises(IndexError):
+        spec[-57]
+
+
+def test_enumeration_matches_spectrum_rows():
+    for stats in ("fermion", "boson", "hardcore"):
+        rows = {cfg.occupations for cfg in enumerate_configs(6, 3, stats)}
+        spec = build_spectrum(ring_levels(6), stats, 3)
+        assert rows == {lv.config.occupations for lv in spec}
+        assert {lv.config.statistics for lv in spec} == {stats}
 
 
 def test_spectrum_cap_enforced():
@@ -400,6 +437,13 @@ def test_occupation_string_roundtrip_wide_boson():
     s = occupation_string(cfg)
     assert s == "12,0,1"
     assert parse_occupation_string(s, "boson") == cfg
+
+
+def test_occupation_string_of_plain_rows():
+    # the same text from a config and from its bare occupation row
+    assert occupation_string([0, 1, 9, 0]) == "0190"
+    assert occupation_string((0, 10, 255, 256)) == "0,10,255,256"
+    assert occupation_string(np.array([3, 0, 1], dtype=np.int16).tolist()) == "301"
 
 
 def test_energy_of_config_matches_manual_sum():

@@ -5,6 +5,7 @@ and worker count must not change anything. The spectrum CSV is checked by
 re-deriving each row's energy from its occupation string.
 """
 
+import hashlib
 import json
 import math
 
@@ -12,9 +13,14 @@ import numpy as np
 import pytest
 
 from hnaufbau import cli
-from hnaufbau.aufbau import energy_of_config, parse_occupation_string
+from hnaufbau.aufbau import (
+    energy_of_config,
+    ground_state,
+    occupation_string,
+    parse_occupation_string,
+)
 from hnaufbau.hardcore import im_delta_closed_form
-from hnaufbau.lattice import HNParams, pbc_spectrum
+from hnaufbau.lattice import HNParams, pbc_spectrum, single_particle_levels
 
 
 def run_cli(argv):
@@ -137,6 +143,45 @@ def test_spectrum_hardcore_even_sector_reports_twist(tmp_path):
     assert code == 0
     header2, _, _ = cli.read_table(str(out2))
     assert "effective_twist" not in header2
+
+
+# sha256 of the spectrum output, pinned so any change to enumeration order,
+# energy summation, grouping or row formatting shows up byte for byte
+GOLDEN_SPECTRA = [
+    (["-L", "12", "-N", "6", "-g", "0.5", "--bc", "pbc", "--stats", "fermion"],
+     "0e2f2b648719efa561afa6beba49b2dccca20d67fd1fe5465c3c790d5b0e2e42"),
+    (["-L", "8", "-N", "5", "-g", "1.5", "--bc", "obc", "--stats", "boson"],
+     "113b758e8ee33c9c595f077c81c1aada6731fb0362bb863f635e9ad2f11a5f59"),
+    (["-L", "10", "-N", "4", "-g", "0.5", "--bc", "pbc", "--stats", "hardcore"],
+     "2fd23068a34f420144a1f2567b22f10ab15f199aff304a62d548540edaab637d"),
+    (["-L", "9", "-N", "3", "-g", "0.5", "--bc", "twist=0.3", "--stats", "fermion",
+      "--format", "json"],
+     "cf52ce345b59ab112b6f513a569b90a563a3ce2b018cb0eac2a0235752c62b4f"),
+]
+
+
+@pytest.mark.parametrize("flags,digest", GOLDEN_SPECTRA)
+def test_spectrum_output_matches_golden_digest(tmp_path, flags, digest):
+    code, out = run_to_file(tmp_path, "golden.out", ["spectrum", *flags])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("L,N,dim", [(64, 1, 64), (70, 2, 2415)])
+def test_spectrum_beyond_word_width(tmp_path, L, N, dim):
+    code, out = run_to_file(
+        tmp_path, "wide.csv",
+        ["spectrum", "-L", str(L), "-N", str(N), "-g", "0.5", "--bc", "pbc"],
+    )
+    assert code == 0
+    header, _, rows = cli.read_table(str(out))
+    assert header["states"] == str(dim)
+    assert len(rows) == dim
+    levels = single_particle_levels(HNParams(L=L, t=1.0, g=0.5, boundary="periodic"))
+    gs = ground_state(levels, "fermion", N)
+    assert float(rows[0][1]) == gs.energy.real
+    assert float(rows[0][2]) == gs.energy.imag
+    assert rows[0][4] == occupation_string(gs.config)
 
 
 # ------------------------------------------------------------- observables

@@ -1,8 +1,9 @@
 """Distributions and localization diagnostics.
 
 The correlation matrix gets the dual-route treatment: the explicit
-Fock-space contraction must agree with the non-orthogonal orbital
-projector Phi (Phi^dag Phi)^{-1} Phi^dag entry by entry. Momentum
+Fock-space contraction must agree entry by entry with the projector onto
+the span of the non-orthogonal occupied orbitals, built from their QR
+factorization. Momentum
 profiles of ring eigenstates must reproduce the occupation numbers
 exactly, which pins the Fourier convention.
 """
@@ -13,8 +14,15 @@ import numpy as np
 import pytest
 
 from hnaufbau.aufbau import OccupationConfig, build_spectrum
-from hnaufbau.fock import FockVector, construct_product_state, eigenstate_from_config, get_basis
-from hnaufbau.lattice import HNParams, obc_spectrum, pbc_spectrum
+from hnaufbau.fock import (
+    FockVector,
+    NullStateError,
+    construct_product_state,
+    eigenstate_from_config,
+    get_basis,
+)
+from hnaufbau.lattice import HNParams, obc_spectrum, pbc_spectrum, single_particle_levels
+from hnaufbau.numerics import SingularMatrixError
 from hnaufbau.observables import (
     CorrelationMatrix,
     DistributionProfile,
@@ -24,6 +32,7 @@ from hnaufbau.observables import (
     momentum_distribution,
     skin_metrics,
 )
+from hnaufbau.verify import TOLERANCES
 
 
 def ring(L, g=0.5):
@@ -136,6 +145,34 @@ def test_correlation_dual_route_fermion():
         assert G_fock.source == "fock-fermion"
         assert G_orb.source == "orbital-projector"
         np.testing.assert_allclose(G_fock.entries, G_orb.entries, atol=1e-10)
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+def test_correlation_dual_route_property_over_g(boundary):
+    # every rank of L=6, N=3 on a g grid over [0, 6]; the graded open-chain
+    # orbitals e^{-gj} sin(jk) grow ill-conditioned as g rises
+    bound = TOLERANCES["dual_route"]
+    failures = []
+    for g in np.linspace(0.0, 6.0, 25):
+        p = HNParams(L=6, t=1.0, g=float(g), boundary=boundary)
+        levels = single_particle_levels(p)
+        for lv in build_spectrum(levels, "fermion", 3):
+            try:
+                v = eigenstate_from_config(p, lv.config)
+            except NullStateError:
+                continue
+            occupied = [levels[m].orbital for m, n in enumerate(lv.config.occupations) if n]
+            G_orb = density_matrix_from_orbitals(occupied)
+            diff = np.max(np.abs(correlation_matrix(v).entries - G_orb.entries))
+            if not diff < bound:
+                failures.append((float(g), lv.rank, float(diff)))
+    assert failures == []
+
+
+def test_orbital_projector_rejects_dependent_orbitals():
+    orb = obc_spectrum(chain(6, g=0.5))[0].orbital
+    with pytest.raises(SingularMatrixError):
+        density_matrix_from_orbitals([orb, 2.0 * orb])
 
 
 def test_correlation_matrix_validation():
