@@ -53,11 +53,8 @@ from .lattice import (
 )
 from .numerics import (
     DimensionError,
-    EigenResult,
     SingularMatrixError,
-    determinant,
     eigenvalues,
-    lu_solve,
     permanent,
 )
 from .observables import (

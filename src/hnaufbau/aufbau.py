@@ -222,8 +222,8 @@ def enumerate_configs(L, N, statistics):
     order over occupation vectors (for fermion/hardcore this coincides with
     ascending order of the L-bit occupation words). The sector is built as
     one array, so sectors above DEFAULT_MAX_STATES raise SectorTooLargeError."""
-    dim = _capped_dim(L, N, statistics, DEFAULT_MAX_STATES)
-    for occ in _occupation_rows(L, N, statistics, dim).tolist():
+    _capped_dim(L, N, statistics, DEFAULT_MAX_STATES)
+    for occ in _occupation_rows(L, N, statistics).tolist():
         yield OccupationConfig(statistics, tuple(occ))
 
 
@@ -235,11 +235,11 @@ def _capped_dim(L, N, statistics, cap):
     return dim
 
 
-def _occupation_rows(L, N, statistics, dim):
+def _occupation_rows(L, N, statistics):
     """The sector's dim x L int16 occupation matrix, colex order."""
     if statistics == "boson":
-        return kernels.boson_states(L, N, dim)
-    return kernels.fermion_occupations(L, N, dim)
+        return kernels.boson_states(L, N)
+    return kernels.fermion_occupations(L, N)
 
 
 def _level_energies(levels):
@@ -279,7 +279,7 @@ def build_spectrum(levels, statistics, N, tie_tol=None, max_states=DEFAULT_MAX_S
     ordering = sort_levels(levels, tie_tol)
     eps = _level_energies(levels)
     perm = np.array(ordering.positions, dtype=np.int64)
-    occupations = _occupation_rows(L, N, statistics, dim)
+    occupations = _occupation_rows(L, N, statistics)
     if statistics == "boson":
         energies = kernels.config_energies_boson(occupations, perm, eps)
     else:

@@ -91,10 +91,10 @@ class FockBasis:
                     f"state keys overflow int64 for base {base}, L={L}"
                 )
             self.radix = base ** np.arange(L, dtype=np.int64)
-            self.occupations = kernels.boson_states(L, N, dim)
+            self.occupations = kernels.boson_states(L, N)
         else:
             self.radix = np.int64(1) << np.arange(L, dtype=np.int64)
-            self.occupations = kernels.fermion_occupations(L, N, dim)
+            self.occupations = kernels.fermion_occupations(L, N)
         self.keys = self.occupations.astype(np.int64) @ self.radix
 
     @cached_property

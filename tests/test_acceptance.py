@@ -84,10 +84,9 @@ def test_acceptance_3_oracle_multiset_equality():
         for stats, dim in (("fermion", 20), ("boson", 56)):
             spec = build_spectrum(levels, stats, 3)
             assert len(spec) == dim
-            res = eigenvalues(build_dense_hamiltonian(p, stats, 3))
-            assert res.converged
+            eigs = eigenvalues(build_dense_hamiltonian(p, stats, 3))
             a = sort_complex_spectrum(np.array([lv.energy for lv in spec]))
-            b = sort_complex_spectrum(res.eigenvalues)
+            b = sort_complex_spectrum(eigs)
             assert np.max(np.abs(a - b)) < 1e-8
         assert time.perf_counter() - start < 10.0
 

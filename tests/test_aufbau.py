@@ -177,14 +177,16 @@ def test_enumeration_matches_itertools_combinations():
 
 
 def test_fermion_words_match_combinations():
-    # independent reference: bit words from combinations, sorted ascending
+    # independent reference: bit words from combinations, sorted ascending,
+    # unpacked into occupation rows
     L, N = 10, 4
-    words = kernels.fermion_words(L, N, math.comb(L, N))
-    ref = sorted(
+    rows = kernels.fermion_occupations(L, N)
+    words = sorted(
         sum(1 << p for p in positions)
         for positions in itertools.combinations(range(L), N)
     )
-    np.testing.assert_array_equal(words, np.array(ref, dtype=np.int64))
+    ref = [[(w >> j) & 1 for j in range(L)] for w in words]
+    np.testing.assert_array_equal(rows, np.array(ref, dtype=np.int16))
 
 
 def test_boson_states_match_compositions():
@@ -198,7 +200,7 @@ def test_boson_states_match_compositions():
                 yield (head,) + rest
 
     L, N = 5, 4
-    states = kernels.boson_states(L, N, math.comb(L + N - 1, N))
+    states = kernels.boson_states(L, N)
     ref = sorted(compositions(L, N), key=lambda occ: tuple(reversed(occ)))
     np.testing.assert_array_equal(states, np.array(ref, dtype=np.int16))
 

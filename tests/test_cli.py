@@ -21,6 +21,7 @@ from hnaufbau.aufbau import (
 )
 from hnaufbau.hardcore import im_delta_closed_form
 from hnaufbau.lattice import HNParams, pbc_spectrum, single_particle_levels
+from hnaufbau.verify import run_checks
 
 
 def run_cli(argv):
@@ -364,6 +365,14 @@ def test_exit_1_on_computation_failure(capsys):
     assert "computation failed" in capsys.readouterr().err
 
 
+def test_hcb_compare_exit_1_on_complex_hcb_energy(capsys):
+    # at g=20 the filled hard-core ring energy picks up Im ~ 5e-6 from
+    # rounding at e^20 scale; that is a computation failure, not bad usage
+    argv = ["hcb-compare", "--lengths", "400:408:4", "-g", "20"]
+    assert run_cli(argv) == 1
+    assert "computation failed" in capsys.readouterr().err
+
+
 def test_help_exits_zero(capsys):
     assert run_cli(["--help"]) == 0
     assert "spectrum" in capsys.readouterr().out
@@ -402,6 +411,12 @@ def test_verify_detects_injected_sign_fault(tmp_path, monkeypatch, capsys):
     captured = capsys.readouterr().out
     assert code == 1
     assert "FAIL" in captured
+
+
+@pytest.mark.parametrize("g", [0.25, 0.5, 1.1, 2.0, 4.0])
+def test_verify_every_row_passes(g):
+    failed = [r.name for r in run_checks(g=g) if not r.passed]
+    assert not failed
 
 
 def test_verify_multiple_suites_comma_split(capsys):

@@ -1,8 +1,8 @@
-"""Dense linear algebra routines checked against independent oracles.
+"""The numerics module checked against independent oracles.
 
-The oracles here are deliberately naive: cofactor expansion for
-determinants, a permutation sum for permanents, and numpy's eigensolver
-for spectra. Slow but unarguable.
+Permanents are checked against a deliberately naive permutation sum. The
+eigenvalue wrapper is numpy's LAPACK zgeev behind an input check, so its
+tests pin that contract: known spectra, invariants, and rejected input.
 """
 
 import itertools
@@ -13,28 +13,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hnaufbau.numerics import (
-    DimensionError,
-    SingularMatrixError,
-    determinant,
-    eigenvalues,
-    lu_solve,
-    permanent,
+from hnaufbau import (
+    aufbau,
+    cli,
+    fock,
+    hardcore,
+    kernels,
+    lattice,
+    numerics,
+    observables,
+    verify,
 )
-
-
-def det_cofactor(a):
-    """Laplace expansion along the first row. O(n!) reference."""
-    a = np.asarray(a, dtype=np.complex128)
-    n = a.shape[0]
-    if n == 1:
-        return a[0, 0]
-    total = 0.0 + 0.0j
-    cols = np.arange(n)
-    for j in range(n):
-        minor = a[1:][:, cols != j]
-        total += (-1) ** j * a[0, j] * det_cofactor(minor)
-    return total
+from hnaufbau.numerics import DimensionError, eigenvalues, permanent
 
 
 def permanent_sum(a):
@@ -59,120 +49,6 @@ def sorted_by_parts(values):
     values = np.asarray(values, dtype=np.complex128)
     order = np.lexsort((values.imag, values.real))
     return values[order]
-
-
-# ---------------------------------------------------------------- lu_solve
-
-
-def test_lu_solve_identity():
-    b = np.array([1.0 + 2.0j, -3.0j, 4.0])
-    x = lu_solve(np.eye(3), b)
-    np.testing.assert_allclose(x, b, rtol=0, atol=0)
-
-
-def test_lu_solve_diagonal():
-    a = np.diag([2.0 + 0.0j, 2.0j])
-    b = np.array([4.0, 4.0j])
-    x = lu_solve(a, b)
-    np.testing.assert_allclose(x, [2.0, 2.0], atol=1e-15)
-
-
-def test_lu_solve_roundtrip(rng):
-    a = random_complex(rng, 8)
-    x_true = random_complex(rng, 8, 1)[:, 0]
-    b = a @ x_true
-    x = lu_solve(a, b)
-    np.testing.assert_allclose(x, x_true, atol=1e-10)
-
-
-def test_lu_solve_matrix_rhs(rng):
-    a = random_complex(rng, 6)
-    b = random_complex(rng, 6, 3)
-    x = lu_solve(a, b)
-    np.testing.assert_allclose(a @ x, b, atol=1e-10)
-
-
-def test_lu_solve_singular_raises():
-    a = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
-    with pytest.raises(SingularMatrixError):
-        lu_solve(a, np.ones(2, dtype=complex))
-
-
-def test_lu_solve_shape_mismatch():
-    with pytest.raises(ValueError):
-        lu_solve(np.eye(3), np.ones(4))
-
-
-def test_lu_solve_rejects_nonsquare():
-    with pytest.raises(ValueError):
-        lu_solve(np.ones((2, 3)), np.ones(2))
-
-
-def test_lu_solve_rejects_nonfinite():
-    a = np.eye(2, dtype=complex)
-    a[0, 1] = np.nan
-    with pytest.raises(ValueError):
-        lu_solve(a, np.ones(2))
-
-
-@settings(deadline=None, max_examples=40)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12))
-def test_lu_solve_residual_property(seed, n):
-    rng = np.random.default_rng(seed)
-    a = random_complex(rng, n)
-    b = random_complex(rng, n, 1)[:, 0]
-    x = lu_solve(a, b)
-    scale = np.linalg.norm(a) * np.linalg.norm(x) + np.linalg.norm(b)
-    assert np.linalg.norm(a @ x - b) <= 1e-11 * max(scale, 1.0)
-
-
-# ------------------------------------------------------------- determinant
-
-
-def test_determinant_vs_cofactor(rng):
-    a = random_complex(rng, 5)
-    assert abs(determinant(a) - det_cofactor(a)) < 1e-10
-
-
-def test_determinant_swap_matrix():
-    a = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    assert abs(determinant(a) - (-1.0)) < 1e-14
-
-
-def test_determinant_singular_is_zero():
-    a = np.array([[1.0, 2.0], [2.0, 4.0]], dtype=complex)
-    assert determinant(a) == 0
-
-
-def test_determinant_row_permutation_sign(rng):
-    a = random_complex(rng, 6)
-    perm = np.array([2, 0, 4, 1, 5, 3])
-    # sign of the permutation by counting inversions
-    inv = sum(
-        1
-        for i in range(6)
-        for j in range(i + 1, 6)
-        if perm[i] > perm[j]
-    )
-    expected = (-1) ** inv * determinant(a)
-    assert abs(determinant(a[perm]) - expected) < 1e-10 * (1 + abs(expected))
-
-
-def test_determinant_product_rule(rng):
-    a = random_complex(rng, 4)
-    b = random_complex(rng, 4)
-    lhs = determinant(a @ b)
-    rhs = determinant(a) * determinant(b)
-    assert abs(lhs - rhs) < 1e-10 * (1 + abs(rhs))
-
-
-@settings(deadline=None, max_examples=30)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6))
-def test_determinant_cofactor_property(seed, n):
-    rng = np.random.default_rng(seed)
-    a = random_complex(rng, n)
-    ref = det_cofactor(a)
-    assert abs(determinant(a) - ref) < 1e-9 * (1 + abs(ref))
 
 
 # --------------------------------------------------------------- permanent
@@ -222,11 +98,8 @@ def test_permanent_sum_property(seed, n):
 
 def test_eigenvalues_diagonal():
     d = np.array([1.0 + 2.0j, -3.0, 0.5j])
-    res = eigenvalues(np.diag(d))
-    assert res.converged
-    np.testing.assert_allclose(
-        sorted_by_parts(res.eigenvalues), sorted_by_parts(d), atol=1e-13
-    )
+    eigs = eigenvalues(np.diag(d))
+    np.testing.assert_allclose(sorted_by_parts(eigs), sorted_by_parts(d), atol=1e-13)
 
 
 def test_eigenvalues_asymmetric_hopping_cell():
@@ -234,41 +107,25 @@ def test_eigenvalues_asymmetric_hopping_cell():
     # product is 1 and the eigenvalues are exactly +/- 1 for every g.
     g = 0.5
     a = np.array([[0.0, math.exp(g)], [math.exp(-g), 0.0]], dtype=complex)
-    res = eigenvalues(a)
-    got = sorted_by_parts(res.eigenvalues)
+    got = sorted_by_parts(eigenvalues(a))
     np.testing.assert_allclose(got, [-1.0, 1.0], atol=1e-12)
 
 
 def test_eigenvalues_jordan_block():
     # defective: [[0,1],[0,0]] has a double eigenvalue 0
     a = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    res = eigenvalues(a)
-    assert res.converged
-    np.testing.assert_allclose(res.eigenvalues, [0.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(eigenvalues(a), [0.0, 0.0], atol=1e-12)
 
 
 def test_eigenvalues_trace_invariant_dim_200(rng):
     a = random_complex(rng, 200)
-    res = eigenvalues(a)
-    assert res.converged
-    assert abs(res.eigenvalues.sum() - np.trace(a)) < 1e-8 * np.linalg.norm(a)
+    assert abs(eigenvalues(a).sum() - np.trace(a)) < 1e-8 * np.linalg.norm(a)
 
 
 def test_eigenvalues_determinant_invariant(rng):
     a = random_complex(rng, 30)
-    res = eigenvalues(a)
-    assert res.converged
-    ref = determinant(a)
-    assert abs(np.prod(res.eigenvalues) - ref) < 1e-8 * (1 + abs(ref))
-
-
-def test_eigenvalues_vs_numpy_multiset(rng):
-    a = random_complex(rng, 40)
-    res = eigenvalues(a)
-    assert res.converged
-    ref = np.linalg.eigvals(a)
-    got = sorted_by_parts(res.eigenvalues)
-    np.testing.assert_allclose(got, sorted_by_parts(ref), atol=1e-9)
+    ref = np.linalg.det(a)
+    assert abs(np.prod(eigenvalues(a)) - ref) < 1e-8 * (1 + abs(ref))
 
 
 def test_eigenvalues_similarity_invariance(rng):
@@ -276,8 +133,8 @@ def test_eigenvalues_similarity_invariance(rng):
     a = random_complex(rng, 12)
     d = np.diag(10.0 ** rng.integers(-3, 4, size=12).astype(float))
     b = d @ a @ np.linalg.inv(d)
-    got = sorted_by_parts(eigenvalues(b).eigenvalues)
-    ref = sorted_by_parts(eigenvalues(a).eigenvalues)
+    got = sorted_by_parts(eigenvalues(b))
+    ref = sorted_by_parts(eigenvalues(a))
     np.testing.assert_allclose(got, ref, atol=1e-8)
 
 
@@ -286,12 +143,46 @@ def test_eigenvalues_empty_rejected():
         eigenvalues(np.zeros((0, 0)))
 
 
+def test_eigenvalues_rejects_nonsquare():
+    with pytest.raises(ValueError):
+        eigenvalues(np.ones((2, 3)))
+
+
+def test_eigenvalues_rejects_nonfinite():
+    a = np.eye(2, dtype=complex)
+    a[0, 1] = np.nan
+    with pytest.raises(ValueError):
+        eigenvalues(a)
+
+
+def test_eigenvalues_lapack_failure_is_arithmetic(monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvals", fail)
+    with pytest.raises(ArithmeticError):
+        eigenvalues(np.eye(2))
+
+
 @settings(deadline=None, max_examples=25)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 25))
 def test_eigenvalues_trace_property(seed, n):
     rng = np.random.default_rng(seed)
     a = random_complex(rng, n)
-    res = eigenvalues(a)
-    assert res.converged
     scale = np.linalg.norm(a) + 1.0
-    assert abs(res.eigenvalues.sum() - np.trace(a)) < 1e-9 * n * scale
+    assert abs(eigenvalues(a).sum() - np.trace(a)) < 1e-9 * n * scale
+
+
+# ------------------------------------------------------------ public names
+
+
+@pytest.mark.parametrize(
+    "module",
+    [aufbau, cli, fock, hardcore, kernels, lattice, numerics, observables, verify],
+    ids=lambda m: m.__name__,
+)
+def test_public_names_resolve(module):
+    # perfbench's tracer wraps every name in these lists; the package itself
+    # has no __all__, and its explicit imports fail at import time if stale
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert not missing
