@@ -45,6 +45,7 @@ from .lattice import (
     BoundaryError,
     ComplexLevel,
     HNParams,
+    Levels,
     hopping_bonds,
     hopping_matrix,
     obc_spectrum,

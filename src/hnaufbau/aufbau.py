@@ -1,8 +1,10 @@
 """Generalized Aufbau assembly of many-body spectra.
 
-Single-particle levels are ordered by the real part of their complex energy;
-imaginary parts never influence which level fills first, only the tie-break
-inside real-part-degenerate groups (ascending imaginary part, then label).
+Single-particle levels (an array-backed lattice.Levels) are ordered by the
+real part of their complex energy; imaginary parts never influence which
+level fills first, only the tie-break inside real-part-degenerate groups
+(ascending imaginary part, then label). The ordering comes back as index
+arrays, and no orbital is ever read here.
 Each sector is enumerated once as an occupation matrix (kernels), its
 energies are occupation-weighted sums of level energies over all rows at
 once, and build_spectrum returns the rank-ordered arrays as a Spectrum that
@@ -15,7 +17,9 @@ float noise of order 1e-16 in cos(pi/2) vs cos(3pi/2) would flip which of
 two complex-conjugate partners counts as the ground state.
 
 Energy sums run in sorted-mode order with compensated (Kahan) summation so
-that a spectrum row and the direct ground-state fill agree bit for bit.
+that a spectrum row and the direct ground-state fill agree bit for bit. The
+fill sums its N filled modes only, which gives the same bits because the
+summation skips empty modes.
 """
 
 from __future__ import annotations
@@ -27,7 +31,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from .lattice import ComplexLevel
 
 __all__ = [
     "STATISTICS",
@@ -135,19 +138,19 @@ class Spectrum:
         return (self[rank] for rank in range(len(self)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LevelOrdering:
-    """Filling order of single-particle levels.
+    """Filling order of single-particle levels, as int64 arrays.
 
     permutation holds mode labels, rank l at position l; positions holds the
-    corresponding 0-based indices into the level list that produced it; groups
+    corresponding 0-based indices into the Levels that produced it; groups
     holds the real-part degeneracy cluster id per rank (non-decreasing).
     """
 
-    permutation: tuple
+    permutation: np.ndarray
     tie_tol: float
-    positions: tuple = field(repr=False)
-    groups: tuple = field(repr=False)
+    positions: np.ndarray = field(repr=False)
+    groups: np.ndarray = field(repr=False)
 
 
 def default_tie_tol(real_parts) -> float:
@@ -174,7 +177,7 @@ def _clustered_order(re, im, tiebreak, tie_tol):
 
 
 def sort_levels(levels, tie_tol=None) -> LevelOrdering:
-    """Order levels by (Re energy, then Im ascending, then mode label).
+    """Order Levels by (Re energy, then Im ascending, then mode label).
 
     Levels whose real parts chain within tie_tol form one degeneracy group;
     the group ids come back in LevelOrdering.groups. Default tie_tol is
@@ -182,8 +185,8 @@ def sort_levels(levels, tie_tol=None) -> LevelOrdering:
     """
     if len(levels) == 0:
         raise ValueError("sort_levels requires a non-empty level list")
-    energies = np.array([lv.energy for lv in levels], dtype=np.complex128)
-    labels = np.array([lv.label for lv in levels], dtype=np.int64)
+    energies = levels.energies
+    labels = levels.labels
     if tie_tol is None:
         tie_tol = default_tie_tol(energies.real)
     tie_tol = float(tie_tol)
@@ -191,20 +194,20 @@ def sort_levels(levels, tie_tol=None) -> LevelOrdering:
         raise ValueError(f"tie_tol must be finite and >= 0, got {tie_tol}")
     order, groups = _clustered_order(energies.real, energies.imag, labels, tie_tol)
     return LevelOrdering(
-        permutation=tuple(int(labels[i]) for i in order),
-        tie_tol=tie_tol,
-        positions=tuple(int(i) for i in order),
-        groups=tuple(int(gid) for gid in groups),
+        permutation=labels[order], tie_tol=tie_tol, positions=order, groups=groups
     )
 
 
-def _check_sector(L, N, statistics):
+def _check_sector(L, N, statistics, ring=False):
+    """Raise SectorError unless (L, N) is a sector of the statistics. A ring
+    sector (the fermion/hard-core comparison) also needs L >= 2 and N >= 1."""
     if statistics not in STATISTICS:
         raise ValueError(f"statistics must be one of {STATISTICS}, got {statistics!r}")
-    if not isinstance(L, (int, np.integer)) or isinstance(L, bool) or L < 1:
-        raise SectorError(f"L must be a positive integer, got {L!r}")
-    if not isinstance(N, (int, np.integer)) or isinstance(N, bool) or N < 0:
-        raise SectorError(f"N must be a non-negative integer, got {N!r}")
+    min_L, min_N = (2, 1) if ring else (1, 0)
+    if not isinstance(L, (int, np.integer)) or isinstance(L, bool) or L < min_L:
+        raise SectorError(f"L must be an integer >= {min_L}, got {L!r}")
+    if not isinstance(N, (int, np.integer)) or isinstance(N, bool) or N < min_N:
+        raise SectorError(f"N must be an integer >= {min_N}, got {N!r}")
     if statistics in ("fermion", "hardcore") and N > L:
         raise SectorError(f"{statistics} sector requires N <= L, got N={N}, L={L}")
 
@@ -242,23 +245,20 @@ def _occupation_rows(L, N, statistics):
     return kernels.fermion_occupations(L, N)
 
 
-def _level_energies(levels):
-    return np.array([lv.energy for lv in levels], dtype=np.complex128)
+def _kahan_energy(energies, counts):
+    """Compensated sum of n * e over the pairs of energies and counts, in the
+    order given, skipping n == 0.
 
-
-def _kahan_energy(eps, perm_positions, occupations):
-    """Compensated occupation-weighted sum, iterating modes in perm order.
-
-    Mirrors the spectrum kernels operation for operation, so a value computed
-    here is bit-identical to the corresponding spectrum row.
+    Called with the level energies in filling order, it mirrors the spectrum
+    kernels operation for operation, so a value computed here is
+    bit-identical to the corresponding spectrum row.
     """
     acc = 0.0 + 0.0j
     comp = 0.0 + 0.0j
-    for m in perm_positions:
-        n = occupations[m]
+    for e, n in zip(energies, counts):
         if n == 0:
             continue
-        term = complex(eps[m]) if n == 1 else n * complex(eps[m])
+        term = e if n == 1 else n * e
         y = term - comp
         t = acc + y
         comp = (t - acc) - y
@@ -276,19 +276,29 @@ def build_spectrum(levels, statistics, N, tie_tol=None, max_states=DEFAULT_MAX_S
     """
     L = len(levels)
     dim = _capped_dim(L, N, statistics, max_states)
-    ordering = sort_levels(levels, tie_tol)
-    eps = _level_energies(levels)
-    perm = np.array(ordering.positions, dtype=np.int64)
+    perm = sort_levels(levels, tie_tol).positions
     occupations = _occupation_rows(L, N, statistics)
     if statistics == "boson":
-        energies = kernels.config_energies_boson(occupations, perm, eps)
+        energies = kernels.config_energies_boson(occupations, perm, levels.energies)
     else:
-        energies = kernels.config_energies_fermion(occupations, perm, eps)
+        energies = kernels.config_energies_fermion(occupations, perm, levels.energies)
 
     mb_tol = default_tie_tol(energies.real) if tie_tol is None else float(tie_tol)
     positions = np.arange(dim, dtype=np.int64)
     order, groups = _clustered_order(energies.real, energies.imag, positions, mb_tol)
     return Spectrum(statistics, energies[order], occupations[order], groups)
+
+
+def _fill(levels, statistics, N, tie_tol):
+    """The ground_state fill as (energy, filled positions in filling order,
+    occupation of each); only the filled modes enter the compensated sum."""
+    _check_sector(len(levels), N, statistics)
+    positions = sort_levels(levels, tie_tol).positions
+    if statistics == "boson":
+        filled, counts = positions[: min(N, 1)], [N] * min(N, 1)
+    else:
+        filled, counts = positions[:N], [1] * N
+    return _kahan_energy(levels.energies[filled].tolist(), counts), filled, counts
 
 
 def ground_state(levels, statistics, N, tie_tol=None) -> ManyBodyLevel:
@@ -298,19 +308,10 @@ def ground_state(levels, statistics, N, tie_tol=None) -> ManyBodyLevel:
     ordering; bosons put all N particles in rank 0. Cost is the level sort,
     O(L log L). The energy matches rank 0 of build_spectrum bit for bit.
     """
-    L = len(levels)
-    _check_sector(L, N, statistics)
-    ordering = sort_levels(levels, tie_tol)
-    eps = _level_energies(levels)
-    occ = [0] * L
-    if statistics == "boson":
-        if N > 0:
-            occ[ordering.positions[0]] = N
-    else:
-        for pos in ordering.positions[:N]:
-            occ[pos] = 1
-    energy = _kahan_energy(eps, ordering.positions, occ)
-    config = OccupationConfig(statistics, tuple(occ))
+    energy, filled, counts = _fill(levels, statistics, N, tie_tol)
+    occ = np.zeros(len(levels), dtype=np.int64)
+    occ[filled] = counts
+    config = OccupationConfig(statistics, tuple(occ.tolist()))
     return ManyBodyLevel(energy=energy, config=config, rank=0, degeneracy_group=0)
 
 
@@ -321,9 +322,9 @@ def energy_of_config(levels, config, tie_tol=None) -> complex:
         raise SectorError(
             f"config has {len(config.occupations)} modes, levels have {L}"
         )
-    ordering = sort_levels(levels, tie_tol)
-    eps = _level_energies(levels)
-    return _kahan_energy(eps, ordering.positions, config.occupations)
+    perm = sort_levels(levels, tie_tol).positions
+    counts = [config.occupations[m] for m in perm.tolist()]
+    return _kahan_energy(levels.energies[perm].tolist(), counts)
 
 
 # byte n -> ASCII digit n, for occupation numbers 0..9

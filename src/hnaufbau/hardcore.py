@@ -29,9 +29,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .aufbau import SectorError, ground_state, sort_complex_spectrum
+from .aufbau import (
+    SectorError,
+    _check_sector,
+    _fill,
+    ground_state,
+    sort_complex_spectrum,
+)
 from .fock import build_dense_hamiltonian
-from .lattice import ComplexLevel, HNParams, pbc_spectrum
+from .lattice import HNParams, pbc_spectrum
 
 __all__ = [
     "EnergyGap",
@@ -45,8 +51,6 @@ __all__ = [
 ]
 
 HCB_IM_TOL = 1e-10
-
-_NO_ORBITAL = np.zeros(0, dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -82,18 +86,9 @@ class EnergyGap:
             )
 
 
-def _check_ring_sector(L, N):
-    if not isinstance(L, (int, np.integer)) or isinstance(L, bool) or L < 2:
-        raise SectorError(f"L must be an integer >= 2, got {L!r}")
-    if not isinstance(N, (int, np.integer)) or isinstance(N, bool):
-        raise SectorError(f"N must be an integer, got {N!r}")
-    if not 0 < N <= L:
-        raise SectorError(f"need 0 < N <= L, got N={N}, L={L}")
-
-
 def parity_sector(L, N) -> ParitySector:
     """Boundary condition of the fermion image of a hard-core ring sector."""
-    _check_ring_sector(L, N)
+    _check_sector(L, N, "hardcore", ring=True)
     if N % 2 == 0:
         return ParitySector(int(L), int(N), "even", "antiperiodic")
     return ParitySector(int(L), int(N), "odd", "periodic")
@@ -105,22 +100,11 @@ def _ring_params(L, t, g, phi):
     return HNParams(L=L, t=t, g=g, boundary="twisted", twist=phi)
 
 
-def _ring_levels_energy_only(L, t, g, phi):
-    """Ring levels without orbitals: keeps ground-energy scans at
-    O(L log L) per point. Energies match pbc_spectrum bit for bit."""
-    levels = []
-    for m in range(1, L + 1):
-        k = (2.0 * math.pi * m + phi) / L
-        energy = t * math.exp(g) * np.exp(-1j * k) + t * math.exp(-g) * np.exp(1j * k)
-        levels.append(ComplexLevel(m, k, complex(energy), _NO_ORBITAL))
-    return levels
-
-
 def fermion_ground_energy_pbc(L, N, g, t=1.0) -> complex:
     """Aufbau ground energy of N periodic fermions; for even N this sits on
     the negative-imaginary branch of the degenerate pair (g > 0)."""
-    _check_ring_sector(L, N)
-    levels = _ring_levels_energy_only(L, t, g, 0.0)
+    _check_sector(L, N, "hardcore", ring=True)
+    levels = pbc_spectrum(_ring_params(int(L), t, g, 0.0))
     return ground_state(levels, "fermion", int(N)).energy
 
 
@@ -136,7 +120,7 @@ def hcb_ground_energy_pbc(L, N, g, t=1.0) -> complex:
 
 def im_delta_closed_form(L, N, g, t=1.0) -> float:
     """Filling-only closed form for Im(Delta E_fb)."""
-    _check_ring_sector(L, N)
+    _check_sector(L, N, "hardcore", ring=True)
     return t * (-math.exp(g) + math.exp(-g)) * math.sin(math.pi * (1.0 - N / L))
 
 
@@ -161,11 +145,11 @@ def delta_E_scan(L_list, filling=0.5, g=0.5, t=1.0):
             raise SectorError(
                 f"scan requires even N (got N={N} at L={L}); use L = 0 mod 4 at half filling"
             )
-        _check_ring_sector(L, N)
-        levels_f = _ring_levels_energy_only(int(L), t, g, 0.0)
-        levels_b = _ring_levels_energy_only(int(L), t, g, math.pi)
-        e0f = ground_state(levels_f, "fermion", N).energy
-        e0b = ground_state(levels_b, "fermion", N).energy
+        _check_sector(L, N, "hardcore", ring=True)
+        e0f, e0b = (
+            _fill(pbc_spectrum(_ring_params(int(L), t, g, phi)), "fermion", N, None)[0]
+            for phi in (0.0, math.pi)
+        )
         gaps.append(
             EnergyGap(
                 L=int(L), N=N, g=float(g), t=float(t),
@@ -178,7 +162,7 @@ def delta_E_scan(L_list, filling=0.5, g=0.5, t=1.0):
 def obc_equivalence_check(L, N, g, t=1.0, boundary="open", tol=1e-8) -> bool:
     """True iff the dense hard-core and fermion spectra agree as multisets
     within tol. Open boundaries always agree; a ring with even N does not."""
-    _check_ring_sector(L, N)
+    _check_sector(L, N, "hardcore", ring=True)
     p = HNParams(L=int(L), t=t, g=g, boundary=boundary)
     ef = numerics.eigenvalues(build_dense_hamiltonian(p, "fermion", int(N)))
     eb = numerics.eigenvalues(build_dense_hamiltonian(p, "hardcore", int(N)))

@@ -21,12 +21,21 @@ Closed forms implemented here:
 Open-boundary orbitals are kept unnormalized on purpose; normalization is
 applied downstream where observables are formed. Sites are 1-indexed in the
 formulas above and stored at array positions j-1.
+
+The builders return one array-backed Levels per chain: labels, momenta and
+energies are evaluated with numpy over all m at once, by the same expressions
+in the same order as the scalar formulas, so they agree with a level-by-level
+evaluation bit for bit. The L x L orbital matrix is built lazily, on first
+access, so energy-only work (spectra, ground-energy scans over long rings)
+never allocates it.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -35,6 +44,7 @@ __all__ = [
     "BoundaryError",
     "ComplexLevel",
     "HNParams",
+    "Levels",
     "hopping_bonds",
     "hopping_matrix",
     "obc_spectrum",
@@ -100,6 +110,59 @@ class ComplexLevel:
     orbital: np.ndarray = field(repr=False)
 
 
+@dataclass(frozen=True, eq=False)
+class Levels:
+    """The single-particle levels of a chain, held as arrays.
+
+    Entry i of ``labels`` (mode label m, int64), ``momenta`` (float64) and
+    ``energies`` (complex128) belongs to level i. ``orbitals`` is the
+    read-only matrix whose row i is the orbital of level i; it is built from
+    the closed form of ``params`` on first access and cached, so callers that
+    need only energies never pay for it (nor for its overflow at large |g| on
+    an open chain). ``levels[i]`` builds the ComplexLevel of level i
+    (negative i counts from the end), and iteration yields every level in
+    order. Levels made from bare energies (``params`` None) have no orbitals.
+    """
+
+    labels: np.ndarray = field(repr=False)
+    momenta: np.ndarray = field(repr=False)
+    energies: np.ndarray = field(repr=False)
+    params: HNParams | None
+
+    def __len__(self) -> int:
+        return self.energies.shape[0]
+
+    def __getitem__(self, key) -> ComplexLevel:
+        i = operator.index(key)
+        if i < 0:
+            i += len(self)
+        if not 0 <= i < len(self):
+            raise IndexError(f"level {key} outside {len(self)} levels")
+        return ComplexLevel(
+            int(self.labels[i]),
+            float(self.momenta[i]),
+            complex(self.energies[i]),
+            self.orbitals[i],
+        )
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    @cached_property
+    def orbitals(self) -> np.ndarray:
+        p = self.params
+        if p is None:
+            raise ValueError("levels built from bare energies have no orbitals")
+        sites = np.arange(1, p.L + 1)
+        k = self.momenta[:, None]
+        if p.boundary == "open":
+            orbitals = (np.exp(-p.g * sites) * np.sin(k * sites)).astype(np.complex128)
+        else:
+            orbitals = np.exp(-1j * k * sites) / math.sqrt(p.L)
+        orbitals.flags.writeable = False
+        return orbitals
+
+
 def hopping_matrix(p: HNParams) -> np.ndarray:
     """L x L hopping matrix of the chain.
 
@@ -134,50 +197,41 @@ def hopping_bonds(p: HNParams):
     return bonds
 
 
-def pbc_spectrum(p: HNParams):
+def pbc_spectrum(p: HNParams) -> Levels:
     """Analytic levels for periodic or twisted boundaries.
 
-    Returns L ComplexLevels, labels m = 1..L, momenta k_m = (2 pi m + phi)/L,
-    plane-wave orbitals normalized to 1.
+    Returns the L Levels with labels m = 1..L, momenta k_m = (2 pi m + phi)/L
+    and plane-wave orbitals normalized to 1.
     """
     if p.boundary == "open":
         raise BoundaryError("pbc_spectrum requires periodic or twisted boundary")
     L = p.L
-    sites = np.arange(1, L + 1)
-    levels = []
-    for m in range(1, L + 1):
-        k = (2.0 * math.pi * m + p.phi) / L
-        energy = p.t * math.exp(p.g) * np.exp(-1j * k) + p.t * math.exp(
-            -p.g
-        ) * np.exp(1j * k)
-        orbital = np.exp(-1j * k * sites) / math.sqrt(L)
-        levels.append(ComplexLevel(m, k, complex(energy), orbital))
-    return levels
+    m = np.arange(1, L + 1, dtype=np.int64)
+    k = (2.0 * math.pi * m + p.phi) / L
+    energies = p.t * math.exp(p.g) * np.exp(-1j * k) + p.t * math.exp(
+        -p.g
+    ) * np.exp(1j * k)
+    return Levels(m, k, energies, p)
 
 
-def obc_spectrum(p: HNParams):
+def obc_spectrum(p: HNParams) -> Levels:
     """Analytic levels for the open chain.
 
-    Returns L ComplexLevels, labels m = 1..L, momenta k'_m = m pi/(L+1),
-    real energies 2 t cos k'_m, orbitals e^{-g j} sin(j k'_m) unnormalized.
-    Energies are independent of g (similarity transform to the Hermitian
-    chain); the orbitals are not.
+    Returns the L Levels with labels m = 1..L, momenta k'_m = m pi/(L+1),
+    real energies 2 t cos k'_m and orbitals e^{-g j} sin(j k'_m)
+    unnormalized. Energies are independent of g (similarity transform to the
+    Hermitian chain); the orbitals are not.
     """
     if p.boundary != "open":
         raise BoundaryError("obc_spectrum requires open boundary")
     L = p.L
-    sites = np.arange(1, L + 1)
-    levels = []
-    for m in range(1, L + 1):
-        k = math.pi * m / (L + 1)
-        energy = 2.0 * p.t * math.cos(k)
-        orbital = np.exp(-p.g * sites) * np.sin(k * sites)
-        orbital = orbital.astype(np.complex128)
-        levels.append(ComplexLevel(m, k, complex(energy), orbital))
-    return levels
+    m = np.arange(1, L + 1, dtype=np.int64)
+    k = math.pi * m / (L + 1)
+    energies = (2.0 * p.t * np.cos(k)).astype(np.complex128)
+    return Levels(m, k, energies, p)
 
 
-def single_particle_levels(p: HNParams):
+def single_particle_levels(p: HNParams) -> Levels:
     """Dispatch to the analytic spectrum for the boundary at hand."""
     if p.boundary == "open":
         return obc_spectrum(p)

@@ -145,21 +145,21 @@ def _suite_single_particle(results, g, t, bond_transform):
             f"max rel residual {worst:.3e} < {TOLERANCES['level_residual']:.0e}",
         )
     p = HNParams(L=12, t=t, g=g, boundary="periodic")
-    tr = sum(lv.energy for lv in pbc_spectrum(p))
+    tr = sum(pbc_spectrum(p).energies.tolist())
     _add(
         results, "single_particle", "ring-energies-traceless",
         abs(tr) < 1e-10 * (1 + abs(g)) * t * p.L,
         f"|sum eps| = {abs(tr):.3e}",
     )
     po = HNParams(L=12, t=t, g=g, boundary="open")
-    eo = np.array([lv.energy for lv in obc_spectrum(po)])
+    eo = obc_spectrum(po).energies
     sym = float(np.max(np.abs(eo + eo[::-1])))
     _add(
         results, "single_particle", "open-energies-symmetric",
         np.max(np.abs(eo.imag)) < 1e-12 and sym < 1e-12,
         f"max |eps_m + eps_{{L+1-m}}| = {sym:.3e}",
     )
-    e0 = np.array([lv.energy for lv in obc_spectrum(HNParams(L=12, t=t, boundary="open"))])
+    e0 = obc_spectrum(HNParams(L=12, t=t, boundary="open")).energies
     gdiff = float(np.max(np.abs(eo - e0)))
     _add(
         results, "single_particle", "open-energies-g-independent",
@@ -173,7 +173,7 @@ def _suite_eigensolver(results, g, t, bond_transform):
         HNParams(L=40, t=t, g=g, boundary="open"),
     ):
         eigs = numerics.eigenvalues(hopping_matrix(p))
-        analytic = np.array([lv.energy for lv in single_particle_levels(p)])
+        analytic = single_particle_levels(p).energies
         diff = float(
             np.max(np.abs(sort_complex_spectrum(eigs) - sort_complex_spectrum(analytic)))
         )

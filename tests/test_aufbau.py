@@ -32,7 +32,7 @@ from hnaufbau.aufbau import (
     sort_complex_spectrum,
     sort_levels,
 )
-from hnaufbau.lattice import ComplexLevel, HNParams, obc_spectrum, pbc_spectrum
+from hnaufbau.lattice import HNParams, Levels, obc_spectrum, pbc_spectrum
 
 
 def ring_levels(L, g=0.5, t=1.0):
@@ -44,10 +44,13 @@ def chain_levels(L, g=0.5, t=1.0):
 
 
 def fake_levels(energies):
-    return [
-        ComplexLevel(label=i + 1, momentum=0.0, energy=complex(e), orbital=np.ones(1))
-        for i, e in enumerate(energies)
-    ]
+    n = len(energies)
+    return Levels(
+        labels=np.arange(1, n + 1, dtype=np.int64),
+        momenta=np.zeros(n),
+        energies=np.array(energies, dtype=np.complex128),
+        params=None,
+    )
 
 
 # ------------------------------------------------------------- sort_levels
@@ -55,33 +58,33 @@ def fake_levels(energies):
 
 def test_sort_open_chain_l3():
     ordering = sort_levels(chain_levels(3, g=1.5))
-    assert ordering.permutation == (3, 2, 1)
+    assert ordering.permutation.tolist() == [3, 2, 1]
 
 
 def test_sort_ring_l4_conjugate_pair_order():
     # Re-degenerate pair at k=pi/2 and 3pi/2: negative Im comes first
     ordering = sort_levels(ring_levels(4, g=0.5))
-    assert ordering.permutation == (2, 1, 3, 4)
-    assert ordering.groups == (0, 1, 1, 2)
+    assert ordering.permutation.tolist() == [2, 1, 3, 4]
+    assert ordering.groups.tolist() == [0, 1, 1, 2]
 
 
 def test_sort_stability_all_equal():
     ordering = sort_levels(fake_levels([1.0, 1.0, 1.0, 1.0]))
-    assert ordering.permutation == (1, 2, 3, 4)
-    assert ordering.groups == (0, 0, 0, 0)
+    assert ordering.permutation.tolist() == [1, 2, 3, 4]
+    assert ordering.groups.tolist() == [0, 0, 0, 0]
 
 
 def test_sort_noise_within_tie_tol_does_not_split():
     # 1e-15 jitter on the real part must not separate a conjugate pair
     eps = 1e-15
     ordering = sort_levels(fake_levels([eps + 1.0j, -eps - 1.0j, 2.0]))
-    assert ordering.permutation == (2, 1, 3)
-    assert ordering.groups == (0, 0, 1)
+    assert ordering.permutation.tolist() == [2, 1, 3]
+    assert ordering.groups.tolist() == [0, 0, 1]
 
 
 def test_sort_tie_tol_zero_splits_everything():
     ordering = sort_levels(fake_levels([0.0, 1e-12, 2e-12]), tie_tol=0.0)
-    assert ordering.groups == (0, 1, 2)
+    assert ordering.groups.tolist() == [0, 1, 2]
 
 
 def test_sort_rejects_empty():
@@ -106,7 +109,7 @@ def test_sort_real_parts_nondecreasing_property(seed, n):
     energies = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     levels = fake_levels(energies)
     ordering = sort_levels(levels)
-    by_label = {lv.label: lv.energy for lv in levels}
+    by_label = dict(zip(levels.labels.tolist(), levels.energies.tolist()))
     sorted_re = [by_label[m].real for m in ordering.permutation]
     for a, b in zip(sorted_re, sorted_re[1:]):
         assert b >= a - ordering.tie_tol

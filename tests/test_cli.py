@@ -8,6 +8,7 @@ re-deriving each row's energy from its occupation string.
 import hashlib
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,22 @@ def test_spectrum_output_matches_golden_digest(tmp_path, flags, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_spectrum_large_g_open_chain_builds_no_orbitals(tmp_path):
+    # open-chain energies are g-independent; the orbitals e^{-g j} overflow
+    # at g = -70, and a spectrum never reads them
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_to_file(
+            tmp_path, "big_g.csv",
+            ["spectrum", "-L", "12", "-N", "3", "-g", "-70", "--bc", "obc",
+             "--stats", "fermion"],
+        )
+    assert code == 0
+    header, _, rows = cli.read_table(str(out))
+    assert header["states"] == "220"
+    assert len(rows) == 220
+
+
 @pytest.mark.parametrize("L,N,dim", [(64, 1, 64), (70, 2, 2415)])
 def test_spectrum_beyond_word_width(tmp_path, L, N, dim):
     code, out = run_to_file(
@@ -262,6 +279,22 @@ def test_hcb_compare_columns_and_closed_form(tmp_path):
         assert float(row[6]) == pytest.approx(float(row[3]) / 100.0, abs=1e-16)
     res = [abs(float(r[2])) for r in rows]
     assert all(b < a for a, b in zip(res, res[1:]))
+
+
+# sha256 of the gap-scan output: Fig. 4, and the 501 lengths of the benchmark
+GOLDEN_GAP_SCANS = [
+    (["--lengths", "160:480:16", "-g", "0.5"],
+     "10c0b3cfd2dc91ff80d5c468ae4d668374e605b9cb38e7d44eed7f73b5e08819"),
+    (["--lengths", "400:2400:4", "-g", "0.5"],
+     "f6ed8a904e481bc829fd6eb344273f3c12a4684a23d1eef0ce559010726656b7"),
+]
+
+
+@pytest.mark.parametrize("flags,digest", GOLDEN_GAP_SCANS)
+def test_hcb_compare_output_matches_golden_digest(tmp_path, flags, digest):
+    code, out = run_to_file(tmp_path, "golden.csv", ["hcb-compare", *flags])
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 def test_hcb_compare_rejects_odd_filling_sector():

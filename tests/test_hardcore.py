@@ -164,6 +164,23 @@ def test_scan_decay_exponent_is_one():
     assert slope == pytest.approx(-1.0, abs=0.05)
 
 
+def test_scan_matches_ground_state_fill_bitwise():
+    # the scan's energy-only fill against the public ground-state route
+    lengths = [400, 1000, 2400]
+    gaps = delta_E_scan(lengths, filling=0.5, g=0.5)
+    for L, gap in zip(lengths, gaps):
+        energies = []
+        for p in (
+            HNParams(L=L, t=1.0, g=0.5, boundary="periodic"),
+            HNParams(L=L, t=1.0, g=0.5, boundary="twisted", twist=math.pi),
+        ):
+            energies.append(ground_state(pbc_spectrum(p), "fermion", L // 2).energy)
+        e0f, e0b = energies
+        assert np.array(gap.E0_fermion).tobytes() == np.array(e0f).tobytes()
+        assert np.array(gap.E0_hcb).tobytes() == np.array(e0b).tobytes()
+        assert gap.delta == e0f - e0b
+
+
 def test_scan_hermitian_limit():
     gaps = delta_E_scan([160, 176], filling=0.5, g=0.0)
     for gap in gaps:

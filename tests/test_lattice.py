@@ -16,6 +16,7 @@ from hnaufbau.lattice import (
     BoundaryError,
     ComplexLevel,
     HNParams,
+    Levels,
     hopping_bonds,
     hopping_matrix,
     obc_spectrum,
@@ -285,3 +286,64 @@ def test_complex_level_is_frozen():
     lv = ComplexLevel(label=1, momentum=0.5, energy=1.0 + 0j, orbital=np.ones(2))
     with pytest.raises(AttributeError):
         lv.energy = 0.0
+
+
+# ------------------------------------------------------ array-backed levels
+
+
+def per_level_reference(p):
+    """The closed forms evaluated one level at a time, as scalar loops."""
+    L = p.L
+    sites = np.arange(1, L + 1)
+    levels = []
+    for m in range(1, L + 1):
+        if p.boundary == "open":
+            k = math.pi * m / (L + 1)
+            energy = 2.0 * p.t * math.cos(k)
+            orbital = (np.exp(-p.g * sites) * np.sin(k * sites)).astype(np.complex128)
+        else:
+            k = (2.0 * math.pi * m + p.phi) / L
+            energy = p.t * math.exp(p.g) * np.exp(-1j * k) + p.t * math.exp(
+                -p.g
+            ) * np.exp(1j * k)
+            orbital = np.exp(-1j * k * sites) / math.sqrt(L)
+        levels.append(ComplexLevel(m, k, complex(energy), orbital))
+    return levels
+
+
+@pytest.mark.parametrize("L", [2, 3, 7, 10, 12, 20, 40, 62])
+def test_levels_bit_identical_to_per_level_reference(L):
+    for g in (-3.0, 0.0, 0.5, 1.5, 4.0):
+        for p in (
+            HNParams(L=L, g=g, boundary="periodic"),
+            HNParams(L=L, g=g, boundary="twisted", twist=math.pi),
+            HNParams(L=L, g=g, boundary="twisted", twist=math.pi / 3),
+            HNParams(L=L, g=g, boundary="open"),
+        ):
+            levels = single_particle_levels(p)
+            ref = per_level_reference(p)
+            assert levels.labels.tolist() == [lv.label for lv in ref]
+            want_k = np.array([lv.momentum for lv in ref])
+            want_e = np.array([lv.energy for lv in ref], dtype=np.complex128)
+            assert levels.momenta.tobytes() == want_k.tobytes()
+            assert levels.energies.tobytes() == want_e.tobytes()
+            for i, lv in enumerate(ref):
+                assert levels[i].orbital.tobytes() == lv.orbital.tobytes()
+
+
+def test_levels_views_and_lazy_orbitals():
+    p = HNParams(L=5, g=0.5, boundary="periodic")
+    levels = pbc_spectrum(p)
+    assert "orbitals" not in vars(levels)  # energies alone build no orbitals
+    assert len(levels) == 5
+    assert levels[-1].label == 5 and levels[np.int64(0)].label == 1
+    assert [lv.energy for lv in levels] == levels.energies.tolist()
+    with pytest.raises(IndexError):
+        levels[5]
+    assert levels.orbitals.shape == (5, 5)
+    assert levels[2].orbital.tobytes() == levels.orbitals[2].tobytes()
+    with pytest.raises(ValueError):
+        levels[2].orbital[0] = 0.0  # views of the shared cache are read-only
+    bare = Levels(np.arange(1, 3), np.zeros(2), np.array([1.0, 2.0 + 0j]), None)
+    with pytest.raises(ValueError):
+        bare.orbitals
