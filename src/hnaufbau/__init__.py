@@ -33,19 +33,18 @@ from .fock import (
 )
 from .hardcore import (
     EnergyGap,
-    ParitySector,
     delta_E_scan,
     fermion_ground_energy_pbc,
     hcb_ground_energy_pbc,
     im_delta_closed_form,
     obc_equivalence_check,
-    parity_sector,
 )
 from .lattice import (
     BoundaryError,
     ComplexLevel,
     HNParams,
     Levels,
+    hardcore_image,
     hopping_bonds,
     hopping_matrix,
     obc_spectrum,

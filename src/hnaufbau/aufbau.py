@@ -16,6 +16,13 @@ into one degeneracy cluster and ordered within the cluster. Without this,
 float noise of order 1e-16 in cos(pi/2) vs cos(3pi/2) would flip which of
 two complex-conjugate partners counts as the ground state.
 
+Hard-core bosons fill as fermions, but on the Jordan-Wigner image of their
+chain (lattice.hardcore_image): a "hardcore" sector of Levels that carry
+their params fills the levels of the image, so callers pass the physical
+chain. Levels built from bare energies have no chain to map and fill
+hard-core sectors exactly like fermions. Hard-core occupations therefore
+index the modes of the image chain.
+
 Energy sums run in sorted-mode order with compensated (Kahan) summation so
 that a spectrum row and the direct ground-state fill agree bit for bit. The
 fill sums its N filled modes only, which gives the same bits because the
@@ -31,6 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
+from .lattice import hardcore_image, single_particle_levels
 
 __all__ = [
     "STATISTICS",
@@ -225,17 +233,28 @@ def enumerate_configs(L, N, statistics):
     order over occupation vectors (for fermion/hardcore this coincides with
     ascending order of the L-bit occupation words). The sector is built as
     one array, so sectors above DEFAULT_MAX_STATES raise SectorTooLargeError."""
-    _capped_dim(L, N, statistics, DEFAULT_MAX_STATES)
+    _capped_dim(L, N, statistics)
     for occ in _occupation_rows(L, N, statistics).tolist():
         yield OccupationConfig(statistics, tuple(occ))
 
 
-def _capped_dim(L, N, statistics, cap):
-    """count_configs, raising SectorTooLargeError above cap."""
+def _capped_dim(L, N, statistics):
+    """count_configs, raising SectorTooLargeError above DEFAULT_MAX_STATES."""
     dim = count_configs(L, N, statistics)
-    if dim > cap:
-        raise SectorTooLargeError(f"sector has {dim} states, above the cap of {cap}")
+    if dim > DEFAULT_MAX_STATES:
+        raise SectorTooLargeError(
+            f"sector has {dim} states, above the cap of {DEFAULT_MAX_STATES}"
+        )
     return dim
+
+
+def _sector_levels(levels, statistics, N):
+    """The levels a sector fills: those of the Jordan-Wigner image for a
+    hard-core sector of levels that carry their chain, else levels itself."""
+    if statistics != "hardcore" or levels.params is None:
+        return levels
+    image = hardcore_image(levels.params, N)
+    return levels if image is levels.params else single_particle_levels(image)
 
 
 def _occupation_rows(L, N, statistics):
@@ -266,16 +285,17 @@ def _kahan_energy(energies, counts):
     return acc
 
 
-def build_spectrum(levels, statistics, N, tie_tol=None, max_states=DEFAULT_MAX_STATES):
+def build_spectrum(levels, statistics, N, tie_tol=None):
     """All many-body levels of the sector, sorted by (Re E, Im E), as a Spectrum.
 
     Ranks run 0..dim-1 in sorted order; degeneracy groups are maximal
     runs of energies whose real parts chain within tie_tol. The ground
-    state is rank 0. Sectors larger than max_states raise
+    state is rank 0. Sectors larger than DEFAULT_MAX_STATES raise
     SectorTooLargeError before any allocation.
     """
     L = len(levels)
-    dim = _capped_dim(L, N, statistics, max_states)
+    dim = _capped_dim(L, N, statistics)
+    levels = _sector_levels(levels, statistics, N)
     perm = sort_levels(levels, tie_tol).positions
     occupations = _occupation_rows(L, N, statistics)
     if statistics == "boson":
@@ -293,6 +313,7 @@ def _fill(levels, statistics, N, tie_tol):
     """The ground_state fill as (energy, filled positions in filling order,
     occupation of each); only the filled modes enter the compensated sum."""
     _check_sector(len(levels), N, statistics)
+    levels = _sector_levels(levels, statistics, N)
     positions = sort_levels(levels, tie_tol).positions
     if statistics == "boson":
         filled, counts = positions[: min(N, 1)], [N] * min(N, 1)
@@ -305,7 +326,8 @@ def ground_state(levels, statistics, N, tie_tol=None) -> ManyBodyLevel:
     """Aufbau ground state without enumerating the sector.
 
     Fermions and hard-core bosons occupy the first N ranks of the level
-    ordering; bosons put all N particles in rank 0. Cost is the level sort,
+    ordering (of the image's levels, for hard-core bosons on a known chain);
+    bosons put all N particles in rank 0. Cost is the level sort,
     O(L log L). The energy matches rank 0 of build_spectrum bit for bit.
     """
     energy, filled, counts = _fill(levels, statistics, N, tie_tol)
@@ -322,6 +344,7 @@ def energy_of_config(levels, config, tie_tol=None) -> complex:
         raise SectorError(
             f"config has {len(config.occupations)} modes, levels have {L}"
         )
+    levels = _sector_levels(levels, config.statistics, config.N)
     perm = sort_levels(levels, tie_tol).positions
     counts = [config.occupations[m] for m in perm.tolist()]
     return _kahan_energy(levels.energies[perm].tolist(), counts)

@@ -14,16 +14,14 @@ Exit codes: 0 success, 1 verification/computation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
-import math
 import sys
 
 from . import verify as verify_mod
 from .aufbau import build_spectrum, occupation_string
 from .fock import eigenstate_from_config
 from .hardcore import delta_E_scan, im_delta_closed_form
-from .lattice import HNParams, single_particle_levels
+from .lattice import HNParams, hardcore_image, single_particle_levels
 from .observables import (
     correlation_matrix,
     density_from_fock,
@@ -36,54 +34,23 @@ __all__ = ["main", "read_table"]
 # test hook: verify's residual suite applies this to the bond list
 _VERIFY_BOND_TRANSFORM = None
 
-_COMMON_DEFAULTS = {
-    "L": 10,
-    "N": 5,
-    "t": 1.0,
-    "g": 0.5,
-    "bc": "pbc",
-    "stats": "fermion",
-    "out": None,
-    "format": "csv",
-    "workers": 1,
-    "tol": None,
-}
-
-_CMD_DEFAULTS = {
-    "spectrum": {},
-    "observables": {"ranks": "lowest8"},
-    "skin": {"ranks": "lowest8"},
-    "hcb-compare": {"lengths": "160:480:16", "filling": 0.5},
-    "verify": {"suite": None},
-}
-
-_COERCE = {
-    "L": int,
-    "N": int,
-    "t": float,
-    "g": float,
-    "workers": int,
-    "tol": float,
-    "filling": float,
-}
-
-
 class UsageError(ValueError):
     pass
 
 
 def _build_parser():
+    """The parser and its subcommand parsers, by name."""
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("-L", type=int, default=None)
-    common.add_argument("-N", type=int, default=None)
-    common.add_argument("-t", type=float, default=None)
-    common.add_argument("-g", type=float, default=None)
-    common.add_argument("--bc", default=None, help="pbc | obc | twist=<radians>")
-    common.add_argument("--stats", choices=("fermion", "boson", "hardcore"), default=None)
+    common.add_argument("-L", type=int, default=10)
+    common.add_argument("-N", type=int, default=5)
+    common.add_argument("-t", type=float, default=1.0)
+    common.add_argument("-g", type=float, default=0.5)
+    common.add_argument("--bc", default="pbc", help="pbc | obc | twist=<radians>")
+    common.add_argument("--stats", choices=("fermion", "boson", "hardcore"), default="fermion")
     common.add_argument("--out", default=None)
-    common.add_argument("--format", choices=("csv", "json"), default=None)
+    common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--config", default=None, help="key=value file, '#' comments")
-    common.add_argument("--workers", type=int, default=None, help="accepted, no effect")
+    common.add_argument("--workers", type=int, default=1, help="accepted, no effect")
     common.add_argument(
         "--tol", type=float, default=None,
         help="tie tolerance override for degeneracy grouping",
@@ -95,18 +62,18 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
     sub.add_parser("spectrum", parents=[common], help="full many-body spectrum")
     p_obs = sub.add_parser("observables", parents=[common], help="n_j/n_k profiles per eigenstate")
-    p_obs.add_argument("--ranks", default=None, help="comma list, 'all', or 'lowest8'")
+    p_obs.add_argument("--ranks", default="lowest8", help="comma list, 'all', or 'lowest8'")
     p_skin = sub.add_parser("skin", parents=[common], help="localization metrics per eigenstate")
-    p_skin.add_argument("--ranks", default=None, help="comma list, 'all', or 'lowest8'")
+    p_skin.add_argument("--ranks", default="lowest8", help="comma list, 'all', or 'lowest8'")
     p_hcb = sub.add_parser("hcb-compare", parents=[common], help="fermion vs hard-core gap scan")
-    p_hcb.add_argument("--lengths", default=None, help="comma list or start:stop:step")
-    p_hcb.add_argument("--filling", type=float, default=None)
+    p_hcb.add_argument("--lengths", default="160:480:16", help="comma list or start:stop:step")
+    p_hcb.add_argument("--filling", type=float, default=0.5)
     p_ver = sub.add_parser("verify", parents=[common], help="run invariant suites")
     p_ver.add_argument(
         "--suite", action="append", default=None,
         help=f"suite name, repeatable; one of {', '.join(verify_mod.SUITES)}",
     )
-    return parser
+    return parser, sub.choices
 
 
 def _read_config_file(path):
@@ -127,31 +94,25 @@ def _read_config_file(path):
     return values
 
 
-def _merge_config(args):
-    """Fill unset flags from the config file, then from defaults."""
-    defaults = dict(_COMMON_DEFAULTS)
-    defaults.update(_CMD_DEFAULTS[args.command])
-    if args.config is not None:
-        file_vals = _read_config_file(args.config)
-        unknown = set(file_vals) - set(defaults)
-        if unknown:
-            raise UsageError(
-                f"unknown config keys {sorted(unknown)}; valid: {sorted(defaults)}"
-            )
-        for key, raw in file_vals.items():
-            if getattr(args, key.replace("-", "_"), None) is None:
-                coerce = _COERCE.get(key, str)
-                try:
-                    setattr(args, key, coerce(raw))
-                except ValueError:
-                    raise UsageError(
-                        f"config key {key}={raw!r} is not a valid {coerce.__name__}"
-                    ) from None
-    for key, val in defaults.items():
-        attr = key.replace("-", "_")
-        if getattr(args, attr, None) is None:
-            setattr(args, attr, val)
-    return args
+def _parse_args(argv):
+    """Parse argv. With --config, the file's values become the subcommand's
+    defaults and argv is parsed again: argparse runs each string through its
+    flag's type, and explicit flags win."""
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    if args.config is None:
+        return args
+    values = _read_config_file(args.config)
+    command = commands[args.command]
+    valid = set(vars(command.parse_args([]))) - {"config"}
+    unknown = set(values) - valid
+    if unknown:
+        raise UsageError(f"unknown config keys {sorted(unknown)}; valid: {sorted(valid)}")
+    # a repeatable flag would append to the file's value instead of replacing it
+    command.set_defaults(
+        **{key: val for key, val in values.items() if not isinstance(getattr(args, key), list)}
+    )
+    return parser.parse_args(argv)
 
 
 def _parse_bc(bc):
@@ -165,23 +126,6 @@ def _parse_bc(bc):
         except ValueError:
             raise UsageError(f"bad twist angle in --bc {bc!r}") from None
     raise UsageError(f"--bc must be pbc, obc, or twist=<radians>, got {bc!r}")
-
-
-def _effective_params(args):
-    """HNParams for the requested sector; hard-core ring sectors get the
-    parity twist of their fermion image baked in."""
-    boundary, twist = _parse_bc(args.bc)
-    if args.stats == "hardcore" and boundary == "twisted":
-        raise UsageError("--stats hardcore combines only with --bc pbc or obc")
-    effective_twist = None
-    if args.stats == "hardcore" and boundary == "periodic" and args.N % 2 == 0:
-        boundary, twist = "twisted", math.pi
-        effective_twist = math.pi
-    if boundary == "twisted":
-        p = HNParams(L=args.L, t=args.t, g=args.g, boundary="twisted", twist=twist)
-    else:
-        p = HNParams(L=args.L, t=args.t, g=args.g, boundary=boundary)
-    return p, effective_twist
 
 
 def _fmt(x):
@@ -236,17 +180,13 @@ def read_table(path):
 
 
 def _spectrum_for(args):
-    p, effective_twist = _effective_params(args)
-    levels = single_particle_levels(p)
-    fill_stats = "fermion" if args.stats == "hardcore" else args.stats
-    spec = build_spectrum(levels, fill_stats, args.N, tie_tol=args.tol)
-    if args.stats == "hardcore":
-        # relabel: the filling ran on the fermion image, the sector is hard-core
-        spec = dataclasses.replace(spec, statistics="hardcore")
-    return p, effective_twist, spec
+    boundary, twist = _parse_bc(args.bc)
+    p = HNParams(L=args.L, t=args.t, g=args.g, boundary=boundary, twist=twist)
+    spec = build_spectrum(single_particle_levels(p), args.stats, args.N, tie_tol=args.tol)
+    return p, spec
 
 
-def _base_header(args, command, effective_twist):
+def _base_header(args, command, p):
     header = {
         "command": command,
         "L": args.L,
@@ -256,16 +196,17 @@ def _base_header(args, command, effective_twist):
         "bc": args.bc,
         "stats": args.stats,
     }
-    if effective_twist is not None:
-        header["effective_twist"] = float(effective_twist)
+    image = hardcore_image(p, args.N) if args.stats == "hardcore" else p
+    if image is not p:
+        header["effective_twist"] = image.phi
     if args.tol is not None:
         header["tie_tol"] = float(args.tol)
     return header
 
 
 def cmd_spectrum(args) -> int:
-    _p, effective_twist, spec = _spectrum_for(args)
-    header = _base_header(args, "spectrum", effective_twist)
+    p, spec = _spectrum_for(args)
+    header = _base_header(args, "spectrum", p)
     header["states"] = len(spec)
     columns = ["rank", "energy_re", "energy_im", "degeneracy_group", "occupation"]
     rows = (
@@ -295,24 +236,20 @@ def _select_ranks(ranks_arg, dim):
     return ranks
 
 
-def _state_report(p, level):
-    v = eigenstate_from_config(p, level.config)
-    nj = density_from_fock(v)
-    nk = momentum_distribution(correlation_matrix(v))
-    return nj, nk, skin_metrics(nj)
-
-
 def cmd_observables(args) -> int:
-    p, effective_twist, spec = _spectrum_for(args)
+    p, spec = _spectrum_for(args)
     ranks = _select_ranks(args.ranks, len(spec))
-    reports = [_state_report(p, spec[r]) for r in ranks]
-    header = _base_header(args, "observables", effective_twist)
+    header = _base_header(args, "observables", p)
     header["ranks"] = ";".join(str(r) for r in ranks)
     columns = ["rank", "kind", "index", "grid", "value"]
     rows = []
     comments = []
     metrics_obj = {}
-    for rank, (nj, nk, met) in zip(ranks, reports):
+    for rank in ranks:
+        v = eigenstate_from_config(p, spec[rank].config)
+        nj = density_from_fock(v)
+        nk = momentum_distribution(correlation_matrix(v))
+        met = skin_metrics(nj)
         for idx in range(nj.values.size):
             rows.append([rank, "position", idx + 1, float(nj.grid[idx]), float(nj.values[idx])])
         for idx in range(nk.values.size):
@@ -331,14 +268,14 @@ def cmd_observables(args) -> int:
 
 
 def cmd_skin(args) -> int:
-    p, effective_twist, spec = _spectrum_for(args)
+    p, spec = _spectrum_for(args)
     ranks = _select_ranks(args.ranks, len(spec))
-    reports = [_state_report(p, spec[r]) for r in ranks]
-    header = _base_header(args, "skin", effective_twist)
+    header = _base_header(args, "skin", p)
     columns = ["rank", "energy_re", "energy_im", "left_fraction", "ipr", "log_slope"]
     rows = []
-    for rank, (_nj, _nk, met) in zip(ranks, reports):
+    for rank in ranks:
         lv = spec[rank]
+        met = skin_metrics(density_from_fock(eigenstate_from_config(p, lv.config)))
         rows.append(
             [rank, lv.energy.real, lv.energy.imag,
              met.left_fraction, met.ipr, met.log_slope]
@@ -426,17 +363,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
+        return _COMMANDS[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        args = _merge_config(args)
-        return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

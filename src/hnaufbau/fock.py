@@ -29,8 +29,14 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import kernels
-from .aufbau import SectorError, SectorTooLargeError, _check_sector, count_configs
-from .lattice import HNParams, hopping_bonds, single_particle_levels
+from .aufbau import (
+    SectorError,
+    SectorTooLargeError,
+    _capped_dim,
+    _check_sector,
+    count_configs,
+)
+from .lattice import HNParams, hardcore_image, hopping_bonds, single_particle_levels
 
 __all__ = [
     "BasisMismatchError",
@@ -48,7 +54,6 @@ __all__ = [
 ]
 
 DENSE_DIM_CAP = 2500
-BASIS_DIM_CAP = 5_000_000
 NULL_NORM_TOL = 1e-12
 
 
@@ -74,11 +79,7 @@ class FockBasis:
         _check_sector(L, N, statistics)
         if statistics != "boson" and L > 62:
             raise SectorTooLargeError(f"word storage supports L <= 62, got {L}")
-        dim = count_configs(L, N, statistics)
-        if dim > BASIS_DIM_CAP:
-            raise SectorTooLargeError(
-                f"sector has {dim} states, above the cap of {BASIS_DIM_CAP}"
-            )
+        dim = _capped_dim(L, N, statistics)
         self.statistics = statistics
         self.L = int(L)
         self.N = int(N)
@@ -284,21 +285,23 @@ def eigenstate_from_config(p: HNParams, config) -> FockVector:
     """Product eigenstate for one occupation configuration, using the
     analytic orbitals of the boundary at hand (mode m occupied n_m times).
 
-    Hard-core states are built through their fermion image: the sector
-    Hamiltonians agree entry by entry in the shared occupation basis (the
-    wrap-around bond needs the parity twist to be baked into p for that, as
-    the hardcore module does), so the fermion amplitudes ARE the hard-core
-    amplitudes; a symmetrized bosonic product would not be an eigenstate.
+    Hard-core states are the fermion states of the Jordan-Wigner image of p
+    (lattice.hardcore_image), whose levels the hard-core occupations index:
+    the image's fermion Hamiltonian equals the hard-core one of p entry by
+    entry in the shared occupation basis, so the fermion amplitudes ARE the
+    hard-core amplitudes; a symmetrized bosonic product would not be an
+    eigenstate.
     """
-    levels = single_particle_levels(p)
     if len(config.occupations) != p.L:
         raise SectorError(
             f"config has {len(config.occupations)} modes, expected L={p.L}"
         )
+    hardcore = config.statistics == "hardcore"
+    levels = single_particle_levels(hardcore_image(p, config.N) if hardcore else p)
     orbitals = []
     for pos, n in enumerate(config.occupations):
         orbitals.extend([levels[pos].orbital] * n)
-    if config.statistics == "hardcore":
+    if hardcore:
         ferm = construct_product_state(orbitals, "fermion", L=p.L)
         basis = get_basis("hardcore", p.L, len(orbitals))
         return FockVector(basis, ferm.amplitudes, norm_applied=True)

@@ -1,12 +1,12 @@
 """Fermion vs hard-core boson comparison on the nonreciprocal chain.
 
 Under open boundaries the two statistics share their full spectrum. On a
-ring they differ through the wrap-around bond: mapping hard-core bosons to
-fermions turns the boundary hop into a parity-dependent one, so a sector
-with an odd particle number maps to periodic fermions and an even number to
-antiperiodic ones (twist pi). Ground-state energies of hard-core bosons on
-a ring are therefore reachable at any size through twisted free-fermion
-filling, no Fock enumeration involved.
+ring they differ through the wrap-around bond: the Jordan-Wigner image of
+the hard-core sector (lattice.hardcore_image) is the periodic ring for odd
+particle number and the antiperiodic one (twist pi) for even. The aufbau
+fill applies that image to the ring it is given, so hard-core ground-state
+energies are reachable at any size by free-fermion filling, no Fock
+enumeration involved.
 
 The half-filled ground-state gap
 
@@ -17,7 +17,7 @@ has an imaginary part fixed by filling alone,
     Im Delta E_fb = t (-e^{g} + e^{-g}) sin(pi (1 - N/L)),
 
 while the real part decays with chain length. Both are scanned here; the
-dense Fock oracle validates the parity mapping at small sizes, signs and
+dense Fock oracle validates the Jordan-Wigner image at small sizes, signs and
 all.
 """
 
@@ -41,27 +41,14 @@ from .lattice import HNParams, pbc_spectrum
 
 __all__ = [
     "EnergyGap",
-    "ParitySector",
     "delta_E_scan",
     "fermion_ground_energy_pbc",
     "hcb_ground_energy_pbc",
     "im_delta_closed_form",
     "obc_equivalence_check",
-    "parity_sector",
 ]
 
 HCB_IM_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class ParitySector:
-    """Particle-number parity of a hard-core sector on a ring and the
-    boundary condition its fermion image sees."""
-
-    L: int
-    N: int
-    N_parity: str
-    effective_fermion_boundary: str
 
 
 @dataclass(frozen=True)
@@ -86,36 +73,22 @@ class EnergyGap:
             )
 
 
-def parity_sector(L, N) -> ParitySector:
-    """Boundary condition of the fermion image of a hard-core ring sector."""
+def _ring_ground_energy(L, N, g, t, statistics) -> complex:
     _check_sector(L, N, "hardcore", ring=True)
-    if N % 2 == 0:
-        return ParitySector(int(L), int(N), "even", "antiperiodic")
-    return ParitySector(int(L), int(N), "odd", "periodic")
-
-
-def _ring_params(L, t, g, phi):
-    if phi == 0.0:
-        return HNParams(L=L, t=t, g=g, boundary="periodic")
-    return HNParams(L=L, t=t, g=g, boundary="twisted", twist=phi)
+    levels = pbc_spectrum(HNParams(L=int(L), t=t, g=g))
+    return ground_state(levels, statistics, int(N)).energy
 
 
 def fermion_ground_energy_pbc(L, N, g, t=1.0) -> complex:
     """Aufbau ground energy of N periodic fermions; for even N this sits on
     the negative-imaginary branch of the degenerate pair (g > 0)."""
-    _check_sector(L, N, "hardcore", ring=True)
-    levels = pbc_spectrum(_ring_params(int(L), t, g, 0.0))
-    return ground_state(levels, "fermion", int(N)).energy
+    return _ring_ground_energy(L, N, g, t, "fermion")
 
 
 def hcb_ground_energy_pbc(L, N, g, t=1.0) -> complex:
-    """Hard-core ground energy on the ring via the parity-twisted fermion
-    image: twist 0 for odd N, twist pi for even N."""
-    sector = parity_sector(L, N)
-    phi = math.pi if sector.effective_fermion_boundary == "antiperiodic" else 0.0
-    p = _ring_params(int(L), t, g, phi)
-    levels = pbc_spectrum(p)
-    return ground_state(levels, "fermion", int(N)).energy
+    """Hard-core ground energy of N bosons on the periodic ring, filled on
+    its Jordan-Wigner image: twist 0 for odd N, twist pi for even N."""
+    return _ring_ground_energy(L, N, g, t, "hardcore")
 
 
 def im_delta_closed_form(L, N, g, t=1.0) -> float:
@@ -146,10 +119,8 @@ def delta_E_scan(L_list, filling=0.5, g=0.5, t=1.0):
                 f"scan requires even N (got N={N} at L={L}); use L = 0 mod 4 at half filling"
             )
         _check_sector(L, N, "hardcore", ring=True)
-        e0f, e0b = (
-            _fill(pbc_spectrum(_ring_params(int(L), t, g, phi)), "fermion", N, None)[0]
-            for phi in (0.0, math.pi)
-        )
+        levels = pbc_spectrum(HNParams(L=int(L), t=t, g=g))
+        e0f, e0b = (_fill(levels, stats, N, None)[0] for stats in ("fermion", "hardcore"))
         gaps.append(
             EnergyGap(
                 L=int(L), N=N, g=float(g), t=float(t),

@@ -22,6 +22,13 @@ Open-boundary orbitals are kept unnormalized on purpose; normalization is
 applied downstream where observables are formed. Sites are 1-indexed in the
 formulas above and stored at array positions j-1.
 
+Hard-core bosons on a ring are free fermions on a different ring. The
+Jordan-Wigner string of a particle hopping across the wrap-around bond
+passes the other N-1 particles, so that bond picks up the sign (-1)^(N-1)
+(Lieb, Schultz & Mattis, Ann. Phys. 16, 407, 1961): hardcore_image(p, N) is
+p itself for an open chain or odd N, and p with its twist shifted by pi
+otherwise.
+
 The builders return one array-backed Levels per chain: labels, momenta and
 energies are evaluated with numpy over all m at once, by the same expressions
 in the same order as the scalar formulas, so they agree with a level-by-level
@@ -34,7 +41,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -45,6 +52,7 @@ __all__ = [
     "ComplexLevel",
     "HNParams",
     "Levels",
+    "hardcore_image",
     "hopping_bonds",
     "hopping_matrix",
     "obc_spectrum",
@@ -161,6 +169,16 @@ class Levels:
             orbitals = np.exp(-1j * k * sites) / math.sqrt(p.L)
         orbitals.flags.writeable = False
         return orbitals
+
+
+def hardcore_image(p: HNParams, N) -> HNParams:
+    """Jordan-Wigner image of N hard-core bosons on p: the chain whose N free
+    fermions have the same Hamiltonian, entry by entry in the occupation
+    basis. That is p for an open chain or odd N, else the same ring with its
+    wrap-around phase shifted by pi."""
+    if p.boundary == "open" or N % 2 == 1:
+        return p
+    return replace(p, boundary="twisted", twist=p.phi + math.pi)
 
 
 def hopping_matrix(p: HNParams) -> np.ndarray:

@@ -19,10 +19,13 @@ from hnaufbau.aufbau import (
     ground_state,
     occupation_string,
     parse_occupation_string,
+    sort_complex_spectrum,
 )
+from hnaufbau.fock import build_dense_hamiltonian
 from hnaufbau.hardcore import im_delta_closed_form
 from hnaufbau.lattice import HNParams, pbc_spectrum, single_particle_levels
-from hnaufbau.verify import run_checks
+from hnaufbau.numerics import eigenvalues
+from hnaufbau.verify import TOLERANCES, run_checks
 
 
 def run_cli(argv):
@@ -236,6 +239,30 @@ def test_observables_csv_metrics_comment(tmp_path):
     assert "# metrics rank=1 left_fraction=" in text
 
 
+# sha256 of hard-core eigenstate outputs on the ring (Jordan-Wigner image
+# twisted by pi) and on the open chain, over every rank of the sector
+GOLDEN_HARDCORE_STATES = [
+    (["observables", "-g", "0.5", "--bc", "pbc"],
+     "0cf03075b36563064b2a639aa937ff988df153bdca5b20294b82aba064382fda"),
+    (["observables", "-g", "1.5", "--bc", "obc"],
+     "411d53e3f92987ec514aa1625176007eb003ad731669cee0e7e4f39c23a558a1"),
+    (["skin", "-g", "0.5", "--bc", "pbc"],
+     "43893f756f7aa1483682694624b74ee5158b608b49578ca7a8531a2966152fb7"),
+    (["skin", "-g", "1.5", "--bc", "obc"],
+     "fac5ae2f49fd2efac4f7077cbf30b11439c6a1cd37877e483f26580b4b8ba6ad"),
+]
+
+
+@pytest.mark.parametrize("flags,digest", GOLDEN_HARDCORE_STATES)
+def test_hardcore_states_match_golden_digest(tmp_path, flags, digest):
+    code, out = run_to_file(
+        tmp_path, "golden.csv",
+        [*flags, "-L", "8", "-N", "4", "--stats", "hardcore", "--ranks", "all"],
+    )
+    assert code == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
 # -------------------------------------------------------------------- skin
 
 
@@ -338,6 +365,22 @@ def test_config_missing_file_rejected(tmp_path):
     assert run_cli(["spectrum", "--config", str(tmp_path / "nope.cfg")]) == 2
 
 
+def test_config_bad_value_rejected(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("L = six\n")
+    assert run_cli(["spectrum", "--config", str(cfg)]) == 2
+
+
+def test_config_suite_yields_to_flag(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("suite = closedform\n")
+    assert run_cli(["verify", "--config", str(cfg)]) == 0
+    assert "closedform/" in capsys.readouterr().out
+    assert run_cli(["verify", "--config", str(cfg), "--suite", "counting"]) == 0
+    captured = capsys.readouterr().out
+    assert "counting/" in captured and "closedform/" not in captured
+
+
 # -------------------------------------------------------------- exit codes
 
 
@@ -359,14 +402,24 @@ def test_twist_boundary_accepted(tmp_path):
     assert header["bc"] == "twist=1.1"
 
 
-def test_exit_2_on_hardcore_with_twist():
-    assert (
-        run_cli(
-            ["spectrum", "-L", "6", "-N", "3", "--bc", "twist=0.5",
-             "--stats", "hardcore"]
+def test_hardcore_twist_matches_dense(tmp_path):
+    p = HNParams(L=6, t=1.0, g=0.5, boundary="twisted", twist=0.5)
+    for N in (3, 4):
+        code, out = run_to_file(
+            tmp_path, f"hc_tw{N}.csv",
+            ["spectrum", "-L", "6", "-N", str(N), "-g", "0.5", "--bc", "twist=0.5",
+             "--stats", "hardcore"],
         )
-        == 2
-    )
+        assert code == 0
+        header, _, rows = cli.read_table(str(out))
+        if N % 2 == 0:
+            assert header["effective_twist"] == repr(0.5 + math.pi)
+        else:
+            assert "effective_twist" not in header
+        got = np.array([complex(float(r[1]), float(r[2])) for r in rows])
+        dense = eigenvalues(build_dense_hamiltonian(p, "hardcore", N))
+        diff = np.max(np.abs(sort_complex_spectrum(got) - sort_complex_spectrum(dense)))
+        assert diff < TOLERANCES["spectrum_multiset"]
 
 
 def test_exit_2_on_overfilled_fermion_sector():

@@ -485,16 +485,16 @@ def test_residuals_hardcore_chain():
 
 
 def test_residuals_hardcore_ring_via_parity_twist():
-    # odd N: plain ring levels; even N: eigenstates come from the
-    # pi-twisted fermion problem but must satisfy the *ring* hardcore
-    # eigenproblem, since the two Hamiltonians agree entry by entry
+    # odd N: plain ring levels; even N: the fill and the eigenstates come
+    # from the pi-twisted fermion image of the ring, and must satisfy the
+    # *ring* hardcore eigenproblem, since the two Hamiltonians agree entry
+    # by entry
     ring = HNParams(L=6, t=1.0, g=0.5, boundary="periodic")
     residual_scan(ring, "hardcore", 3, 1e-10)
 
-    tw = HNParams(L=6, t=1.0, g=0.5, boundary="twisted", twist=math.pi)
-    spec = build_spectrum(pbc_spectrum(tw), "hardcore", 4)
+    spec = build_spectrum(pbc_spectrum(ring), "hardcore", 4)
     for lv in spec[:8]:
-        v = eigenstate_from_config(tw, lv.config)
+        v = eigenstate_from_config(ring, lv.config)
         assert residual(ring, "hardcore", v, lv.energy) < 1e-10
 
 

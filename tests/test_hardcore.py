@@ -16,20 +16,28 @@ import math
 import numpy as np
 import pytest
 
-from hnaufbau.aufbau import SectorError, ground_state, sort_complex_spectrum
-from hnaufbau.fock import build_dense_hamiltonian
+from hnaufbau.aufbau import (
+    SectorError,
+    build_spectrum,
+    ground_state,
+    sort_complex_spectrum,
+)
+from hnaufbau.fock import (
+    apply_hamiltonian,
+    build_dense_hamiltonian,
+    eigenstate_from_config,
+)
 from hnaufbau.hardcore import (
     EnergyGap,
-    ParitySector,
     delta_E_scan,
     fermion_ground_energy_pbc,
     hcb_ground_energy_pbc,
     im_delta_closed_form,
     obc_equivalence_check,
-    parity_sector,
 )
-from hnaufbau.lattice import HNParams, pbc_spectrum
+from hnaufbau.lattice import HNParams, hardcore_image, pbc_spectrum, single_particle_levels
 from hnaufbau.numerics import eigenvalues
+from hnaufbau.verify import TOLERANCES
 
 SCAN_LENGTHS = list(range(160, 481, 16))
 
@@ -43,21 +51,57 @@ def lowest_re(values):
 
 
 def test_parity_sector_mapping():
-    even = parity_sector(8, 4)
-    assert even.N_parity == "even"
-    assert even.effective_fermion_boundary == "antiperiodic"
-    odd = parity_sector(8, 3)
-    assert odd.N_parity == "odd"
-    assert odd.effective_fermion_boundary == "periodic"
+    ring = HNParams(L=8, t=1.0, g=0.5, boundary="periodic")
+    even = hardcore_image(ring, 4)
+    assert even == HNParams(L=8, t=1.0, g=0.5, boundary="twisted", twist=math.pi)
+    assert hardcore_image(ring, 3) is ring
+    twisted = HNParams(L=8, t=1.0, g=0.5, boundary="twisted", twist=0.3)
+    assert hardcore_image(twisted, 4).twist == 0.3 + math.pi
+    assert hardcore_image(twisted, 3) is twisted
+    chain = HNParams(L=8, t=1.0, g=0.5, boundary="open")
+    assert hardcore_image(chain, 4) is chain
 
 
 def test_parity_sector_validation():
     with pytest.raises(SectorError):
-        parity_sector(8, 0)
+        hcb_ground_energy_pbc(8, 0, 0.5)
     with pytest.raises(SectorError):
-        parity_sector(8, 9)
+        hcb_ground_energy_pbc(8, 9, 0.5)
     with pytest.raises(SectorError):
-        parity_sector(1, 1)
+        hcb_ground_energy_pbc(1, 1, 0.5)
+
+
+def _chains(L, g):
+    yield HNParams(L=L, t=1.0, g=g, boundary="periodic")
+    yield HNParams(L=L, t=1.0, g=g, boundary="open")
+    yield HNParams(L=L, t=1.0, g=g, boundary="twisted", twist=0.3)
+    yield HNParams(L=L, t=1.0, g=g, boundary="twisted", twist=math.pi)
+
+
+def test_hardcore_spectrum_of_physical_chain_matches_dense_oracle():
+    # every sector of L = 2..7 at three couplings and four boundaries (324 in
+    # all): the fill on the physical chain gives the dense hard-core spectrum,
+    # and its rank-0 product state solves the hard-core eigenproblem
+    failures = []
+    sectors = 0
+    for L in range(2, 8):
+        for g in (0.0, 0.5, 1.5):
+            for p in _chains(L, g):
+                for N in range(1, L + 1):
+                    sectors += 1
+                    spec = build_spectrum(single_particle_levels(p), "hardcore", N)
+                    dense = eigenvalues(build_dense_hamiltonian(p, "hardcore", N))
+                    diff = np.max(np.abs(
+                        sort_complex_spectrum(spec.energies) - sort_complex_spectrum(dense)
+                    ))
+                    v = eigenstate_from_config(p, spec[0].config)
+                    w = apply_hamiltonian(p, "hardcore", v)
+                    res = np.linalg.norm(w.amplitudes - spec[0].energy * v.amplitudes)
+                    if not (diff < TOLERANCES["spectrum_multiset"]
+                            and res < TOLERANCES["residual_obc"]):
+                        failures.append((p, N, float(diff), float(res)))
+    assert sectors == 324
+    assert not failures
 
 
 # ------------------------------------------------------- ground energies
@@ -204,13 +248,6 @@ def test_energy_gap_rejects_complex_hcb_energy():
             E0_hcb=0.0 + 1e-6j,
             delta=0.0 - 1e-6j,
         )
-
-
-def test_parity_sector_is_frozen():
-    sector = ParitySector(L=8, N=4, N_parity="even",
-                          effective_fermion_boundary="antiperiodic")
-    with pytest.raises(AttributeError):
-        sector.N = 5
 
 
 # -------------------------------------------------------- OBC equivalence

@@ -307,8 +307,8 @@ def test_hardcore_momentum_not_fermionic():
     # hard-core ring eigenstates are built from parity-twisted fermions;
     # their momentum profile need not match the fermionic occupations, but
     # the sum rule still holds
-    p_tw = HNParams(L=6, t=1.0, g=0.5, boundary="twisted", twist=math.pi)
-    lv = build_spectrum(pbc_spectrum(p_tw), "hardcore", 4)[0]
-    v = eigenstate_from_config(p_tw, lv.config)
+    ring = HNParams(L=6, t=1.0, g=0.5, boundary="periodic")
+    lv = build_spectrum(pbc_spectrum(ring), "hardcore", 4)[0]
+    v = eigenstate_from_config(ring, lv.config)
     nk = momentum_distribution(correlation_matrix(v))
     assert nk.total == pytest.approx(4.0, abs=1e-8)
