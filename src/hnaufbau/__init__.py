@@ -45,7 +45,6 @@ from .lattice import (
     HNParams,
     Levels,
     hardcore_image,
-    hopping_bonds,
     hopping_matrix,
     obc_spectrum,
     pbc_spectrum,

@@ -31,8 +31,6 @@ from .observables import (
 
 __all__ = ["main", "read_table"]
 
-# test hook: verify's residual suite applies this to the bond list
-_VERIFY_BOND_TRANSFORM = None
 
 class UsageError(ValueError):
     pass
@@ -97,7 +95,8 @@ def _read_config_file(path):
 def _parse_args(argv):
     """Parse argv. With --config, the file's values become the subcommand's
     defaults and argv is parsed again: argparse runs each string through its
-    flag's type, and explicit flags win."""
+    flag's type, and explicit flags win. argparse checks choices only on
+    flags, so a config value for a flag with choices is checked here."""
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
     if args.config is None:
@@ -112,7 +111,12 @@ def _parse_args(argv):
     command.set_defaults(
         **{key: val for key, val in values.items() if not isinstance(getattr(args, key), list)}
     )
-    return parser.parse_args(argv)
+    args = parser.parse_args(argv)
+    for action in command._actions:
+        value = getattr(args, action.dest, None)
+        if action.dest in values and action.choices and value not in action.choices:
+            raise UsageError(f"config {action.dest} = {value!r}; choose from {action.choices}")
+    return args
 
 
 def _parse_bc(bc):
@@ -340,9 +344,7 @@ def cmd_verify(args) -> int:
         for part in parts:
             suites.extend(s.strip() for s in part.split(",") if s.strip())
     try:
-        results = verify_mod.run_checks(
-            g=args.g, t=args.t, suites=suites, bond_transform=_VERIFY_BOND_TRANSFORM
-        )
+        results = verify_mod.run_checks(g=args.g, t=args.t, suites=suites)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     table = verify_mod.summary_table(results, g=float(args.g), t=float(args.t))

@@ -6,15 +6,16 @@ place values ``radix`` (base 2 for fermions and hard-core bosons, so a key
 is the L-bit occupation word; base N+1 for bosons). Lookups are binary
 searches over the keys.
 
-Every operator goes through one lowering table per basis: c_j|s> =
-coef[s, j] |down[s, j]> in the N-1 sector. The factor is the Jordan-Wigner
-sign (-1)^(occupied sites below j) for fermions and sqrt(n_j) for bosons
-and hard-core bosons; hard-core bosons thus follow bosonic rules with
-occupancy capped at 1 and no sign, which is exactly where the two
-statistics part ways on a periodic wrap-around bond. Annihilation is a
-scatter over the table, creation a gather, so H v, the dense sector
-Hamiltonian, correlation matrices and product states are all numpy array
-operations.
+The Hamiltonian is H = sum_ij h[i, j] c_i^dag c_j for the L x L hopping
+matrix h of lattice.hopping_matrix. Every operator goes through one
+lowering table per basis: c_j|s> = coef[s, j] |down[s, j]> in the N-1
+sector. The factor is the Jordan-Wigner sign (-1)^(occupied sites below j)
+for fermions and sqrt(n_j) for bosons and hard-core bosons; hard-core
+bosons thus follow bosonic rules with occupancy capped at 1 and no sign,
+which is exactly where the two statistics part ways on a periodic
+wrap-around bond. Annihilation is a scatter over the table, creation a
+gather, so H v, the dense sector Hamiltonian, correlation matrices and
+product states are all numpy array operations.
 
 Product states are built by applying creation operators sequentially to the
 vacuum, one sector at a time; determinant antisymmetry and permanent
@@ -28,15 +29,15 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from . import kernels
 from .aufbau import (
     SectorError,
     SectorTooLargeError,
     _capped_dim,
     _check_sector,
+    _occupation_rows,
     count_configs,
 )
-from .lattice import HNParams, hardcore_image, hopping_bonds, single_particle_levels
+from .lattice import HNParams, hardcore_image, hopping_matrix, single_particle_levels
 
 __all__ = [
     "BasisMismatchError",
@@ -44,8 +45,8 @@ __all__ = [
     "FockVector",
     "NullStateError",
     "annihilate",
-    "apply_bonds",
     "apply_hamiltonian",
+    "apply_hopping",
     "build_dense_hamiltonian",
     "construct_product_state",
     "eigenstate_from_config",
@@ -77,25 +78,17 @@ class FockBasis:
 
     def __init__(self, statistics, L, N):
         _check_sector(L, N, statistics)
-        if statistics != "boson" and L > 62:
-            raise SectorTooLargeError(f"word storage supports L <= 62, got {L}")
         dim = _capped_dim(L, N, statistics)
+        base = N + 1 if statistics == "boson" else 2
+        if base**max(L - 1, 0) >= 1 << 62:
+            raise SectorTooLargeError(f"state keys overflow int64 for base {base}, L={L}")
         self.statistics = statistics
         self.L = int(L)
         self.N = int(N)
         self.dim = dim
         self.lower_dim = count_configs(L, N - 1, statistics) if N > 0 else 0
-        if statistics == "boson":
-            base = N + 1
-            if base**max(L - 1, 0) >= 1 << 62:
-                raise SectorTooLargeError(
-                    f"state keys overflow int64 for base {base}, L={L}"
-                )
-            self.radix = base ** np.arange(L, dtype=np.int64)
-            self.occupations = kernels.boson_states(L, N)
-        else:
-            self.radix = np.int64(1) << np.arange(L, dtype=np.int64)
-            self.occupations = kernels.fermion_occupations(L, N)
+        self.radix = base ** np.arange(L, dtype=np.int64)
+        self.occupations = _occupation_rows(L, N, statistics)
         self.keys = self.occupations.astype(np.int64) @ self.radix
 
     @cached_property
@@ -174,16 +167,6 @@ class FockVector:
         return FockVector(self.basis, self.amplitudes / n, norm_applied=True)
 
 
-def _bond_matrix(bonds, L):
-    """h[i, j] = summed amplitude of the bonds (i, j, amp)."""
-    h = np.zeros((L, L), dtype=np.complex128)
-    for i, j, amp in bonds:
-        if not (0 <= i < L and 0 <= j < L):
-            raise ValueError(f"bond site index outside 0..{L - 1}")
-        h[i, j] += amp
-    return h
-
-
 def annihilate(v: FockVector) -> np.ndarray:
     """Matrix A of shape (dim_{N-1}, L) whose column j is c_j v."""
     basis = v.basis
@@ -198,21 +181,17 @@ def _create(basis: FockBasis, A) -> np.ndarray:
     return np.sum(basis.coef * padded[basis.down, np.arange(basis.L)], axis=1)
 
 
-def apply_bonds(v: FockVector, bonds) -> FockVector:
-    """w = H v for H = sum over (i, j, amp) of amp * c_i^dag c_j."""
-    h = _bond_matrix(bonds, v.basis.L)
+def apply_hopping(v: FockVector, h: np.ndarray) -> FockVector:
+    """w = H v for H = sum_ij h[i, j] c_i^dag c_j; a diagonal entry acts as
+    h[i, i] n_i. Raises BasisMismatchError unless h is L x L."""
+    if h.shape != (v.basis.L, v.basis.L):
+        raise BasisMismatchError(f"hopping matrix shape {h.shape} does not fit L={v.basis.L}")
     return FockVector(v.basis, _create(v.basis, annihilate(v) @ h.T))
 
 
-def apply_hamiltonian(p: HNParams, statistics, v: FockVector) -> FockVector:
-    """Action of the N-particle Hamiltonian built from p on v."""
-    if v.basis.statistics != statistics:
-        raise BasisMismatchError(
-            f"vector basis is {v.basis.statistics!r}, requested {statistics!r}"
-        )
-    if v.basis.L != p.L:
-        raise BasisMismatchError(f"vector basis has L={v.basis.L}, params have L={p.L}")
-    return apply_bonds(v, hopping_bonds(p))
+def apply_hamiltonian(p: HNParams, v: FockVector) -> FockVector:
+    """Action of the many-body Hamiltonian of p on v, in v's own statistics."""
+    return apply_hopping(v, hopping_matrix(p))
 
 
 def build_dense_hamiltonian(p: HNParams, statistics, N) -> np.ndarray:
@@ -223,7 +202,7 @@ def build_dense_hamiltonian(p: HNParams, statistics, N) -> np.ndarray:
         raise SectorTooLargeError(
             f"dense sector has {basis.dim} states, above the cap of {DENSE_DIM_CAP}"
         )
-    h = _bond_matrix(hopping_bonds(p), p.L)
+    h = hopping_matrix(p)
     down, coef = basis.down, basis.coef
     sites = np.arange(p.L)
     # inverse table: up[r, i] is the state s with down[s, i] = r, -1 if none
@@ -275,9 +254,9 @@ def construct_product_state(orbitals, statistics, L=None) -> FockVector:
     return FockVector(get_basis(statistics, L, N), vec).normalized()
 
 
-def residual(p: HNParams, statistics, v: FockVector, E) -> float:
+def residual(p: HNParams, v: FockVector, E) -> float:
     """Euclidean norm of H v - E v."""
-    w = apply_hamiltonian(p, statistics, v)
+    w = apply_hamiltonian(p, v)
     return float(np.linalg.norm(w.amplitudes - complex(E) * v.amplitudes))
 
 

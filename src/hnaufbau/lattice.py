@@ -53,7 +53,6 @@ __all__ = [
     "HNParams",
     "Levels",
     "hardcore_image",
-    "hopping_bonds",
     "hopping_matrix",
     "obc_spectrum",
     "pbc_spectrum",
@@ -200,19 +199,6 @@ def hopping_matrix(p: HNParams) -> np.ndarray:
         h[L - 1, 0] += tg * phase
         h[0, L - 1] += tg_rev * np.conj(phase)
     return h
-
-
-def hopping_bonds(p: HNParams):
-    """Directed bonds (i, j, amplitude) with i != j, from the nonzero
-    off-diagonal entries of hopping_matrix, sorted by (i, j). The many-body
-    Hamiltonian is sum over bonds of amplitude * c_i^dag c_j."""
-    h = hopping_matrix(p)
-    bonds = []
-    for i in range(p.L):
-        for j in range(p.L):
-            if i != j and h[i, j] != 0:
-                bonds.append((i, j, complex(h[i, j])))
-    return bonds
 
 
 def pbc_spectrum(p: HNParams) -> Levels:

@@ -101,7 +101,7 @@ def test_acceptance_4_eigenstate_residuals():
             for stats in ("fermion", "boson"):
                 for lv in build_spectrum(levels, stats, 4):
                     v = eigenstate_from_config(p, lv.config)
-                    worst = max(worst, residual(p, stats, v, lv.energy))
+                    worst = max(worst, residual(p, v, lv.energy))
         assert worst < 1e-9, f"worst residual {worst:.3e}"
         assert time.perf_counter() - start < 60.0
 

@@ -5,6 +5,7 @@ and worker count must not change anything. The spectrum CSV is checked by
 re-deriving each row's energy from its occupation string.
 """
 
+import functools
 import hashlib
 import json
 import math
@@ -367,8 +368,9 @@ def test_config_missing_file_rejected(tmp_path):
 
 def test_config_bad_value_rejected(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("L = six\n")
-    assert run_cli(["spectrum", "--config", str(cfg)]) == 2
+    for text in ("L = six\n", "format = xml\n", "stats = bogus\n"):
+        cfg.write_text("L = 4\nN = 1\n" + text)
+        assert run_cli(["spectrum", "--config", str(cfg)]) == 2, text
 
 
 def test_config_suite_yields_to_flag(tmp_path, capsys):
@@ -486,17 +488,29 @@ def test_verify_unknown_suite_rejected():
 
 
 def test_verify_detects_injected_sign_fault(tmp_path, monkeypatch, capsys):
-    # flip the sign of one hopping bond before the residual suite sees it;
-    # the eigenstates no longer satisfy the eigenproblem and the run fails
-    def flip_first(bonds):
-        (i, j, amp), *rest = bonds
-        return [(i, j, -amp), *rest]
+    # flip the sign of one hopping matrix entry before the residual suite
+    # sees it; the eigenstates no longer satisfy the eigenproblem and the run fails
+    def flip_first(h):
+        h = h.copy()
+        i, j = np.argwhere(h)[0]
+        h[i, j] = -h[i, j]
+        return h
 
-    monkeypatch.setattr(cli, "_VERIFY_BOND_TRANSFORM", flip_first)
+    monkeypatch.setattr(
+        cli.verify_mod, "run_checks", functools.partial(run_checks, bond_transform=flip_first)
+    )
     code = run_cli(["verify", "--suite", "residuals"])
     captured = capsys.readouterr().out
     assert code == 1
     assert "FAIL" in captured
+
+
+def test_verify_nan_residual_fails():
+    # at g = -70 the open-chain orbitals e^{-g j} overflow to inf, so the level
+    # residual is NaN; a NaN must fail its check, not fold away as a pass
+    rows = {r.name: r for r in run_checks(g=-70, suites=["single_particle"])}
+    assert not rows["level-residual-open"].passed
+    assert "nan" in rows["level-residual-open"].detail
 
 
 @pytest.mark.parametrize("g", [0.25, 0.5, 1.1, 2.0, 4.0])

@@ -32,8 +32,8 @@ from hnaufbau.fock import (
     FockBasis,
     FockVector,
     NullStateError,
-    apply_bonds,
     apply_hamiltonian,
+    apply_hopping,
     build_dense_hamiltonian,
     construct_product_state,
     eigenstate_from_config,
@@ -42,7 +42,6 @@ from hnaufbau.fock import (
 )
 from hnaufbau.lattice import (
     HNParams,
-    hopping_bonds,
     hopping_matrix,
     obc_spectrum,
     pbc_spectrum,
@@ -131,7 +130,7 @@ def test_apply_single_particle_sector_equals_hopping_matrix():
             np.asarray(basis.occupations), np.eye(6, dtype=np.int16)
         )
         v = FockVector(basis, amps.copy())
-        w = apply_hamiltonian(p, stats, v)
+        w = apply_hamiltonian(p, v)
         np.testing.assert_allclose(w.amplitudes, h @ amps, atol=1e-13)
 
 
@@ -140,19 +139,19 @@ def test_apply_pauli_blocked_filled_band():
     basis = get_basis("fermion", 2, 2)
     assert basis.dim == 1
     v = FockVector(basis, np.array([1.0 + 0j]))
-    w = apply_hamiltonian(p, "fermion", v)
+    w = apply_hamiltonian(p, v)
     assert np.all(w.amplitudes == 0)
-    assert residual(p, "fermion", v, 0.0) == 0.0
+    assert residual(p, v, 0.0) == 0.0
 
 
 def test_apply_boson_sqrt2_matrix_element():
-    # open chain, one directed bond c_1^dag c_0: |2,0> -> sqrt(2)*|1,1>
+    # open chain, one directed hop c_1^dag c_0: |2,0> -> sqrt(2)*|1,1>
     basis = get_basis("boson", 2, 2)
     i20 = basis.index_of((2, 0))
     i11 = basis.index_of((1, 1))
     v = basis.zero_vector()
     v.amplitudes[i20] = 1.0
-    w = apply_bonds(v, [(1, 0, 1.0 + 0j)])
+    w = apply_hopping(v, np.array([[0, 0], [1.0 + 0j, 0]]))
     expect = np.zeros(3, dtype=complex)
     expect[i11] = math.sqrt(2.0)
     np.testing.assert_allclose(w.amplitudes, expect, atol=1e-15)
@@ -164,25 +163,23 @@ def test_apply_output_stays_in_sector():
         basis = get_basis(stats, 5, 2)
         rng = np.random.default_rng(3)
         v = FockVector(basis, rng.standard_normal(basis.dim) + 0j)
-        w = apply_hamiltonian(p, stats, v)
+        w = apply_hamiltonian(p, v)
         assert w.basis is basis
         assert w.amplitudes.shape == (basis.dim,)
 
 
 def test_apply_basis_mismatch_errors():
     p = HNParams(L=4, t=1.0, g=0.5, boundary="periodic")
-    v = get_basis("fermion", 4, 2).zero_vector()
-    with pytest.raises(BasisMismatchError):
-        apply_hamiltonian(p, "boson", v)
     v6 = get_basis("fermion", 6, 2).zero_vector()
     with pytest.raises(BasisMismatchError):
-        apply_hamiltonian(p, "fermion", v6)
+        apply_hamiltonian(p, v6)
 
 
-def test_apply_bonds_rejects_bad_sites():
+def test_apply_hopping_rejects_wrong_shape():
     v = get_basis("fermion", 4, 2).zero_vector()
-    with pytest.raises(ValueError):
-        apply_bonds(v, [(0, 4, 1.0)])
+    for shape in ((4, 5), (5, 4), (5, 5), (3, 3), (4,), (4, 4, 1)):
+        with pytest.raises(BasisMismatchError):
+            apply_hopping(v, np.ones(shape, dtype=complex))
 
 
 @pytest.mark.parametrize("stats", ["fermion", "boson", "hardcore"])
@@ -192,7 +189,9 @@ def test_diagonal_bond_is_number_operator(stats, rng):
     v = FockVector(basis, amps)
     a = 0.7 - 0.4j
     for i in range(5):
-        w = apply_bonds(v, [(i, i, a)])
+        h = np.zeros((5, 5), dtype=complex)
+        h[i, i] = a
+        w = apply_hopping(v, h)
         want = a * basis.occupations[:, i] * amps
         np.testing.assert_allclose(w.amplitudes, want, rtol=0, atol=1e-13)
 
@@ -237,7 +236,10 @@ def ref_apply(stats, vec, bonds):
 def test_engine_matches_brute_force_reference(stats, boundary, rng):
     for L in range(2, 7):
         p = HNParams(L=L, t=1.0, g=0.5, boundary=boundary)
-        bonds = hopping_bonds(p)
+        h = hopping_matrix(p)
+        bonds = [(i, j, h[i, j]) for i, j in zip(*np.nonzero(h))]
+        h_diag = h.copy()
+        h_diag[L - 1, L - 1] += 0.3 - 0.2j
         for N in range(min(L, 4) + 1):
             basis = get_basis(stats, L, N)
             occs = [tuple(int(n) for n in row) for row in basis.occupations]
@@ -250,7 +252,7 @@ def test_engine_matches_brute_force_reference(stats, boundary, rng):
             with_diag = bonds + [(L - 1, L - 1, 0.3 - 0.2j)]
             want = ref_apply(stats, vec, with_diag)
             np.testing.assert_allclose(
-                apply_bonds(v, with_diag).amplitudes,
+                apply_hopping(v, h_diag).amplitudes,
                 [want.get(o, 0) for o in occs], rtol=0, atol=1e-13,
             )
 
@@ -295,7 +297,7 @@ def test_dense_columns_equal_apply_on_unit_vectors():
         for col in range(basis.dim):
             v = basis.zero_vector()
             v.amplitudes[col] = 1.0
-            w = apply_hamiltonian(p, stats, v)
+            w = apply_hamiltonian(p, v)
             np.testing.assert_array_equal(h[:, col], w.amplitudes)
 
 
@@ -457,7 +459,7 @@ def residual_scan(p, stats, N, tol, limit=None):
     worst = 0.0
     for lv in spec[: limit or len(spec)]:
         v = eigenstate_from_config(p, lv.config)
-        worst = max(worst, residual(p, stats, v, lv.energy))
+        worst = max(worst, residual(p, v, lv.energy))
     assert worst < tol, f"worst residual {worst:.3e} over {stats} {p.boundary}"
 
 
@@ -495,7 +497,7 @@ def test_residuals_hardcore_ring_via_parity_twist():
     spec = build_spectrum(pbc_spectrum(ring), "hardcore", 4)
     for lv in spec[:8]:
         v = eigenstate_from_config(ring, lv.config)
-        assert residual(ring, "hardcore", v, lv.energy) < 1e-10
+        assert residual(ring, v, lv.energy) < 1e-10
 
 
 def test_residual_detects_perturbation(rng):
@@ -505,7 +507,7 @@ def test_residual_detects_perturbation(rng):
     v = eigenstate_from_config(p, gs.config)
     noisy = v.amplitudes + 1e-3 * rng.standard_normal(v.basis.dim)
     noisy /= np.linalg.norm(noisy)
-    r = residual(p, "fermion", FockVector(v.basis, noisy), gs.energy)
+    r = residual(p, FockVector(v.basis, noisy), gs.energy)
     assert r > 1e-4
 
 

@@ -95,7 +95,7 @@ def test_hardcore_spectrum_of_physical_chain_matches_dense_oracle():
                         sort_complex_spectrum(spec.energies) - sort_complex_spectrum(dense)
                     ))
                     v = eigenstate_from_config(p, spec[0].config)
-                    w = apply_hamiltonian(p, "hardcore", v)
+                    w = apply_hamiltonian(p, v)
                     res = np.linalg.norm(w.amplitudes - spec[0].energy * v.amplitudes)
                     if not (diff < TOLERANCES["spectrum_multiset"]
                             and res < TOLERANCES["residual_obc"]):

@@ -17,7 +17,6 @@ from hnaufbau.lattice import (
     ComplexLevel,
     HNParams,
     Levels,
-    hopping_bonds,
     hopping_matrix,
     obc_spectrum,
     pbc_spectrum,
@@ -78,16 +77,6 @@ def test_matrix_g_zero_is_symmetric():
     p = HNParams(L=8, t=1.0, g=0.0, boundary="periodic")
     h = hopping_matrix(p)
     np.testing.assert_allclose(h, h.T.conj(), atol=1e-15)
-
-
-def test_bonds_match_matrix():
-    for boundary in ("periodic", "open"):
-        p = HNParams(L=6, t=1.3, g=0.4, boundary=boundary)
-        h = hopping_matrix(p)
-        rebuilt = np.zeros_like(h)
-        for i, j, amp in hopping_bonds(p):
-            rebuilt[i, j] += amp
-        np.testing.assert_allclose(rebuilt, h, atol=0)
 
 
 # --------------------------------------------------------------- validation
