@@ -357,11 +357,11 @@ _DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
 def occupation_string(config) -> str:
     """Compact occupation text of an OccupationConfig or of a sequence of
     occupation numbers: digit string when all n <= 9 ("0101100000"),
-    comma-joined otherwise ("0,11,0")."""
+    ';'-joined otherwise ("0;11;0"), so the text stays one CSV field."""
     occ = getattr(config, "occupations", config)
     if max(occ, default=0) <= 9:
         return bytes(occ).translate(_DIGITS).decode("ascii")
-    return ",".join(map(str, occ))
+    return ";".join(map(str, occ))
 
 
 def parse_occupation_string(s, statistics) -> OccupationConfig:
@@ -369,8 +369,8 @@ def parse_occupation_string(s, statistics) -> OccupationConfig:
     s = s.strip()
     if not s:
         raise ValueError("empty occupation string")
-    if "," in s:
-        occ = tuple(int(part) for part in s.split(","))
+    if ";" in s:
+        occ = tuple(int(part) for part in s.split(";"))
     else:
         occ = tuple(int(ch) for ch in s)
     return OccupationConfig(statistics, occ)

@@ -1,7 +1,8 @@
 """Command-line front end.
 
-Subcommands: spectrum | observables | skin | hcb-compare | verify. Flags
-can also come from a key=value config file (--config); explicit flags win.
+Subcommands: spectrum | observables | skin | hcb-compare | verify. Each
+key=value line of a --config file is read as the flag --key=value (-k=value
+for a one-letter key) ahead of the command line's own flags, which win.
 CSV output starts with '#'-prefixed key=value parameter lines and carries
 complex values as separate _re/_im columns; JSON mirrors the same payload.
 Nothing time- or host-dependent is ever written, so identical inputs give
@@ -18,7 +19,7 @@ import json
 import sys
 
 from . import verify as verify_mod
-from .aufbau import build_spectrum, occupation_string
+from .aufbau import STATISTICS, build_spectrum, occupation_string
 from .fock import eigenstate_from_config
 from .hardcore import delta_E_scan, im_delta_closed_form
 from .lattice import HNParams, hardcore_image, single_particle_levels
@@ -36,15 +37,19 @@ class UsageError(ValueError):
     pass
 
 
+def _comma_list(text):
+    return [part.strip() for part in text.split(",") if part.strip()]
+
+
 def _build_parser():
-    """The parser and its subcommand parsers, by name."""
+    """The parser. Each option's flag is --<dest>, or -<dest> for one letter."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("-L", type=int, default=10)
     common.add_argument("-N", type=int, default=5)
     common.add_argument("-t", type=float, default=1.0)
     common.add_argument("-g", type=float, default=0.5)
     common.add_argument("--bc", default="pbc", help="pbc | obc | twist=<radians>")
-    common.add_argument("--stats", choices=("fermion", "boson", "hardcore"), default="fermion")
+    common.add_argument("--stats", choices=STATISTICS, default="fermion")
     common.add_argument("--out", default=None)
     common.add_argument("--format", choices=("csv", "json"), default="csv")
     common.add_argument("--config", default=None, help="key=value file, '#' comments")
@@ -68,19 +73,21 @@ def _build_parser():
     p_hcb.add_argument("--filling", type=float, default=0.5)
     p_ver = sub.add_parser("verify", parents=[common], help="run invariant suites")
     p_ver.add_argument(
-        "--suite", action="append", default=None,
-        help=f"suite name, repeatable; one of {', '.join(verify_mod.SUITES)}",
+        "--suite", action="extend", type=_comma_list, default=None,
+        help=f"comma list of suites, repeatable; from {', '.join(verify_mod.SUITES)}",
     )
-    return parser, sub.choices
+    return parser
 
 
-def _read_config_file(path):
-    values = {}
+def _config_tokens(path):
+    """The flags a key=value config file stands for, in file order: --key=value,
+    or -k=value for a one-letter key."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from None
+    tokens = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -88,34 +95,27 @@ def _read_config_file(path):
         if "=" not in line:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, val = (part.strip() for part in line.split("=", 1))
-        values[key] = val
-    return values
+        if "config".startswith(key):  # argparse expands any prefix of it to --config
+            raise UsageError(f"{path}:{lineno}: a config file cannot set {key!r}")
+        tokens.append(f"{'-' if len(key) == 1 else '--'}{key}={val}")
+    return tokens
 
 
 def _parse_args(argv):
-    """Parse argv. With --config, the file's values become the subcommand's
-    defaults and argv is parsed again: argparse runs each string through its
-    flag's type, and explicit flags win. argparse checks choices only on
-    flags, so a config value for a flag with choices is checked here."""
-    parser, commands = _build_parser()
+    """Parse argv. With --config, the file's flags go right after the
+    subcommand and argv is parsed again, so argparse checks a file value
+    exactly as it checks the flag, and the command line's flags, coming
+    later, win. A list flag given on the command line replaces the file's
+    list instead of extending it."""
+    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     if args.config is None:
         return args
-    values = _read_config_file(args.config)
-    command = commands[args.command]
-    valid = set(vars(command.parse_args([]))) - {"config"}
-    unknown = set(values) - valid
-    if unknown:
-        raise UsageError(f"unknown config keys {sorted(unknown)}; valid: {sorted(valid)}")
-    # a repeatable flag would append to the file's value instead of replacing it
-    command.set_defaults(
-        **{key: val for key, val in values.items() if not isinstance(getattr(args, key), list)}
-    )
-    args = parser.parse_args(argv)
-    for action in command._actions:
-        value = getattr(args, action.dest, None)
-        if action.dest in values and action.choices and value not in action.choices:
-            raise UsageError(f"config {action.dest} = {value!r}; choose from {action.choices}")
+    given_lists = {key: val for key, val in vars(args).items() if isinstance(val, list)}
+    at = argv.index(args.command) + 1
+    args = parser.parse_args(argv[:at] + _config_tokens(args.config) + argv[at:])
+    vars(args).update(given_lists)
     return args
 
 
@@ -132,12 +132,6 @@ def _parse_bc(bc):
     raise UsageError(f"--bc must be pbc, obc, or twist=<radians>, got {bc!r}")
 
 
-def _fmt(x):
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
-
-
 def _emit(args, header, columns, rows, comments=(), metrics=None):
     """Write the table as CSV or JSON; rows is any iterable of row lists,
     consumed once."""
@@ -147,10 +141,10 @@ def _emit(args, header, columns, rows, comments=(), metrics=None):
             payload["metrics"] = metrics
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        lines = [f"# {k}={_fmt(v)}" for k, v in header.items()]
+        lines = [f"# {k}={v}" for k, v in header.items()]
         lines.extend(comments)
         lines.append(",".join(columns))
-        lines.extend(",".join(map(_fmt, row)) for row in rows)
+        lines.extend(",".join(map(str, row)) for row in rows)
         text = "\n".join(lines) + "\n"
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
@@ -337,16 +331,7 @@ def cmd_hcb_compare(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    suites = None
-    if args.suite:
-        parts = [args.suite] if isinstance(args.suite, str) else list(args.suite)
-        suites = []
-        for part in parts:
-            suites.extend(s.strip() for s in part.split(",") if s.strip())
-    try:
-        results = verify_mod.run_checks(g=args.g, t=args.t, suites=suites)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
+    results = verify_mod.run_checks(g=args.g, t=args.t, suites=args.suite)
     table = verify_mod.summary_table(results, g=float(args.g), t=float(args.t))
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:

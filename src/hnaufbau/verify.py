@@ -418,6 +418,9 @@ def run_checks(g=0.5, t=1.0, suites=None, bond_transform=None):
         unknown = [s for s in selected if s not in SUITES]
         if unknown:
             raise ValueError(f"unknown suites {unknown}; available: {SUITES}")
+        if not selected:
+            raise ValueError(f"no suite selected; available: {SUITES}")
+    HNParams(L=2, t=t, g=g)  # bad model parameters are a usage error, not failed checks
     results = []
     for name in SUITES:
         if name in selected:

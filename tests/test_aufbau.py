@@ -441,14 +441,14 @@ def test_occupation_string_roundtrip_digits():
 def test_occupation_string_roundtrip_wide_boson():
     cfg = OccupationConfig(statistics="boson", occupations=(12, 0, 1))
     s = occupation_string(cfg)
-    assert s == "12,0,1"
+    assert s == "12;0;1"
     assert parse_occupation_string(s, "boson") == cfg
 
 
 def test_occupation_string_of_plain_rows():
     # the same text from a config and from its bare occupation row
     assert occupation_string([0, 1, 9, 0]) == "0190"
-    assert occupation_string((0, 10, 255, 256)) == "0,10,255,256"
+    assert occupation_string((0, 10, 255, 256)) == "0;10;255;256"
     assert occupation_string(np.array([3, 0, 1], dtype=np.int16).tolist()) == "301"
 
 

@@ -5,6 +5,7 @@ and worker count must not change anything. The spectrum CSV is checked by
 re-deriving each row's energy from its occupation string.
 """
 
+import argparse
 import functools
 import hashlib
 import json
@@ -85,6 +86,25 @@ def test_spectrum_csv_roundtrip_energies(tmp_path):
     for row in rows[:60]:
         cfg = parse_occupation_string(row[4], "boson")
         redo = energy_of_config(levels, cfg)
+        assert abs(redo.real - float(row[1])) < 1e-12
+        assert abs(redo.imag - float(row[2])) < 1e-12
+
+
+def test_spectrum_wide_boson_occupation_is_one_field(tmp_path):
+    # the open-chain condensate puts all 10 bosons in one mode; its occupation
+    # text must stay one CSV field and still reproduce the row's energy
+    code, out = run_to_file(
+        tmp_path, "wide.csv",
+        ["spectrum", "-L", "3", "-N", "10", "--bc", "obc", "--stats", "boson"],
+    )
+    assert code == 0
+    _, columns, rows = cli.read_table(str(out))
+    assert len(rows) == 66
+    assert all(len(row) == len(columns) == 5 for row in rows)
+    assert rows[0][4] == "0;0;10"
+    levels = single_particle_levels(HNParams(L=3, t=1.0, g=0.5, boundary="open"))
+    for row in rows:
+        redo = energy_of_config(levels, parse_occupation_string(row[4], "boson"))
         assert abs(redo.real - float(row[1])) < 1e-12
         assert abs(redo.imag - float(row[2])) < 1e-12
 
@@ -342,6 +362,10 @@ def test_config_file_supplies_defaults(tmp_path):
     assert header["L"] == "6"
     assert header["g"] == "0.7"
     assert len(rows) == 20
+    # a value that starts with '-' is still the value, not a flag
+    cfg.write_text("L = 6\nN = 3\ng = -0.5\n")
+    assert run_cli(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+    assert cli.read_table(str(out))[0]["g"] == "-0.5"
 
 
 def test_cli_flag_overrides_config(tmp_path):
@@ -358,8 +382,9 @@ def test_cli_flag_overrides_config(tmp_path):
 
 def test_config_unknown_key_rejected(tmp_path):
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("L = 6\nflux = 3\n")
-    assert run_cli(["spectrum", "--config", str(cfg)]) == 2
+    for text in ("flux = 3\n", "config = other.cfg\n"):
+        cfg.write_text("L = 6\n" + text)
+        assert run_cli(["spectrum", "--config", str(cfg)]) == 2, text
 
 
 def test_config_missing_file_rejected(tmp_path):
@@ -368,9 +393,14 @@ def test_config_missing_file_rejected(tmp_path):
 
 def test_config_bad_value_rejected(tmp_path):
     cfg = tmp_path / "run.cfg"
-    for text in ("L = six\n", "format = xml\n", "stats = bogus\n"):
+    for text in ("L = six\n", "format = xml\n", "stats = bogus\n", "t = x\n",
+                 "workers = two\n", "tol = abc\n"):
         cfg.write_text("L = 4\nN = 1\n" + text)
         assert run_cli(["spectrum", "--config", str(cfg)]) == 2, text
+    for command, text in (("verify", "suite = astrology\n"), ("verify", "suite =\n"),
+                          ("hcb-compare", "lengths = 1:x:2\n")):
+        cfg.write_text(text)
+        assert run_cli([command, "--config", str(cfg)]) == 2, text
 
 
 def test_config_suite_yields_to_flag(tmp_path, capsys):
@@ -381,6 +411,27 @@ def test_config_suite_yields_to_flag(tmp_path, capsys):
     assert run_cli(["verify", "--config", str(cfg), "--suite", "counting"]) == 0
     captured = capsys.readouterr().out
     assert "counting/" in captured and "closedform/" not in captured
+    # a comma list in the file reads like the same list given as the flag
+    cfg.write_text("suite = counting,closedform\n")
+    assert run_cli(["verify", "--config", str(cfg)]) == 0
+    captured = capsys.readouterr().out
+    assert "counting/" in captured and "closedform/" in captured
+    assert run_cli(["verify", "--config", str(cfg), "--suite", "sumrules"]) == 0
+    captured = capsys.readouterr().out
+    assert "sumrules/" in captured and "counting/" not in captured
+
+
+def test_config_keys_name_their_flags():
+    # a config key k is read as -k (one letter) or --k; each option's dest
+    # must be spelled that way for its key to reach it
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, command in sub.choices.items():
+        for action in command._actions:
+            if action.dest == "help":
+                continue
+            flag = ("-" if len(action.dest) == 1 else "--") + action.dest
+            assert flag in action.option_strings, (name, action.dest)
 
 
 # -------------------------------------------------------------- exit codes
@@ -485,6 +536,16 @@ def test_verify_single_suite_passes(tmp_path, capsys):
 
 def test_verify_unknown_suite_rejected():
     assert run_cli(["verify", "--suite", "astrology"]) == 2
+    # an empty selection would report a green run with no checks
+    assert run_cli(["verify", "--suite", ""]) == 2
+    assert run_cli(["verify", "--suite", ","]) == 2
+
+
+@pytest.mark.parametrize("flags", [["-t", "0"], ["-g", "nan"]])
+def test_verify_bad_model_parameters_exit_2(flags, capsys):
+    assert run_cli(["verify", *flags]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err and "FAIL" not in captured.out
 
 
 def test_verify_detects_injected_sign_fault(tmp_path, monkeypatch, capsys):
