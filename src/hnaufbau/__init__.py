@@ -50,15 +50,11 @@ from .lattice import (
     pbc_spectrum,
     single_particle_levels,
 )
-from .numerics import (
-    DimensionError,
-    SingularMatrixError,
-    eigenvalues,
-    permanent,
-)
+from .numerics import eigenvalues
 from .observables import (
     CorrelationMatrix,
     DistributionProfile,
+    SingularMatrixError,
     SkinMetrics,
     correlation_matrix,
     density_from_fock,

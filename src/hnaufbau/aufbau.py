@@ -31,6 +31,7 @@ summation skips empty modes.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from dataclasses import dataclass, field
@@ -162,11 +163,14 @@ class LevelOrdering:
 
 
 def default_tie_tol(real_parts) -> float:
-    """1e-9 scaled by (1 + spread of the real parts being compared)."""
+    """1e-9 scaled by (1 + spread of the real parts being compared). Raises
+    OverflowError when the spread is not finite."""
     arr = np.asarray(real_parts, dtype=np.float64)
     if arr.size == 0:
         return 1e-9
-    width = float(arr.max() - arr.min())
+    width = float(arr.max()) - float(arr.min())
+    if not math.isfinite(width):
+        raise OverflowError(f"real parts spread over {width}, beyond float range")
     return 1e-9 * (1.0 + width)
 
 
@@ -291,18 +295,17 @@ def build_spectrum(levels, statistics, N, tie_tol=None):
     Ranks run 0..dim-1 in sorted order; degeneracy groups are maximal
     runs of energies whose real parts chain within tie_tol. The ground
     state is rank 0. Sectors larger than DEFAULT_MAX_STATES raise
-    SectorTooLargeError before any allocation.
+    SectorTooLargeError before any allocation; an energy beyond float
+    range raises OverflowError.
     """
     L = len(levels)
     dim = _capped_dim(L, N, statistics)
     levels = _sector_levels(levels, statistics, N)
     perm = sort_levels(levels, tie_tol).positions
     occupations = _occupation_rows(L, N, statistics)
-    if statistics == "boson":
-        energies = kernels.config_energies_boson(occupations, perm, levels.energies)
-    else:
-        energies = kernels.config_energies_fermion(occupations, perm, levels.energies)
-
+    energies = kernels.config_energies_boson(occupations, perm, levels.energies)
+    if not np.isfinite(energies).all():
+        raise OverflowError("a many-body energy is not finite")
     mb_tol = default_tie_tol(energies.real) if tie_tol is None else float(tie_tol)
     positions = np.arange(dim, dtype=np.int64)
     order, groups = _clustered_order(energies.real, energies.imag, positions, mb_tol)
@@ -319,7 +322,10 @@ def _fill(levels, statistics, N, tie_tol):
         filled, counts = positions[: min(N, 1)], [N] * min(N, 1)
     else:
         filled, counts = positions[:N], [1] * N
-    return _kahan_energy(levels.energies[filled].tolist(), counts), filled, counts
+    energy = _kahan_energy(levels.energies[filled].tolist(), counts)
+    if not cmath.isfinite(energy):
+        raise OverflowError(f"ground energy {energy} is not finite")
+    return energy, filled, counts
 
 
 def ground_state(levels, statistics, N, tie_tol=None) -> ManyBodyLevel:

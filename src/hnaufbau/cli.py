@@ -4,7 +4,8 @@ Subcommands: spectrum | observables | skin | hcb-compare | verify. Each
 key=value line of a --config file is read as the flag --key=value (-k=value
 for a one-letter key) ahead of the command line's own flags, which win.
 CSV output starts with '#'-prefixed key=value parameter lines and carries
-complex values as separate _re/_im columns; JSON mirrors the same payload.
+complex values as separate _re/_im columns; JSON mirrors the same payload,
+with null where CSV writes nan.
 Nothing time- or host-dependent is ever written, so identical inputs give
 byte-identical files. Everything runs serially; --workers is accepted for
 compatibility and has no effect.
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import verify as verify_mod
@@ -132,14 +134,26 @@ def _parse_bc(bc):
     raise UsageError(f"--bc must be pbc, obc, or twist=<radians>, got {bc!r}")
 
 
+def _json_value(value):
+    """value with every non-finite float, at any depth of dicts and lists,
+    replaced by None, which JSON writes as null."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _json_value(val) for key, val in value.items()}
+    if isinstance(value, list):
+        return [_json_value(val) for val in value]
+    return value
+
+
 def _emit(args, header, columns, rows, comments=(), metrics=None):
     """Write the table as CSV or JSON; rows is any iterable of row lists,
-    consumed once."""
+    consumed once. An undefined value is nan in CSV and null in JSON."""
     if args.format == "json":
         payload = {"params": header, "columns": list(columns), "rows": list(rows)}
         if metrics is not None:
             payload["metrics"] = metrics
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(_json_value(payload), indent=2, sort_keys=True) + "\n"
     else:
         lines = [f"# {k}={v}" for k, v in header.items()]
         lines.extend(comments)

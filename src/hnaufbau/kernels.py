@@ -1,12 +1,13 @@
-"""Low-level numerics: the Ryser permanent, and whole-sector numpy builds
-of the occupation rows and their configuration energies.
+"""Sector enumeration and configuration energies: whole-sector numpy
+builds of the occupation rows (colex order) and of their compensated
+level sums.
 
-Plain interpreted NumPy; there is no compiled backend. Dense eigenvalues
-and determinants come from numpy's LAPACK, not from here. Enumeration
-builds a sector's occupation matrix mode by mode in colex order, and
-configuration energies are one compensated sum over all rows at once. The
-Fock-space operators do not live here: they are gathers and scatters over
-each basis's lowering table (see ``fock.FockBasis``).
+Plain interpreted NumPy; there is no compiled backend. Enumeration builds
+a sector's occupation matrix mode by mode in colex order, and
+configuration energies are one compensated sum over all rows at once, for
+every statistics. The Fock-space operators do not live here: they are
+gathers and scatters over each basis's lowering table (see
+``fock.FockBasis``).
 
 Kernels never raise; input checks live in the calling modules.
 """
@@ -15,67 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "permanent_ryser",
-    "boson_states",
-    "fermion_occupations",
-    "config_energies_fermion",
-    "config_energies_boson",
-]
+__all__ = ["boson_states", "fermion_occupations", "config_energies_boson"]
 
 # no compiled backend; kept so tools that record the backend can read it
 JIT_ENABLED = NUMBA_AVAILABLE = False
-
-
-# ---------------------------------------------------------------------------
-# permanents
-# ---------------------------------------------------------------------------
-
-
-def permanent_ryser(a):
-    """Permanent by Ryser's formula with Gray-code subset updates, O(2^n n)."""
-    n = a.shape[0]
-    if n == 0:
-        return 1.0 + 0.0j
-    row = np.zeros(n, np.complex128)
-    total = 0.0 + 0.0j
-    gray = 0
-    nsub = 1 << n
-    for g in range(1, nsub):
-        newgray = g ^ (g >> 1)
-        diff = newgray ^ gray
-        j = 0
-        d = diff >> 1
-        while d != 0:
-            d >>= 1
-            j += 1
-        if newgray & diff:
-            for i in range(n):
-                row[i] += a[i, j]
-        else:
-            for i in range(n):
-                row[i] -= a[i, j]
-        gray = newgray
-        prod = 1.0 + 0.0j
-        for i in range(n):
-            prod *= row[i]
-        bits = 0
-        gg = newgray
-        while gg:
-            gg &= gg - 1
-            bits += 1
-        if bits % 2:
-            total -= prod
-        else:
-            total += prod
-    if n % 2:
-        return -total
-    return total
-
-
-# ---------------------------------------------------------------------------
-# sector enumeration and configuration energies
-# ---------------------------------------------------------------------------
 
 
 def _colex_rows(L, N, cap):
@@ -120,7 +64,8 @@ def boson_states(L, N):
 
 def config_energies_boson(occupations, perm, eps):
     """Occupation-weighted level sums of every row at once, compensated
-    (Kahan) and visiting the modes in sorted-level order ``perm``.
+    (Kahan) and visiting the modes in sorted-level order ``perm``. The
+    rows may hold any occupations, so this serves every statistics.
 
     A row adds eps[m] itself where n_m = 1, n_m * eps[m] where n_m > 1, and
     skips the update where n_m = 0, so each sum is bit-identical to the
@@ -137,8 +82,3 @@ def config_energies_boson(occupations, perm, eps):
         comp = np.where(hit, (t - acc) - y, comp)
         acc = np.where(hit, t, acc)
     return acc
-
-
-def config_energies_fermion(occupations, perm, eps):
-    """config_energies_boson over 0/1 occupation rows."""
-    return config_energies_boson(occupations, perm, eps)

@@ -1,37 +1,18 @@
-"""Dense complex linear algebra: input checks, Ryser permanents, and the
-eigenvalues of a non-symmetric matrix.
+"""Dense complex linear algebra: the input check of a complex matrix, and
+the eigenvalues of a non-symmetric matrix.
 
 Matrices are numpy arrays of complex128. Eigenvalues come from numpy's
-LAPACK ``zgeev`` (balancing, Hessenberg reduction, shifted QR); the Ryser
-permanent, which numpy lacks, is an interpreted loop in the kernels module.
+LAPACK ``zgeev`` (balancing, Hessenberg reduction, shifted QR).
 
-Bad input raises ValueError; a singular matrix is a computation failure and
-raises SingularMatrixError, an ArithmeticError.
+Bad input raises ValueError; a QR iteration that does not converge is a
+computation failure and raises ArithmeticError.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from . import kernels
-
-__all__ = [
-    "DimensionError",
-    "SingularMatrixError",
-    "as_complex_matrix",
-    "eigenvalues",
-    "permanent",
-]
-
-PIVOT_RTOL = 1e-14
-
-
-class SingularMatrixError(ArithmeticError):
-    """A pivot fell below the singularity threshold during factorization."""
-
-
-class DimensionError(ValueError):
-    """Input dimension outside the supported range."""
+__all__ = ["as_complex_matrix", "eigenvalues"]
 
 
 def as_complex_matrix(a, square=False, name="matrix"):
@@ -50,15 +31,6 @@ def as_complex_matrix(a, square=False, name="matrix"):
     if square and m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got shape {m.shape}")
     return m
-
-
-def permanent(a):
-    """Matrix permanent via Ryser's inclusion-exclusion, dimension <= 20."""
-    a = as_complex_matrix(a, square=True, name="A")
-    n = a.shape[0]
-    if n > 20:
-        raise DimensionError(f"permanent limited to dimension <= 20, got {n}")
-    return complex(kernels.permanent_ryser(a))
 
 
 def eigenvalues(a):

@@ -12,7 +12,8 @@ Q Q^dag onto the span of the occupied (non-orthogonal) orbitals, Q from the
 QR factorization Phi = Q R. QR keeps the condition number of Phi, where
 the normal equations (Phi^dag Phi)^{-1} would square that of the graded
 open-chain orbitals e^{-gj} sin(jk). The two routes cross-check each other
-in the verification suite.
+in the verification suite. Orbitals that QR's rank test finds linearly
+dependent raise SingularMatrixError, an ArithmeticError.
 
 All expectation values are right-state averages over self-normalized
 vectors; no biorthogonal weighting anywhere.
@@ -31,6 +32,7 @@ from .fock import FockVector, annihilate
 __all__ = [
     "CorrelationMatrix",
     "DistributionProfile",
+    "SingularMatrixError",
     "SkinMetrics",
     "correlation_matrix",
     "density_from_fock",
@@ -41,6 +43,11 @@ __all__ = [
 
 PROFILE_KINDS = ("position", "momentum")
 PROFILE_FLOOR = -1e-10
+PIVOT_RTOL = 1e-14
+
+
+class SingularMatrixError(ArithmeticError):
+    """QR's rank test found the occupied orbitals linearly dependent."""
 
 
 @dataclass(frozen=True)
@@ -122,8 +129,8 @@ def density_matrix_from_orbitals(orbitals) -> CorrelationMatrix:
     phi = np.column_stack([np.asarray(o, dtype=np.complex128).ravel() for o in orbitals])
     q, r = np.linalg.qr(phi)
     diag = np.abs(np.diag(r))
-    if not diag.min() > numerics.PIVOT_RTOL * diag.max():
-        raise numerics.SingularMatrixError(
+    if not diag.min() > PIVOT_RTOL * diag.max():
+        raise SingularMatrixError(
             f"{phi.shape[1]} orbitals are linearly dependent to working precision"
         )
     rho = q @ np.conj(q.T)

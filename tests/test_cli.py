@@ -260,6 +260,27 @@ def test_observables_csv_metrics_comment(tmp_path):
     assert "# metrics rank=1 left_fraction=" in text
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+@pytest.mark.parametrize("command", ["skin", "observables"])
+def test_json_writes_undefined_log_slope_as_null(tmp_path, command):
+    # at g=30 a one-particle open-chain state sits on one site, so the
+    # log-density slope is undefined: nan in CSV, null in strict JSON
+    argv = [command, "-L", "4", "-N", "1", "-g", "30", "--bc", "obc", "--ranks", "0"]
+    code, out = run_to_file(tmp_path, "undefined.json", [*argv, "--format", "json"])
+    assert code == 0
+    payload = json.loads(out.read_text(), parse_constant=_reject_constant)
+    if command == "skin":
+        assert payload["rows"][0][-1] is None
+    else:
+        assert payload["metrics"]["0"]["log_slope"] is None
+    code, out = run_to_file(tmp_path, "undefined.csv", argv)
+    assert code == 0
+    assert "nan" in out.read_text()
+
+
 # sha256 of hard-core eigenstate outputs on the ring (Jordan-Wigner image
 # twisted by pi) and on the open chain, over every rank of the sector
 GOLDEN_HARDCORE_STATES = [
@@ -510,6 +531,20 @@ def test_hcb_compare_exit_1_on_complex_hcb_energy(capsys):
     argv = ["hcb-compare", "--lengths", "400:408:4", "-g", "20"]
     assert run_cli(argv) == 1
     assert "computation failed" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "-L", "6", "-N", "3", "-g", "709", "--bc", "pbc", "--stats", "boson"],
+    ["hcb-compare", "--lengths", "8,16", "-g", "709.7"],
+])
+def test_exit_1_on_non_finite_energy(tmp_path, capsys, argv):
+    # a finite g whose energies leave float range is a computation failure,
+    # not a usage error, and leaves no file behind
+    code, out = run_to_file(tmp_path, "overflow.csv", argv)
+    assert code == 1
+    assert "computation failed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_help_exits_zero(capsys):

@@ -2,10 +2,10 @@
 
 The two sharpest checks here tie the product-state constructor back to
 dense linear algebra: fermion amplitudes must be proportional to
-orbital-submatrix determinants (numpy's LU), boson amplitudes to Ryser
-permanents divided by sqrt of the occupation factorials. One global scalar
-(phase/normalization) is fixed from the largest amplitude and everything
-else must follow.
+orbital-submatrix determinants (numpy's LU), boson amplitudes to
+permanents (a naive permutation sum) divided by sqrt of the occupation
+factorials. One global scalar (phase/normalization) is fixed from the
+largest amplitude and everything else must follow.
 
 The operators themselves are checked against a brute-force reference that
 works on dicts over occupation tuples, counting Jordan-Wigner signs site by
@@ -46,7 +46,7 @@ from hnaufbau.lattice import (
     obc_spectrum,
     pbc_spectrum,
 )
-from hnaufbau.numerics import eigenvalues, permanent
+from hnaufbau.numerics import eigenvalues
 from hnaufbau.observables import correlation_matrix
 
 
@@ -417,6 +417,19 @@ def test_fermion_amplitudes_proportional_to_determinants(rng):
     np.testing.assert_allclose(v.amplitudes, scale * dets, atol=1e-12)
 
 
+def permanent_sum(a):
+    """Permutation-sum reference, no signs."""
+    a = np.asarray(a, dtype=np.complex128)
+    n = a.shape[0]
+    total = 0.0 + 0.0j
+    for perm in itertools.permutations(range(n)):
+        term = 1.0 + 0.0j
+        for i, j in enumerate(perm):
+            term *= a[i, j]
+        total += term
+    return total
+
+
 def test_boson_amplitudes_proportional_to_permanents(rng):
     L, N = 4, 3
     orbs = [rng.standard_normal(L) + 1j * rng.standard_normal(L) for _ in range(N)]
@@ -430,7 +443,7 @@ def test_boson_amplitudes_proportional_to_permanents(rng):
         fact = 1.0
         for n in occ[i]:
             fact *= math.factorial(int(n))
-        ref[i] = permanent(phi[:, cols]) / math.sqrt(fact)
+        ref[i] = permanent_sum(phi[:, cols]) / math.sqrt(fact)
     i0 = int(np.argmax(np.abs(v.amplitudes)))
     scale = v.amplitudes[i0] / ref[i0]
     np.testing.assert_allclose(v.amplitudes, scale * ref, atol=1e-12)

@@ -1,11 +1,9 @@
 """The numerics module checked against independent oracles.
 
-Permanents are checked against a deliberately naive permutation sum. The
-eigenvalue wrapper is numpy's LAPACK zgeev behind an input check, so its
-tests pin that contract: known spectra, invariants, and rejected input.
+The eigenvalue wrapper is numpy's LAPACK zgeev behind an input check, so
+its tests pin that contract: known spectra, invariants, and rejected input.
 """
 
-import itertools
 import math
 
 import numpy as np
@@ -24,73 +22,17 @@ from hnaufbau import (
     observables,
     verify,
 )
-from hnaufbau.numerics import DimensionError, eigenvalues, permanent
+from hnaufbau.numerics import eigenvalues
 
 
-def permanent_sum(a):
-    """Permutation-sum reference, no signs."""
-    a = np.asarray(a, dtype=np.complex128)
-    n = a.shape[0]
-    total = 0.0 + 0.0j
-    for perm in itertools.permutations(range(n)):
-        term = 1.0 + 0.0j
-        for i, j in enumerate(perm):
-            term *= a[i, j]
-        total += term
-    return total
-
-
-def random_complex(rng, n, m=None):
-    m = n if m is None else m
-    return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+def random_complex(rng, n):
+    return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
 
 
 def sorted_by_parts(values):
     values = np.asarray(values, dtype=np.complex128)
     order = np.lexsort((values.imag, values.real))
     return values[order]
-
-
-# --------------------------------------------------------------- permanent
-
-
-def test_permanent_all_ones():
-    # per(J_3) = 3! = 6
-    assert abs(permanent(np.ones((3, 3))) - 6.0) < 1e-13
-
-
-def test_permanent_vs_permutation_sum(rng):
-    a = random_complex(rng, 4)
-    ref = permanent_sum(a)
-    assert abs(permanent(a) - ref) < 1e-11 * (1 + abs(ref))
-
-
-def test_permanent_diagonal(rng):
-    d = random_complex(rng, 5, 1)[:, 0]
-    assert abs(permanent(np.diag(d)) - np.prod(d)) < 1e-12
-
-
-def test_permanent_row_and_column_permutation_invariance(rng):
-    a = random_complex(rng, 5)
-    ref = permanent(a)
-    rows = np.array([3, 1, 4, 0, 2])
-    cols = np.array([2, 4, 0, 3, 1])
-    assert abs(permanent(a[rows]) - ref) < 1e-11 * (1 + abs(ref))
-    assert abs(permanent(a[:, cols]) - ref) < 1e-11 * (1 + abs(ref))
-
-
-def test_permanent_dimension_cap():
-    with pytest.raises(DimensionError):
-        permanent(np.eye(21))
-
-
-@settings(deadline=None, max_examples=30)
-@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6))
-def test_permanent_sum_property(seed, n):
-    rng = np.random.default_rng(seed)
-    a = random_complex(rng, n)
-    ref = permanent_sum(a)
-    assert abs(permanent(a) - ref) < 1e-10 * (1 + abs(ref))
 
 
 # ------------------------------------------------------------- eigenvalues

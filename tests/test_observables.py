@@ -13,6 +13,8 @@ import math
 import numpy as np
 import pytest
 
+import hnaufbau
+from hnaufbau import observables
 from hnaufbau.aufbau import OccupationConfig, build_spectrum
 from hnaufbau.fock import (
     FockVector,
@@ -22,10 +24,10 @@ from hnaufbau.fock import (
     get_basis,
 )
 from hnaufbau.lattice import HNParams, obc_spectrum, pbc_spectrum, single_particle_levels
-from hnaufbau.numerics import SingularMatrixError
 from hnaufbau.observables import (
     CorrelationMatrix,
     DistributionProfile,
+    SingularMatrixError,
     correlation_matrix,
     density_from_fock,
     density_matrix_from_orbitals,
@@ -173,6 +175,13 @@ def test_orbital_projector_rejects_dependent_orbitals():
     orb = obc_spectrum(chain(6, g=0.5))[0].orbital
     with pytest.raises(SingularMatrixError):
         density_matrix_from_orbitals([orb, 2.0 * orb])
+
+
+def test_singular_matrix_error_is_the_package_export():
+    # the package exports the class its only raiser defines: a computation
+    # failure, so the CLI maps it to exit 1
+    assert hnaufbau.SingularMatrixError is observables.SingularMatrixError
+    assert issubclass(SingularMatrixError, ArithmeticError)
 
 
 def test_correlation_matrix_validation():
