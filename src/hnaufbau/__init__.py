@@ -15,6 +15,7 @@ from .aufbau import (
     enumerate_configs,
     ground_state,
     occupation_string,
+    occupation_strings,
     parse_occupation_string,
     sort_complex_spectrum,
     sort_levels,

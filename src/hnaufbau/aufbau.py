@@ -56,6 +56,7 @@ __all__ = [
     "enumerate_configs",
     "ground_state",
     "occupation_string",
+    "occupation_strings",
     "parse_occupation_string",
     "sort_complex_spectrum",
     "sort_levels",
@@ -303,7 +304,8 @@ def build_spectrum(levels, statistics, N, tie_tol=None):
     levels = _sector_levels(levels, statistics, N)
     perm = sort_levels(levels, tie_tol).positions
     occupations = _occupation_rows(L, N, statistics)
-    energies = kernels.config_energies_boson(occupations, perm, levels.energies)
+    with np.errstate(over="ignore", invalid="ignore"):
+        energies = kernels.config_energies_boson(occupations, perm, levels.energies)
     if not np.isfinite(energies).all():
         raise OverflowError("a many-body energy is not finite")
     mb_tol = default_tie_tol(energies.real) if tie_tol is None else float(tie_tol)
@@ -344,7 +346,8 @@ def ground_state(levels, statistics, N, tie_tol=None) -> ManyBodyLevel:
 
 
 def energy_of_config(levels, config, tie_tol=None) -> complex:
-    """Energy of one configuration, summed exactly as build_spectrum does."""
+    """Energy of one configuration, summed exactly as build_spectrum does.
+    An energy beyond float range raises OverflowError."""
     L = len(levels)
     if len(config.occupations) != L:
         raise SectorError(
@@ -353,21 +356,39 @@ def energy_of_config(levels, config, tie_tol=None) -> complex:
     levels = _sector_levels(levels, config.statistics, config.N)
     perm = sort_levels(levels, tie_tol).positions
     counts = [config.occupations[m] for m in perm.tolist()]
-    return _kahan_energy(levels.energies[perm].tolist(), counts)
+    energy = _kahan_energy(levels.energies[perm].tolist(), counts)
+    if not cmath.isfinite(energy):
+        raise OverflowError(f"configuration energy {energy} is not finite")
+    return energy
 
 
-# byte n -> ASCII digit n, for occupation numbers 0..9
-_DIGITS = bytes.maketrans(bytes(range(10)), b"0123456789")
+def occupation_strings(occupations) -> list:
+    """Compact occupation text of each row of a 2-D array of occupation
+    numbers, as a list of str: digit string when all n <= 9 ("0101100000"),
+    ';'-joined otherwise ("0;11;0"), so the text stays one CSV field.
+
+    The digit rows come from one ASCII byte buffer; only rows with an entry
+    above 9 are joined one by one."""
+    occ = np.asarray(occupations)
+    if occ.ndim != 2:
+        raise ValueError(f"occupations must be a 2-D array, got {occ.ndim} dimensions")
+    if occ.size and occ.min() < 0:
+        raise ValueError("occupations must be non-negative")
+    dim, L = occ.shape
+    if L == 0:
+        return [""] * dim
+    # entries above 9 are clipped to keep the buffer ASCII; their rows are redone
+    digits = np.minimum(occ, 9).astype(np.uint8) + 48
+    texts = digits.view(f"S{L}")[:, 0].astype(f"U{L}").tolist()
+    for row in np.flatnonzero(occ.max(axis=1) > 9).tolist():
+        texts[row] = ";".join(map(str, occ[row].tolist()))
+    return texts
 
 
 def occupation_string(config) -> str:
-    """Compact occupation text of an OccupationConfig or of a sequence of
-    occupation numbers: digit string when all n <= 9 ("0101100000"),
-    ';'-joined otherwise ("0;11;0"), so the text stays one CSV field."""
-    occ = getattr(config, "occupations", config)
-    if max(occ, default=0) <= 9:
-        return bytes(occ).translate(_DIGITS).decode("ascii")
-    return ";".join(map(str, occ))
+    """occupation_strings of one OccupationConfig or one sequence of
+    occupation numbers."""
+    return occupation_strings([getattr(config, "occupations", config)])[0]
 
 
 def parse_occupation_string(s, statistics) -> OccupationConfig:

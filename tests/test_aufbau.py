@@ -28,6 +28,7 @@ from hnaufbau.aufbau import (
     enumerate_configs,
     ground_state,
     occupation_string,
+    occupation_strings,
     parse_occupation_string,
     sort_complex_spectrum,
     sort_levels,
@@ -450,6 +451,42 @@ def test_occupation_string_of_plain_rows():
     assert occupation_string([0, 1, 9, 0]) == "0190"
     assert occupation_string((0, 10, 255, 256)) == "0;10;255;256"
     assert occupation_string(np.array([3, 0, 1], dtype=np.int16).tolist()) == "301"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(0, 6),
+    L=st.integers(0, 7),
+    top=st.sampled_from([1, 9, 10, 256]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_occupation_strings_match_occupation_string_per_row(rows, L, top, seed):
+    occ = np.random.default_rng(seed).integers(0, top + 1, size=(rows, L), dtype=np.int16)
+    texts = occupation_strings(occ)
+    assert texts == [occupation_string(row) for row in occ.tolist()]
+    # the rule written out per row: one digit per mode, or ';'-joined numbers
+    assert texts == [
+        "".join(map(str, row)) if max(row, default=0) <= 9 else ";".join(map(str, row))
+        for row in occ.tolist()
+    ]
+
+
+def test_occupation_strings_mixed_rows_and_bad_input():
+    occ = np.array([[9, 1, 0], [10, 0, 0], [0, 0, 256]], dtype=np.int16)
+    assert occupation_strings(occ) == ["910", "10;0;0", "0;0;256"]
+    with pytest.raises(ValueError):
+        occupation_strings(np.array([1, 0]))
+    with pytest.raises(ValueError):
+        occupation_strings([[1, -1]])
+
+
+def test_energy_of_config_raises_beyond_float_range():
+    # 3 bosons in one g = 709 ring level: a real part near 1.2e308 and an
+    # imaginary part beyond float range, as build_spectrum and ground_state see
+    levels = ring_levels(6, g=709.0)
+    cfg = OccupationConfig(statistics="boson", occupations=(3, 0, 0, 0, 0, 0))
+    with pytest.raises(OverflowError):
+        energy_of_config(levels, cfg)
 
 
 def test_energy_of_config_matches_manual_sum():

@@ -10,13 +10,21 @@ import functools
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hnaufbau import cli
 from hnaufbau.aufbau import (
+    build_spectrum,
     energy_of_config,
     ground_state,
     occupation_string,
@@ -183,6 +191,9 @@ GOLDEN_SPECTRA = [
     (["-L", "9", "-N", "3", "-g", "0.5", "--bc", "twist=0.3", "--stats", "fermion",
       "--format", "json"],
      "cf52ce345b59ab112b6f513a569b90a563a3ce2b018cb0eac2a0235752c62b4f"),
+    # digit rows ("910") and ';' rows ("10;0;0") in one file
+    (["-L", "3", "-N", "10", "--stats", "boson"],
+     "b0aabdc113dabaaf1e8b55b293af39b1118ee78c1e9934f75b5a3e47898088ef"),
 ]
 
 
@@ -191,6 +202,70 @@ def test_spectrum_output_matches_golden_digest(tmp_path, flags, digest):
     code, out = run_to_file(tmp_path, "golden.out", ["spectrum", *flags])
     assert code == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def _row_by_row_body(spec):
+    """The spectrum CSV body as the row-by-row writer formatted it."""
+    return [
+        ",".join(map(str, [rank, e.real, e.imag, group, occupation_string(occ)]))
+        for rank, (e, group, occ) in enumerate(
+            zip(spec.energies.tolist(), spec.groups.tolist(), spec.occupations.tolist())
+        )
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    stats=st.sampled_from(["fermion", "boson", "hardcore"]),
+    bc=st.sampled_from(["pbc", "obc", "twist=0.3"]),
+    L=st.integers(2, 8),
+    N=st.integers(0, 10),
+    g=st.sampled_from([0.0, 0.5, 1.5]),
+)
+@example(stats="boson", bc="pbc", L=3, N=10, g=0.5)
+@example(stats="boson", bc="obc", L=3, N=10, g=0.5)
+def test_spectrum_body_matches_row_by_row_writer(stats, bc, L, N, g):
+    if stats != "boson":
+        N = min(N, L)
+    elif math.comb(L + N - 1, N) > 5000:
+        N = 3
+    argv = ["spectrum", "-L", str(L), "-N", str(N), "-g", str(g), "--bc", bc, "--stats", stats]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "spec.csv"
+        assert run_cli([*argv, "--out", str(out)]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+    body = lines[lines.index("rank,energy_re,energy_im,degeneracy_group,occupation") + 1:]
+    boundary, twist = cli._parse_bc(bc)
+    levels = single_particle_levels(HNParams(L=L, t=1.0, g=g, boundary=boundary, twist=twist))
+    assert body == _row_by_row_body(build_spectrum(levels, stats, N))
+
+
+def test_array_column_text_keeps_each_value_exact():
+    # distinct values are formatted once and matched by their bits, so the
+    # two zeros keep their own text
+    floats = np.array([0.0, -0.0, 1.5, 0.1 + 0.2, 0.0, 0.30000000000000004, -1e-300])
+    assert list(cli._column_text(floats)) == list(map(str, floats.tolist()))
+    assert list(cli._column_text(floats[::2])) == list(map(str, floats[::2].tolist()))
+    ints = np.array([3, -1, 3, 0, 2**40], dtype=np.int64)
+    assert list(cli._column_text(ints)) == ["3", "-1", "3", "0", str(2**40)]
+
+
+def test_overflowing_spectrum_warns_nothing():
+    # under -W error a numpy warning would abort with a traceback; the one
+    # stderr line must be the computation failure, and no file is written
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "overflow.csv"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "hnaufbau", "spectrum", "-L", "6", "-N", "3",
+             "-g", "709", "--bc", "pbc", "--stats", "boson", "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert not out.exists()
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["computation failed: a many-body energy is not finite"]
 
 
 def test_spectrum_large_g_open_chain_builds_no_orbitals(tmp_path):
