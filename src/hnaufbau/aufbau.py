@@ -362,33 +362,41 @@ def energy_of_config(levels, config, tie_tol=None) -> complex:
     return energy
 
 
-def occupation_strings(occupations) -> list:
-    """Compact occupation text of each row of a 2-D array of occupation
-    numbers, as a list of str: digit string when all n <= 9 ("0101100000"),
-    ';'-joined otherwise ("0;11;0"), so the text stays one CSV field.
+# byte n -> ASCII digit n for occupation numbers 0..9, '?' for larger ones
+_DIGITS = bytes(range(48, 58)).ljust(256, b"?")
 
-    The digit rows come from one ASCII byte buffer; only rows with an entry
-    above 9 are joined one by one."""
+
+def occupation_string(config) -> str:
+    """Compact occupation text of an OccupationConfig or of a sequence of
+    occupation numbers (bytes: one number per byte): digit string when all
+    n <= 9 ("0101100000"), ';'-joined otherwise ("0;11;0"), so the text stays
+    one CSV field."""
+    occ = config.occupations if isinstance(config, OccupationConfig) else config
+    try:
+        text = bytes(occ).translate(_DIGITS)
+    except ValueError:  # an entry outside 0..255
+        text = b""
+    if text.isdigit():
+        return text.decode("ascii")
+    if min(occ, default=0) < 0:
+        raise ValueError("occupations must be non-negative")
+    return ";".join(map(str, occ))
+
+
+def occupation_strings(occupations) -> list:
+    """occupation_string of each row of a 2-D array of occupation numbers,
+    as a list of str. When no entry exceeds 255 the rows are cut as bytes
+    from one uint8 buffer, so each row's text costs one translate."""
     occ = np.asarray(occupations)
     if occ.ndim != 2:
         raise ValueError(f"occupations must be a 2-D array, got {occ.ndim} dimensions")
     if occ.size and occ.min() < 0:
         raise ValueError("occupations must be non-negative")
-    dim, L = occ.shape
-    if L == 0:
-        return [""] * dim
-    # entries above 9 are clipped to keep the buffer ASCII; their rows are redone
-    digits = np.minimum(occ, 9).astype(np.uint8) + 48
-    texts = digits.view(f"S{L}")[:, 0].astype(f"U{L}").tolist()
-    for row in np.flatnonzero(occ.max(axis=1) > 9).tolist():
-        texts[row] = ";".join(map(str, occ[row].tolist()))
-    return texts
-
-
-def occupation_string(config) -> str:
-    """occupation_strings of one OccupationConfig or one sequence of
-    occupation numbers."""
-    return occupation_strings([getattr(config, "occupations", config)])[0]
+    if occ.size and occ.max() <= 255:
+        rows = occ.astype(np.uint8).view(f"V{occ.shape[1]}")[:, 0].tolist()
+    else:
+        rows = occ.tolist()
+    return list(map(occupation_string, rows))
 
 
 def parse_occupation_string(s, statistics) -> OccupationConfig:

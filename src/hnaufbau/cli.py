@@ -8,8 +8,8 @@ complex values as separate _re/_im columns; JSON mirrors the same payload,
 with null where CSV writes nan. Every command hands the writer its table as
 columns; the writer formats each column in one pass (str of each value, so
 floats keep full repr precision; an array column formats each distinct
-value once), joins the rows in C and writes them in chunks, so no Python
-code runs per row of a full spectrum.
+value once), joins the rows in C and writes them in chunks. The only
+Python call per row of a spectrum is occupation_string, on a bytes row.
 Nothing time- or host-dependent is ever written, so identical inputs give
 byte-identical files. Everything runs serially; --workers is accepted for
 compatibility and has no effect.
