@@ -368,10 +368,10 @@ _DIGITS = bytes(range(48, 58)).ljust(256, b"?")
 
 def occupation_string(config) -> str:
     """Compact occupation text of an OccupationConfig or of a sequence of
-    occupation numbers (bytes: one number per byte): digit string when all
-    n <= 9 ("0101100000"), ';'-joined otherwise ("0;11;0"), so the text stays
-    one CSV field."""
-    occ = config.occupations if isinstance(config, OccupationConfig) else config
+    occupation numbers (a bytes row holds one number per byte): digit string
+    when all n <= 9 ("0101100000"), ';'-joined otherwise ("0;11;0"), so the
+    text stays one CSV field."""
+    occ = getattr(config, "occupations", config)
     try:
         text = bytes(occ).translate(_DIGITS)
     except ValueError:  # an entry outside 0..255

@@ -7,9 +7,10 @@ CSV output starts with '#'-prefixed key=value parameter lines and carries
 complex values as separate _re/_im columns; JSON mirrors the same payload,
 with null where CSV writes nan. Every command hands the writer its table as
 columns; the writer formats each column in one pass (str of each value, so
-floats keep full repr precision; an array column formats each distinct
-value once), joins the rows in C and writes them in chunks. The only
-Python call per row of a spectrum is occupation_string, on a bytes row.
+floats keep full repr precision) and joins the rows in C. The output is
+opened only once its whole text is built, so a failure while formatting
+leaves no file. The only Python call per row of a spectrum is
+occupation_string, on a bytes row.
 Nothing time- or host-dependent is ever written, so identical inputs give
 byte-identical files. Everything runs serially; --workers is accepted for
 compatibility and has no effect.
@@ -20,12 +21,9 @@ Exit codes: 0 success, 1 verification/computation failure, 2 usage error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
-
-import numpy as np
 
 from . import verify as verify_mod
 from .aufbau import STATISTICS, build_spectrum, occupation_strings
@@ -40,10 +38,6 @@ from .observables import (
 )
 
 __all__ = ["main", "read_table"]
-
-
-# rows formatted and written at a time, so a spectrum's text is never whole in memory
-_CSV_CHUNK_ROWS = 1 << 16
 
 
 class UsageError(ValueError):
@@ -157,49 +151,35 @@ def _json_value(value):
     return value
 
 
-def _column_text(col):
-    """str of each value of a column. An array column (float64 or int64)
-    formats each distinct value once, because a spectrum repeats energies and
-    group ids across degenerate states; values are told apart by their bits,
-    so 0.0 and -0.0 keep their own text."""
-    if not isinstance(col, np.ndarray):
-        return map(str, col)
-    distinct, inverse = np.unique(col.view(np.int64), return_inverse=True)
-    texts = np.array(list(map(str, distinct.view(col.dtype).tolist())), dtype=object)
-    return texts[inverse].tolist()
-
-
-def _csv_parts(header, columns, data, comments):
-    """The CSV text in parts: the '#' lines and the column names, then the
-    rows, at most _CSV_CHUNK_ROWS to a part, each part ending in a newline."""
+def _csv_text(header, columns, data, comments):
+    """The CSV text: the '#' key=value lines, the comment lines, the column
+    names, then one line per row. Its row lines are freed on return, before
+    the text is written."""
     lines = [f"# {k}={v}" for k, v in header.items()]
     lines.extend(comments)
     lines.append(",".join(columns))
-    yield "\n".join(lines) + "\n"
-    rows = map(",".join, zip(*map(_column_text, data)))
-    while chunk := list(itertools.islice(rows, _CSV_CHUNK_ROWS)):
-        yield "\n".join(chunk) + "\n"
+    lines.extend(map(",".join, zip(*(map(str, col) for col in data))))
+    lines.append("")  # the final newline, without a second copy of the text
+    return "\n".join(lines)
 
 
 def _emit(args, header, columns, data, comments=(), metrics=None):
-    """Write the table as CSV or JSON. data holds one sequence of values per
-    column (a list, a range, or a 1-D float64 or int64 array), all of one
-    length; row r is the r-th value of each. An undefined value is nan in CSV
-    and null in JSON."""
+    """Write the table as CSV or JSON. data holds one sequence of Python
+    values per column (a list or a range), all of one length; row r is the
+    r-th value of each. An undefined value is nan in CSV and null in JSON."""
     if args.format == "json":
-        cols = (col.tolist() if isinstance(col, np.ndarray) else list(col) for col in data)
-        rows = list(zip(*map(_json_value, cols)))
+        rows = list(zip(*(_json_value(list(col)) for col in data)))
         payload = {"params": _json_value(header), "columns": list(columns), "rows": rows}
         if metrics is not None:
             payload["metrics"] = _json_value(metrics)
-        parts = [json.dumps(payload, indent=2, sort_keys=True) + "\n"]
+        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        parts = _csv_parts(header, columns, data, comments)
+        text = _csv_text(header, columns, data, comments)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.writelines(parts)
+            fh.write(text)
     else:
-        sys.stdout.writelines(parts)
+        sys.stdout.write(text)
 
 
 def read_table(path):
@@ -258,9 +238,9 @@ def cmd_spectrum(args) -> int:
     columns = ["rank", "energy_re", "energy_im", "degeneracy_group", "occupation"]
     data = [
         range(len(spec)),
-        spec.energies.real,
-        spec.energies.imag,
-        spec.groups,
+        spec.energies.real.tolist(),
+        spec.energies.imag.tolist(),
+        spec.groups.tolist(),
         occupation_strings(spec.occupations),
     ]
     _emit(args, header, columns, data)
