@@ -12,7 +12,6 @@ from .aufbau import (
     Spectrum,
     build_spectrum,
     count_configs,
-    enumerate_configs,
     ground_state,
     occupation_string,
     occupation_strings,
@@ -53,7 +52,6 @@ from .lattice import (
 )
 from .numerics import eigenvalues
 from .observables import (
-    CorrelationMatrix,
     DistributionProfile,
     SingularMatrixError,
     SkinMetrics,

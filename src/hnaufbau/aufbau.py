@@ -53,7 +53,6 @@ __all__ = [
     "count_configs",
     "default_tie_tol",
     "energy_of_config",
-    "enumerate_configs",
     "ground_state",
     "occupation_string",
     "occupation_strings",
@@ -233,16 +232,6 @@ def count_configs(L, N, statistics) -> int:
     return math.comb(L, N)
 
 
-def enumerate_configs(L, N, statistics):
-    """Yield every OccupationConfig of the sector once, in colexicographic
-    order over occupation vectors (for fermion/hardcore this coincides with
-    ascending order of the L-bit occupation words). The sector is built as
-    one array, so sectors above DEFAULT_MAX_STATES raise SectorTooLargeError."""
-    _capped_dim(L, N, statistics)
-    for occ in _occupation_rows(L, N, statistics).tolist():
-        yield OccupationConfig(statistics, tuple(occ))
-
-
 def _capped_dim(L, N, statistics):
     """count_configs, raising SectorTooLargeError above DEFAULT_MAX_STATES."""
     dim = count_configs(L, N, statistics)
@@ -263,7 +252,8 @@ def _sector_levels(levels, statistics, N):
 
 
 def _occupation_rows(L, N, statistics):
-    """The sector's dim x L int16 occupation matrix, colex order."""
+    """The sector's dim x L int16 occupation matrix, each state once, in colex
+    order (for fermion/hardcore, ascending as L-bit occupation words)."""
     if statistics == "boson":
         return kernels.boson_states(L, N)
     return kernels.fermion_occupations(L, N)
@@ -371,7 +361,10 @@ def occupation_string(config) -> str:
     occupation numbers (a bytes row holds one number per byte): digit string
     when all n <= 9 ("0101100000"), ';'-joined otherwise ("0;11;0"), so the
     text stays one CSV field."""
-    occ = getattr(config, "occupations", config)
+    occ = config
+    if type(occ) is not bytes:  # bytes rows, the spectrum writer's, skip both checks
+        occ = getattr(occ, "occupations", occ)
+        occ = occ.tolist() if isinstance(occ, np.ndarray) else occ  # numbers, not buffer
     try:
         text = bytes(occ).translate(_DIGITS)
     except ValueError:  # an entry outside 0..255

@@ -24,6 +24,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 
 from . import verify as verify_mod
 from .aufbau import STATISTICS, build_spectrum, occupation_strings
@@ -151,22 +152,26 @@ def _json_value(value):
     return value
 
 
-def _csv_text(header, columns, data, comments):
-    """The CSV text: the '#' key=value lines, the comment lines, the column
+def _csv_text(header, columns, data, metrics):
+    """The CSV text: the '#' key=value lines, one '# metrics rank=<key>'
+    line per metrics entry (k=v!r pairs in insertion order), the column
     names, then one line per row. Its row lines are freed on return, before
     the text is written."""
     lines = [f"# {k}={v}" for k, v in header.items()]
-    lines.extend(comments)
+    for key, met in (metrics or {}).items():
+        pairs = " ".join(f"{k}={v!r}" for k, v in met.items())
+        lines.append(f"# metrics rank={key} {pairs}")
     lines.append(",".join(columns))
     lines.extend(map(",".join, zip(*(map(str, col) for col in data))))
     lines.append("")  # the final newline, without a second copy of the text
     return "\n".join(lines)
 
 
-def _emit(args, header, columns, data, comments=(), metrics=None):
+def _emit(args, header, columns, data, metrics=None):
     """Write the table as CSV or JSON. data holds one sequence of Python
     values per column (a list or a range), all of one length; row r is the
-    r-th value of each. An undefined value is nan in CSV and null in JSON."""
+    r-th value of each. metrics maps a rank key to named values, written as
+    '# metrics' lines or a JSON object. Undefined is nan in CSV, null in JSON."""
     if args.format == "json":
         rows = list(zip(*(_json_value(list(col)) for col in data)))
         payload = {"params": _json_value(header), "columns": list(columns), "rows": rows}
@@ -174,7 +179,7 @@ def _emit(args, header, columns, data, comments=(), metrics=None):
             payload["metrics"] = _json_value(metrics)
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        text = _csv_text(header, columns, data, comments)
+        text = _csv_text(header, columns, data, metrics)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -271,13 +276,11 @@ def cmd_observables(args) -> int:
     header["ranks"] = ";".join(str(r) for r in ranks)
     columns = ["rank", "kind", "index", "grid", "value"]
     data = rank_col, kind_col, index_col, grid_col, value_col = [[] for _ in columns]
-    comments = []
-    metrics_obj = {}
+    metrics = {}
     for rank in ranks:
         v = eigenstate_from_config(p, spec[rank].config)
         nj = density_from_fock(v)
         nk = momentum_distribution(correlation_matrix(v))
-        met = skin_metrics(nj)
         for profile in (nj, nk):
             size = profile.values.size
             rank_col.extend([rank] * size)
@@ -285,16 +288,8 @@ def cmd_observables(args) -> int:
             index_col.extend(range(1, size + 1))
             grid_col.extend(profile.grid.tolist())
             value_col.extend(profile.values.tolist())
-        comments.append(
-            f"# metrics rank={rank} left_fraction={met.left_fraction!r} "
-            f"ipr={met.ipr!r} log_slope={met.log_slope!r}"
-        )
-        metrics_obj[str(rank)] = {
-            "left_fraction": met.left_fraction,
-            "ipr": met.ipr,
-            "log_slope": met.log_slope,
-        }
-    _emit(args, header, columns, data, comments=comments, metrics=metrics_obj)
+        metrics[str(rank)] = asdict(skin_metrics(nj))  # left_fraction, ipr, log_slope
+    _emit(args, header, columns, data, metrics)
     return 0
 
 

@@ -33,7 +33,6 @@ from .aufbau import (
     SectorError,
     SectorTooLargeError,
     _capped_dim,
-    _check_sector,
     _occupation_rows,
     count_configs,
 )
@@ -77,7 +76,6 @@ class FockBasis:
     """
 
     def __init__(self, statistics, L, N):
-        _check_sector(L, N, statistics)
         dim = _capped_dim(L, N, statistics)
         base = N + 1 if statistics == "boson" else 2
         if base**max(L - 1, 0) >= 1 << 62:
@@ -143,11 +141,10 @@ def get_basis(statistics, L, N) -> FockBasis:
 
 @dataclass
 class FockVector:
-    """Complex amplitudes over a FockBasis; norm_applied marks unit norm."""
+    """Complex amplitudes over a FockBasis."""
 
     basis: FockBasis
     amplitudes: np.ndarray
-    norm_applied: bool = False
 
     def __post_init__(self):
         amps = np.asarray(self.amplitudes, dtype=np.complex128)
@@ -164,7 +161,7 @@ class FockVector:
         n = self.norm()
         if n < NULL_NORM_TOL:
             raise NullStateError(f"vector norm {n:.3e} below {NULL_NORM_TOL}")
-        return FockVector(self.basis, self.amplitudes / n, norm_applied=True)
+        return FockVector(self.basis, self.amplitudes / n)
 
 
 def annihilate(v: FockVector) -> np.ndarray:
@@ -269,7 +266,7 @@ def eigenstate_from_config(p: HNParams, config) -> FockVector:
     the image's fermion Hamiltonian equals the hard-core one of p entry by
     entry in the shared occupation basis, so the fermion amplitudes ARE the
     hard-core amplitudes; a symmetrized bosonic product would not be an
-    eigenstate.
+    eigenstate. Orbitals beyond float range raise OverflowError.
     """
     if len(config.occupations) != p.L:
         raise SectorError(
@@ -277,11 +274,13 @@ def eigenstate_from_config(p: HNParams, config) -> FockVector:
         )
     hardcore = config.statistics == "hardcore"
     levels = single_particle_levels(hardcore_image(p, config.N) if hardcore else p)
+    if not np.isfinite(levels.orbitals).all():
+        raise OverflowError(f"orbitals of the chain at g={p.g} leave float range")
     orbitals = []
     for pos, n in enumerate(config.occupations):
         orbitals.extend([levels[pos].orbital] * n)
     if hardcore:
         ferm = construct_product_state(orbitals, "fermion", L=p.L)
         basis = get_basis("hardcore", p.L, len(orbitals))
-        return FockVector(basis, ferm.amplitudes, norm_applied=True)
+        return FockVector(basis, ferm.amplitudes)
     return construct_product_state(orbitals, config.statistics, L=p.L)

@@ -130,12 +130,12 @@ def delta_E_scan(L_list, filling=0.5, g=0.5, t=1.0):
     return gaps
 
 
-def obc_equivalence_check(L, N, g, t=1.0, boundary="open", tol=1e-8) -> bool:
+def obc_equivalence_check(L, N, g, t=1.0, boundary="open") -> bool:
     """True iff the dense hard-core and fermion spectra agree as multisets
-    within tol. Open boundaries always agree; a ring with even N does not."""
+    within 1e-8. Open boundaries always agree; a ring with even N does not."""
     _check_sector(L, N, "hardcore", ring=True)
     p = HNParams(L=int(L), t=t, g=g, boundary=boundary)
     ef = numerics.eigenvalues(build_dense_hamiltonian(p, "fermion", int(N)))
     eb = numerics.eigenvalues(build_dense_hamiltonian(p, "hardcore", int(N)))
     diff = sort_complex_spectrum(ef) - sort_complex_spectrum(eb)
-    return bool(np.max(np.abs(diff)) <= tol)
+    return bool(np.max(np.abs(diff)) <= 1e-8)

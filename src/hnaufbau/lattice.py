@@ -163,7 +163,8 @@ class Levels:
         sites = np.arange(1, p.L + 1)
         k = self.momenta[:, None]
         if p.boundary == "open":
-            orbitals = (np.exp(-p.g * sites) * np.sin(k * sites)).astype(np.complex128)
+            with np.errstate(over="ignore", invalid="ignore"):  # inf beyond float range
+                orbitals = (np.exp(-p.g * sites) * np.sin(k * sites)).astype(np.complex128)
         else:
             orbitals = np.exp(-1j * k * sites) / math.sqrt(p.L)
         orbitals.flags.writeable = False

@@ -1,7 +1,8 @@
 """Distributions and localization diagnostics of many-body eigenstates.
 
 Position profiles n_j come straight from Fock amplitudes; momentum profiles
-come from the one-body correlation matrix G[i][j] = <c_i^dag c_j> through
+come from the one-body correlation matrix G[i][j] = <c_i^dag c_j>, an
+L x L complex128 array, through
 
     n_{k_m} = (1/L) sum_{i,j} e^{-i k_m (i - j)} G[i][j],   k_m = 2 pi m / L,
 
@@ -26,11 +27,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import numerics
 from .fock import FockVector, annihilate
 
 __all__ = [
-    "CorrelationMatrix",
     "DistributionProfile",
     "SingularMatrixError",
     "SkinMetrics",
@@ -78,23 +77,6 @@ class DistributionProfile:
 
 
 @dataclass(frozen=True)
-class CorrelationMatrix:
-    """One-body correlations G[i][j] = <c_i^dag c_j>, with a tag recording
-    which route produced it."""
-
-    entries: np.ndarray = field(repr=False)
-    source: str = "fock"
-
-    def __post_init__(self):
-        entries = numerics.as_complex_matrix(self.entries, square=True, name="G")
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def L(self) -> int:
-        return self.entries.shape[0]
-
-
-@dataclass(frozen=True)
 class SkinMetrics:
     """left_fraction: weight on sites j <= L/2 over total; ipr: sum n^2 over
     (sum n)^2, 1/L for a flat profile; log_slope: least-squares slope of
@@ -114,13 +96,13 @@ def density_from_fock(v: FockVector) -> DistributionProfile:
     return DistributionProfile("position", grid, values, float(values.sum()))
 
 
-def correlation_matrix(v: FockVector) -> CorrelationMatrix:
+def correlation_matrix(v: FockVector) -> np.ndarray:
     """Full G = A^H A, where column j of A is c_j v."""
     A = annihilate(v)
-    return CorrelationMatrix(A.conj().T @ A, source=f"fock-{v.basis.statistics}")
+    return A.conj().T @ A
 
 
-def density_matrix_from_orbitals(orbitals) -> CorrelationMatrix:
+def density_matrix_from_orbitals(orbitals) -> np.ndarray:
     """G for a fermion determinant state from its (possibly non-orthogonal)
     occupied orbitals: the projector Q Q^dag onto their span, Q from the QR
     factorization Phi = Q R, read in the <c_i^dag c_j> index convention.
@@ -134,19 +116,19 @@ def density_matrix_from_orbitals(orbitals) -> CorrelationMatrix:
             f"{phi.shape[1]} orbitals are linearly dependent to working precision"
         )
     rho = q @ np.conj(q.T)
-    return CorrelationMatrix(rho.T, source="orbital-projector")
+    return np.ascontiguousarray(rho.T)
 
 
-def momentum_distribution(G: CorrelationMatrix) -> DistributionProfile:
-    """n_k on the grid k_m = 2 pi m / L, m = 1..L, unitary convention."""
-    L = G.L
+def momentum_distribution(G: np.ndarray) -> DistributionProfile:
+    """n_k of the L x L matrix G on the grid k_m = 2 pi m / L, m = 1..L."""
+    L = G.shape[0]
     sites = np.arange(1, L + 1)
     grid = np.zeros(L, dtype=np.float64)
     values = np.zeros(L, dtype=np.float64)
     for m in range(1, L + 1):
         k = 2.0 * math.pi * m / L
         w = np.exp(1j * k * sites)
-        val = np.conj(w) @ (G.entries @ w) / L
+        val = np.conj(w) @ (G @ w) / L
         grid[m - 1] = k
         values[m - 1] = val.real
     return DistributionProfile("momentum", grid, values, float(values.sum()))

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from hnaufbau import kernels
 from hnaufbau.aufbau import (
     DEFAULT_MAX_STATES,
+    _occupation_rows,
     ManyBodyLevel,
     OccupationConfig,
     SectorError,
@@ -25,7 +26,6 @@ from hnaufbau.aufbau import (
     build_spectrum,
     count_configs,
     energy_of_config,
-    enumerate_configs,
     ground_state,
     occupation_string,
     occupation_strings,
@@ -132,11 +132,15 @@ def test_counts_match_closed_forms():
     assert count_configs(4, 0, "boson") == 1
 
 
+def rows_of(L, N, stats):
+    return [tuple(row) for row in _occupation_rows(L, N, stats).tolist()]
+
+
 def test_enumeration_counts_and_uniqueness():
     for stats in ("fermion", "boson", "hardcore"):
         seen = set()
-        for cfg in enumerate_configs(6, 3, stats):
-            assert cfg.statistics == stats
+        for occ in rows_of(6, 3, stats):
+            cfg = OccupationConfig(stats, occ)  # validates the statistics' cap
             assert cfg.N == 3
             assert len(cfg.occupations) == 6
             seen.add(cfg.occupations)
@@ -149,16 +153,16 @@ def test_enumeration_is_colexicographic():
         return tuple(reversed(occ))
 
     for stats in ("fermion", "boson"):
-        occs = [cfg.occupations for cfg in enumerate_configs(5, 3, stats)]
+        occs = rows_of(5, 3, stats)
         assert occs == sorted(occs, key=colex_key)
 
 
 def test_enumeration_first_rows():
-    fermion = list(enumerate_configs(4, 2, "fermion"))
-    assert fermion[0].occupations == (1, 1, 0, 0)
-    assert fermion[1].occupations == (1, 0, 1, 0)
-    assert fermion[2].occupations == (0, 1, 1, 0)
-    boson = [cfg.occupations for cfg in enumerate_configs(3, 2, "boson")]
+    fermion = rows_of(4, 2, "fermion")
+    assert fermion[0] == (1, 1, 0, 0)
+    assert fermion[1] == (1, 0, 1, 0)
+    assert fermion[2] == (0, 1, 1, 0)
+    boson = rows_of(3, 2, "boson")
     assert boson == [
         (2, 0, 0),
         (1, 1, 0),
@@ -170,7 +174,7 @@ def test_enumeration_first_rows():
 
 
 def test_enumeration_matches_itertools_combinations():
-    got = {cfg.occupations for cfg in enumerate_configs(8, 3, "fermion")}
+    got = set(rows_of(8, 3, "fermion"))
     want = set()
     for positions in itertools.combinations(range(8), 3):
         occ = [0] * 8
@@ -210,19 +214,19 @@ def test_boson_states_match_compositions():
 
 
 def test_enumeration_vacuum_and_full():
-    assert [c.occupations for c in enumerate_configs(3, 0, "boson")] == [(0, 0, 0)]
-    assert [c.occupations for c in enumerate_configs(3, 3, "fermion")] == [(1, 1, 1)]
+    assert rows_of(3, 0, "boson") == [(0, 0, 0)]
+    assert rows_of(3, 3, "fermion") == [(1, 1, 1)]
 
 
 def test_enumeration_invalid_sectors():
     with pytest.raises(SectorError):
-        list(enumerate_configs(4, 5, "fermion"))
+        build_spectrum(ring_levels(4), "fermion", 5)
     with pytest.raises(SectorError):
-        list(enumerate_configs(4, -1, "boson"))
+        build_spectrum(ring_levels(4), "boson", -1)
     with pytest.raises(ValueError):
-        list(enumerate_configs(4, 2, "anyon"))
+        build_spectrum(ring_levels(4), "anyon", 2)
     with pytest.raises(SectorTooLargeError):
-        next(enumerate_configs(40, 20, "fermion"))
+        build_spectrum(ring_levels(40), "fermion", 20)
 
 
 def test_occupation_config_validation():
@@ -339,7 +343,7 @@ def test_spectrum_arrays_and_level_views():
 
 def test_enumeration_matches_spectrum_rows():
     for stats in ("fermion", "boson", "hardcore"):
-        rows = {cfg.occupations for cfg in enumerate_configs(6, 3, stats)}
+        rows = set(rows_of(6, 3, stats))
         spec = build_spectrum(ring_levels(6), stats, 3)
         assert rows == {lv.config.occupations for lv in spec}
         assert {lv.config.statistics for lv in spec} == {stats}
@@ -451,6 +455,15 @@ def test_occupation_string_of_plain_rows():
     assert occupation_string([0, 1, 9, 0]) == "0190"
     assert occupation_string((0, 10, 255, 256)) == "0;10;255;256"
     assert occupation_string(np.array([3, 0, 1], dtype=np.int16).tolist()) == "301"
+
+
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64, np.uint8])
+def test_occupation_string_of_numpy_rows(dtype):
+    # the numbers of the row, not the bytes of its buffer
+    assert occupation_string(np.array([1, 0, 2], dtype=dtype)) == "102"
+    assert occupation_string(np.array([0, 11, 0], dtype=dtype)) == "0;11;0"
+    cfg = OccupationConfig("boson", (1, 0, 2))
+    assert occupation_string(np.array(cfg.occupations, dtype=dtype)) == occupation_string(cfg)
 
 
 @settings(max_examples=60, deadline=None)

@@ -271,6 +271,27 @@ def test_overflowing_spectrum_warns_nothing():
     assert proc.stderr.splitlines() == ["computation failed: a many-body energy is not finite"]
 
 
+def test_overflowing_orbitals_exit_1_with_one_line():
+    # at g = -70 the open-chain orbitals e^{-g j} leave float range on a
+    # valid input: a computation failure (1), not a usage error (2), with
+    # no numpy warning above it and no file left behind
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "orbitals.csv"
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "hnaufbau", "observables", "-L", "12",
+             "-N", "3", "-g", "-70", "--bc", "obc", "--stats", "fermion", "--ranks", "0",
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert not out.exists()
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("computation failed")
+
+
 def test_spectrum_large_g_open_chain_builds_no_orbitals(tmp_path):
     # open-chain energies are g-independent; the orbitals e^{-g j} overflow
     # at g = -70, and a spectrum never reads them
@@ -336,6 +357,23 @@ def test_observables_csv_metrics_comment(tmp_path):
     text = out.read_text()
     assert "# metrics rank=0 left_fraction=" in text
     assert "# metrics rank=1 left_fraction=" in text
+
+
+def test_observables_csv_metrics_mirror_json(tmp_path):
+    # one metrics record renders both ways: a line per JSON entry, in rank
+    # order of first appearance, values as repr; a repeated rank is one entry
+    argv = ["observables", "-L", "4", "-N", "2", "-g", "0.5", "--bc", "obc", "--ranks", "1,0,1"]
+    code, csv_out = run_to_file(tmp_path, "obs.csv", argv)
+    assert code == 0
+    code, json_out = run_to_file(tmp_path, "obs.json", [*argv, "--format", "json"])
+    assert code == 0
+    metrics = json.loads(json_out.read_text())["metrics"]
+    lines = [line for line in csv_out.read_text().splitlines() if line.startswith("# metrics")]
+    assert lines == [
+        f"# metrics rank={rank} left_fraction={metrics[rank]['left_fraction']!r} "
+        f"ipr={metrics[rank]['ipr']!r} log_slope={metrics[rank]['log_slope']!r}"
+        for rank in ("1", "0")
+    ]
 
 
 def _reject_constant(token):

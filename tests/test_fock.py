@@ -21,10 +21,10 @@ import pytest
 
 from hnaufbau.aufbau import (
     OccupationConfig,
+    _occupation_rows,
     SectorError,
     SectorTooLargeError,
     build_spectrum,
-    enumerate_configs,
     sort_complex_spectrum,
 )
 from hnaufbau.fock import (
@@ -74,9 +74,12 @@ def test_basis_rows_match_enumeration_order():
     # the aufbau rank <-> fock index bridge: same colex order on both sides
     for stats in ("fermion", "boson", "hardcore"):
         basis = get_basis(stats, 6, 3)
-        listed = [cfg.occupations for cfg in enumerate_configs(6, 3, stats)]
+        listed = [tuple(row) for row in _occupation_rows(6, 3, stats).tolist()]
         got = [tuple(int(n) for n in row) for row in basis.occupations]
         assert got == listed
+        # the spectrum's rows are the same sector, ranked by energy instead
+        spec = build_spectrum(pbc_spectrum(HNParams(L=6, g=0.5)), stats, 3)
+        assert sorted(map(tuple, spec.occupations.tolist()), key=lambda r: r[::-1]) == got
 
 
 def test_basis_lookup_rejects_foreign_occupation():
@@ -272,7 +275,7 @@ def test_engine_matches_brute_force_reference(stats, boundary, rng):
                     hv = ref_apply(stats, vec, [(i, j, 1.0)])
                     G[i, j] = sum(np.conj(vec[o]) * a for o, a in hv.items())
             np.testing.assert_allclose(
-                correlation_matrix(v).entries, G, rtol=0, atol=1e-13
+                correlation_matrix(v), G, rtol=0, atol=1e-13
             )
 
 
@@ -375,7 +378,6 @@ def test_product_state_single_orbital():
             v.amplitudes, orb / np.linalg.norm(orb), atol=1e-13
         )
         assert v.norm() == pytest.approx(1.0, abs=1e-12)
-        assert v.norm_applied
 
 
 def test_product_state_identical_fermion_orbitals_null():

@@ -4,6 +4,8 @@ The eigenvalue wrapper is numpy's LAPACK zgeev behind an input check, so
 its tests pin that contract: known spectra, invariants, and rejected input.
 """
 
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hnaufbau
 from hnaufbau import (
     aufbau,
     cli,
@@ -128,3 +131,20 @@ def test_public_names_resolve(module):
     # has no __all__, and its explicit imports fail at import time if stale
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing
+
+
+def test_package_exports_are_public():
+    # every name the package re-exports sits in its module's __all__, so a
+    # name deleted from a module cannot linger in one of the three lists
+    tree = ast.parse(inspect.getsource(hnaufbau))
+    exports = [
+        (node.module, alias.name)
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+    ]
+    assert exports
+    modules = {mod: getattr(hnaufbau, mod) for mod, _ in exports}
+    stray = [(mod, name) for mod, name in exports if name not in modules[mod].__all__]
+    assert not stray
+    assert all(getattr(hnaufbau, name) is getattr(modules[mod], name) for mod, name in exports)

@@ -25,7 +25,6 @@ from hnaufbau.fock import (
 )
 from hnaufbau.lattice import HNParams, obc_spectrum, pbc_spectrum, single_particle_levels
 from hnaufbau.observables import (
-    CorrelationMatrix,
     DistributionProfile,
     SingularMatrixError,
     correlation_matrix,
@@ -114,9 +113,9 @@ def test_correlation_diagonal_equals_density():
         v = eigenstate_from_config(p, lv.config)
         G = correlation_matrix(v)
         d = density_from_fock(v)
-        np.testing.assert_allclose(np.diag(G.entries).real, d.values, atol=1e-10)
-        np.testing.assert_allclose(np.diag(G.entries).imag, 0.0, atol=1e-10)
-        assert np.trace(G.entries).real == pytest.approx(3, abs=1e-8)
+        np.testing.assert_allclose(np.diag(G).real, d.values, atol=1e-10)
+        np.testing.assert_allclose(np.diag(G).imag, 0.0, atol=1e-10)
+        assert np.trace(G).real == pytest.approx(3, abs=1e-8)
 
 
 def test_correlation_single_particle_projector():
@@ -127,7 +126,7 @@ def test_correlation_single_particle_projector():
     u = orb / np.linalg.norm(orb)
     # G[i][j] = <c_i^dag c_j> = conj(u_i) u_j
     expect = np.outer(np.conj(u), u)
-    np.testing.assert_allclose(G.entries, expect, atol=1e-12)
+    np.testing.assert_allclose(G, expect, atol=1e-12)
 
 
 def test_correlation_dual_route_fermion():
@@ -144,9 +143,7 @@ def test_correlation_dual_route_fermion():
         v = eigenstate_from_config(p, lv.config)
         G_fock = correlation_matrix(v)
         G_orb = density_matrix_from_orbitals(occupied)
-        assert G_fock.source == "fock-fermion"
-        assert G_orb.source == "orbital-projector"
-        np.testing.assert_allclose(G_fock.entries, G_orb.entries, atol=1e-10)
+        np.testing.assert_allclose(G_fock, G_orb, atol=1e-10)
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "open"])
@@ -165,7 +162,7 @@ def test_correlation_dual_route_property_over_g(boundary):
                 continue
             occupied = [levels[m].orbital for m, n in enumerate(lv.config.occupations) if n]
             G_orb = density_matrix_from_orbitals(occupied)
-            diff = np.max(np.abs(correlation_matrix(v).entries - G_orb.entries))
+            diff = np.max(np.abs(correlation_matrix(v) - G_orb))
             if not diff < bound:
                 failures.append((float(g), lv.rank, float(diff)))
     assert failures == []
@@ -184,13 +181,6 @@ def test_singular_matrix_error_is_the_package_export():
     assert issubclass(SingularMatrixError, ArithmeticError)
 
 
-def test_correlation_matrix_validation():
-    with pytest.raises(ValueError):
-        CorrelationMatrix(np.ones((2, 3)))
-    G = CorrelationMatrix(np.eye(3))
-    assert G.L == 3
-
-
 # -------------------------------------------------------------- momentum
 
 
@@ -207,7 +197,7 @@ def test_momentum_of_ring_eigenstates_equals_occupations():
 
 
 def test_momentum_grid_convention():
-    G = CorrelationMatrix(np.eye(4) * 0.5)
+    G = np.eye(4) * 0.5
     nk = momentum_distribution(G)
     np.testing.assert_allclose(nk.grid, 2 * math.pi * np.arange(1, 5) / 4, atol=0)
     assert nk.kind == "momentum"
