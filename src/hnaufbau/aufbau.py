@@ -304,12 +304,12 @@ def build_spectrum(levels, statistics, N, tie_tol=None):
     return Spectrum(statistics, energies[order], occupations[order], groups)
 
 
-def _fill(levels, statistics, N, tie_tol):
+def _fill(levels, statistics, N):
     """The ground_state fill as (energy, filled positions in filling order,
     occupation of each); only the filled modes enter the compensated sum."""
     _check_sector(len(levels), N, statistics)
     levels = _sector_levels(levels, statistics, N)
-    positions = sort_levels(levels, tie_tol).positions
+    positions = sort_levels(levels).positions
     if statistics == "boson":
         filled, counts = positions[: min(N, 1)], [N] * min(N, 1)
     else:
@@ -320,7 +320,7 @@ def _fill(levels, statistics, N, tie_tol):
     return energy, filled, counts
 
 
-def ground_state(levels, statistics, N, tie_tol=None) -> ManyBodyLevel:
+def ground_state(levels, statistics, N) -> ManyBodyLevel:
     """Aufbau ground state without enumerating the sector.
 
     Fermions and hard-core bosons occupy the first N ranks of the level
@@ -328,14 +328,14 @@ def ground_state(levels, statistics, N, tie_tol=None) -> ManyBodyLevel:
     bosons put all N particles in rank 0. Cost is the level sort,
     O(L log L). The energy matches rank 0 of build_spectrum bit for bit.
     """
-    energy, filled, counts = _fill(levels, statistics, N, tie_tol)
+    energy, filled, counts = _fill(levels, statistics, N)
     occ = np.zeros(len(levels), dtype=np.int64)
     occ[filled] = counts
     config = OccupationConfig(statistics, tuple(occ.tolist()))
     return ManyBodyLevel(energy=energy, config=config, rank=0, degeneracy_group=0)
 
 
-def energy_of_config(levels, config, tie_tol=None) -> complex:
+def energy_of_config(levels, config) -> complex:
     """Energy of one configuration, summed exactly as build_spectrum does.
     An energy beyond float range raises OverflowError."""
     L = len(levels)
@@ -344,7 +344,7 @@ def energy_of_config(levels, config, tie_tol=None) -> complex:
             f"config has {len(config.occupations)} modes, levels have {L}"
         )
     levels = _sector_levels(levels, config.statistics, config.N)
-    perm = sort_levels(levels, tie_tol).positions
+    perm = sort_levels(levels).positions
     counts = [config.occupations[m] for m in perm.tolist()]
     energy = _kahan_energy(levels.energies[perm].tolist(), counts)
     if not cmath.isfinite(energy):
@@ -404,8 +404,8 @@ def parse_occupation_string(s, statistics) -> OccupationConfig:
     return OccupationConfig(statistics, occ)
 
 
-def sort_complex_spectrum(values, tie_tol=None):
-    """Cluster-sort a complex array by (Re, Im) with tolerance chaining.
+def sort_complex_spectrum(values):
+    """Cluster-sort a complex array by (Re, Im), chaining within default_tie_tol.
 
     Used for multiset comparisons between spectra from different routes:
     plain lexicographic (Re, Im) sorting would let 1e-16 real-part noise
@@ -414,8 +414,6 @@ def sort_complex_spectrum(values, tie_tol=None):
     arr = np.asarray(values, dtype=np.complex128).ravel()
     if arr.size == 0:
         return arr.copy()
-    if tie_tol is None:
-        tie_tol = default_tie_tol(arr.real)
     positions = np.arange(arr.size, dtype=np.int64)
-    order, _groups = _clustered_order(arr.real, arr.imag, positions, float(tie_tol))
+    order, _groups = _clustered_order(arr.real, arr.imag, positions, default_tie_tol(arr.real))
     return arr[order]

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Subcommands: spectrum | observables | skin | hcb-compare | verify. Each
-key=value line of a --config file is read as the flag --key=value (-k=value
-for a one-letter key) ahead of the command line's own flags, which win.
+Subcommands: spectrum | observables | skin | hcb-compare | verify; each
+accepts only the flags it reads. Each key=value line of a --config file is
+read as the flag --key=value (-k=value for a one-letter key) ahead of the
+command line's own flags, which win.
 CSV output starts with '#'-prefixed key=value parameter lines and carries
 complex values as separate _re/_im columns; JSON mirrors the same payload,
 with null where CSV writes nan. Every command hands the writer its table as
@@ -12,8 +13,8 @@ opened only once its whole text is built, so a failure while formatting
 leaves no file. The only Python call per row of a spectrum is
 occupation_string, on a bytes row.
 Nothing time- or host-dependent is ever written, so identical inputs give
-byte-identical files. Everything runs serially; --workers is accepted for
-compatibility and has no effect.
+byte-identical files. Everything runs serially; --workers, on observables
+only, is accepted for old command lines and has no effect.
 
 Exit codes: 0 success, 1 verification/computation failure, 2 usage error.
 """
@@ -51,35 +52,34 @@ def _comma_list(text):
 
 def _build_parser():
     """The parser. Each option's flag is --<dest>, or -<dest> for one letter."""
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("-L", type=int, default=10)
-    common.add_argument("-N", type=int, default=5)
-    common.add_argument("-t", type=float, default=1.0)
-    common.add_argument("-g", type=float, default=0.5)
-    common.add_argument("--bc", default="pbc", help="pbc | obc | twist=<radians>")
-    common.add_argument("--stats", choices=STATISTICS, default="fermion")
-    common.add_argument("--out", default=None)
-    common.add_argument("--format", choices=("csv", "json"), default="csv")
-    common.add_argument("--config", default=None, help="key=value file, '#' comments")
-    common.add_argument("--workers", type=int, default=1, help="accepted, no effect")
-    common.add_argument(
-        "--tol", type=float, default=None,
-        help="tie tolerance override for degeneracy grouping",
-    )
+    run = argparse.ArgumentParser(add_help=False)
+    run.add_argument("-t", type=float, default=1.0)
+    run.add_argument("-g", type=float, default=0.5)
+    run.add_argument("--out", default=None)
+    run.add_argument("--config", default=None, help="key=value file, '#' comments")
+    table = argparse.ArgumentParser(add_help=False, parents=[run])
+    table.add_argument("--format", choices=("csv", "json"), default="csv")
+    chain = argparse.ArgumentParser(add_help=False, parents=[table])
+    chain.add_argument("-L", type=int, default=10)
+    chain.add_argument("-N", type=int, default=5)
+    chain.add_argument("--bc", default="pbc", help="pbc | obc | twist=<radians>")
+    chain.add_argument("--stats", choices=STATISTICS, default="fermion")
+    chain.add_argument("--tol", type=float, default=None, help="degeneracy tie tolerance")
+    ranks = argparse.ArgumentParser(add_help=False, parents=[chain])
+    ranks.add_argument("--ranks", default="lowest8", help="comma list, 'all', or 'lowest8'")
     parser = argparse.ArgumentParser(
         prog="hnaufbau",
         description="Many-body spectra of the nonreciprocal chain by the generalized Aufbau rule",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("spectrum", parents=[common], help="full many-body spectrum")
-    p_obs = sub.add_parser("observables", parents=[common], help="n_j/n_k profiles per eigenstate")
-    p_obs.add_argument("--ranks", default="lowest8", help="comma list, 'all', or 'lowest8'")
-    p_skin = sub.add_parser("skin", parents=[common], help="localization metrics per eigenstate")
-    p_skin.add_argument("--ranks", default="lowest8", help="comma list, 'all', or 'lowest8'")
-    p_hcb = sub.add_parser("hcb-compare", parents=[common], help="fermion vs hard-core gap scan")
+    sub.add_parser("spectrum", parents=[chain], help="full many-body spectrum")
+    p_obs = sub.add_parser("observables", parents=[ranks], help="n_j/n_k profiles per eigenstate")
+    p_obs.add_argument("--workers", type=int, default=1, help="accepted, no effect")
+    sub.add_parser("skin", parents=[ranks], help="localization metrics per eigenstate")
+    p_hcb = sub.add_parser("hcb-compare", parents=[table], help="fermion vs hard-core gap scan")
     p_hcb.add_argument("--lengths", default="160:480:16", help="comma list or start:stop:step")
     p_hcb.add_argument("--filling", type=float, default=0.5)
-    p_ver = sub.add_parser("verify", parents=[common], help="run invariant suites")
+    p_ver = sub.add_parser("verify", parents=[run], help="run invariant suites")
     p_ver.add_argument(
         "--suite", action="extend", type=_comma_list, default=None,
         help=f"comma list of suites, repeatable; from {', '.join(verify_mod.SUITES)}",

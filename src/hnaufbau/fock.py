@@ -239,11 +239,12 @@ def construct_product_state(orbitals, statistics, L=None) -> FockVector:
         raise SectorError(f"{statistics} requires N <= L, got N={N}")
 
     normed = []
-    for o in orbs:
-        nn = np.linalg.norm(o)
-        if nn < 1e-300:
-            raise NullStateError("zero orbital")
-        normed.append(o / nn)
+    with np.errstate(over="ignore"):  # a norm beyond float range scales its orbital to zero
+        for o in orbs:
+            nn = np.linalg.norm(o)
+            if nn < 1e-300:
+                raise NullStateError("zero orbital")
+            normed.append(o / nn)
 
     vec = np.ones(1, dtype=np.complex128)
     for n, orb in enumerate(normed):

@@ -104,6 +104,8 @@ def delta_E_scan(L_list, filling=0.5, g=0.5, t=1.0):
     ring sector where the two statistics genuinely differ. Cost is
     O(L log L) per point.
     """
+    if not math.isfinite(filling):
+        raise SectorError(f"filling must be finite, got {filling}")
     gaps = []
     for L in L_list:
         if not isinstance(L, (int, np.integer)) or isinstance(L, bool) or L < 2:
@@ -120,7 +122,7 @@ def delta_E_scan(L_list, filling=0.5, g=0.5, t=1.0):
             )
         _check_sector(L, N, "hardcore", ring=True)
         levels = pbc_spectrum(HNParams(L=int(L), t=t, g=g))
-        e0f, e0b = (_fill(levels, stats, N, None)[0] for stats in ("fermion", "hardcore"))
+        e0f, e0b = (_fill(levels, stats, N)[0] for stats in ("fermion", "hardcore"))
         gaps.append(
             EnergyGap(
                 L=int(L), N=N, g=float(g), t=float(t),

@@ -1,8 +1,9 @@
 """Command-line interface: determinism, round-trips, exit codes.
 
 Outputs must be byte-stable: same invocation twice gives identical files,
-and worker count must not change anything. The spectrum CSV is checked by
-re-deriving each row's energy from its occupation string.
+and worker count must not change anything. Each subcommand accepts only
+the flags it reads. The spectrum CSV is checked by re-deriving each row's
+energy from its occupation string.
 """
 
 import argparse
@@ -22,7 +23,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hnaufbau import cli
+from hnaufbau import cli, fock
 from hnaufbau.aufbau import (
     build_spectrum,
     energy_of_config,
@@ -66,13 +67,6 @@ def test_observables_worker_count_invariant(tmp_path):
     ]
     _, f1 = run_to_file(tmp_path, "w1.csv", [*base, "--workers", "1"])
     _, f4 = run_to_file(tmp_path, "w4.csv", [*base, "--workers", "4"])
-    assert f1.read_bytes() == f4.read_bytes()
-
-
-def test_hcb_compare_worker_count_invariant(tmp_path):
-    base = ["hcb-compare", "--lengths", "160,192,224", "-g", "0.5"]
-    _, f1 = run_to_file(tmp_path, "h1.csv", [*base, "--workers", "1"])
-    _, f4 = run_to_file(tmp_path, "h4.csv", [*base, "--workers", "4"])
     assert f1.read_bytes() == f4.read_bytes()
 
 
@@ -486,6 +480,12 @@ def test_hcb_compare_rejects_odd_filling_sector():
     assert run_cli(["hcb-compare", "--lengths", "10,14"]) == 2
 
 
+@pytest.mark.parametrize("filling", ["inf", "-inf", "nan"])
+def test_hcb_compare_non_finite_filling_is_usage_error(filling, capsys):
+    assert run_cli(["hcb-compare", "--lengths", "8", f"--filling={filling}"]) == 2
+    assert "filling must be finite" in capsys.readouterr().err
+
+
 # ------------------------------------------------------------------ config
 
 
@@ -531,9 +531,11 @@ def test_config_missing_file_rejected(tmp_path):
 def test_config_bad_value_rejected(tmp_path):
     cfg = tmp_path / "run.cfg"
     for text in ("L = six\n", "format = xml\n", "stats = bogus\n", "t = x\n",
-                 "workers = two\n", "tol = abc\n"):
+                 "tol = abc\n"):
         cfg.write_text("L = 4\nN = 1\n" + text)
         assert run_cli(["spectrum", "--config", str(cfg)]) == 2, text
+    cfg.write_text("L = 4\nN = 1\nworkers = two\n")
+    assert run_cli(["observables", "--config", str(cfg)]) == 2
     for command, text in (("verify", "suite = astrology\n"), ("verify", "suite =\n"),
                           ("hcb-compare", "lengths = 1:x:2\n")):
         cfg.write_text(text)
@@ -569,6 +571,54 @@ def test_config_keys_name_their_flags():
                 continue
             flag = ("-" if len(action.dest) == 1 else "--") + action.dest
             assert flag in action.option_strings, (name, action.dest)
+
+
+# each subcommand's flags, without -h: the ones its cmd_* reads, and
+# --workers on observables (a no-op kept for old command lines)
+_RUN = {"-t", "-g", "--out", "--config"}
+_CHAIN = _RUN | {"--format", "-L", "-N", "--bc", "--stats", "--tol"}
+SUBCOMMAND_FLAGS = {
+    "spectrum": _CHAIN,
+    "observables": _CHAIN | {"--ranks", "--workers"},
+    "skin": _CHAIN | {"--ranks"},
+    "hcb-compare": _RUN | {"--format", "--lengths", "--filling"},
+    "verify": _RUN | {"--suite"},
+}
+
+
+def test_each_subcommand_accepts_only_the_flags_it_reads():
+    parser = cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    got = {
+        name: {flag for action in command._actions if action.dest != "help"
+               for flag in action.option_strings}
+        for name, command in sub.choices.items()
+    }
+    assert got == SUBCOMMAND_FLAGS
+    assert sum(map(len, got.values())) == 45
+
+
+# (subcommand, flag, value) of the 15 flags subcommands used to accept and ignore
+_CHAIN_ONLY = [("-L", "8"), ("-N", "4"), ("--bc", "obc"), ("--stats", "boson"), ("--tol", "1e-9")]
+IGNORED_FLAGS = (
+    [("hcb-compare", flag, value) for flag, value in _CHAIN_ONLY]
+    + [("verify", flag, value) for flag, value in [*_CHAIN_ONLY, ("--format", "json")]]
+    + [(command, "--workers", "2") for command in ("spectrum", "skin", "hcb-compare", "verify")]
+)
+
+
+@pytest.mark.parametrize("command,flag,value", IGNORED_FLAGS)
+def test_flag_a_subcommand_does_not_read_is_a_usage_error(command, flag, value, capsys):
+    argv = [command, flag, value] + (["--suite", "counting"] if command == "verify" else [])
+    assert run_cli(argv) == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_verify_json_format_writes_no_file(tmp_path, capsys):
+    out = tmp_path / "v.json"
+    assert run_cli(["verify", "--suite", "counting", "--format", "json", "--out", str(out)]) == 2
+    assert not out.exists()
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 # -------------------------------------------------------------- exit codes
@@ -723,6 +773,34 @@ def test_verify_nan_residual_fails():
     rows = {r.name: r for r in run_checks(g=-70, suites=["single_particle"])}
     assert not rows["level-residual-open"].passed
     assert "nan" in rows["level-residual-open"].detail
+
+
+@pytest.mark.parametrize("suites", [["single_particle"], None])
+def test_verify_overflowing_orbitals_warn_nothing(suites):
+    # the same g = -70 run: the rows fail, and numpy's overflow inside the
+    # residual norms stays out of the output
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = {r.name: r for r in run_checks(g=-70, suites=suites)}
+    assert caught == []
+    for boundary in ("periodic", "twisted", "open"):
+        assert not rows[f"level-residual-{boundary}"].passed
+
+
+def test_verify_counting_checks_the_built_basis(monkeypatch):
+    # a basis that lost a state must fail basis-dims, even though its
+    # nominal dim (count_configs) is unchanged
+    rows_of = fock._occupation_rows
+    monkeypatch.setattr(fock, "_occupation_rows", lambda L, N, stats: rows_of(L, N, stats)[1:])
+    fock.get_basis.cache_clear()
+    try:
+        rows = {r.name: r for r in run_checks(suites=["counting"])}
+    finally:
+        fock.get_basis.cache_clear()
+    for stats in ("fermion", "boson", "hardcore"):
+        row = rows[f"basis-dims-{stats}"]
+        assert not row.passed
+        assert row.detail.startswith("basis dim mismatch at L=")
 
 
 @pytest.mark.parametrize("g", [0.25, 0.5, 1.1, 2.0, 4.0])
