@@ -7,11 +7,13 @@ command line's own flags, which win.
 CSV output starts with '#'-prefixed key=value parameter lines and carries
 complex values as separate _re/_im columns; JSON mirrors the same payload,
 with null where CSV writes nan. Every command hands the writer its table as
-columns; the writer formats each column in one pass (str of each value, so
-floats keep full repr precision) and joins the rows in C. The output is
-opened only once its whole text is built, so a failure while formatting
-leaves no file. The only Python call per row of a spectrum is
-occupation_string, on a bytes row.
+columns. Every cell is str of its value, so floats keep full repr
+precision. A numpy column is formatted once per distinct bit pattern and
+gathered back with one index, so the repeated many-body energies of a
+spectrum cost one str each; any other column is formatted value by value.
+The rows are joined in C. The output is opened only once its whole text is
+built, so a failure while formatting leaves no file. A spectrum row still
+costs one occupation_string call, on a bytes row.
 Nothing time- or host-dependent is ever written, so identical inputs give
 byte-identical files. Everything runs serially; --workers, on observables
 only, is accepted for old command lines and has no effect.
@@ -26,6 +28,8 @@ import json
 import math
 import sys
 from dataclasses import asdict
+
+import numpy as np
 
 from . import verify as verify_mod
 from .aufbau import STATISTICS, build_spectrum, occupation_strings
@@ -152,6 +156,19 @@ def _json_value(value):
     return value
 
 
+def _column_text(col):
+    """str of each value of col, in order. A numpy column is keyed on its
+    raw bits (a float column viewed as integers, so -0.0 and 0.0, and NaN
+    payloads, stay apart), each distinct key is formatted once, and the
+    texts are gathered back by the inverse index."""
+    if not isinstance(col, np.ndarray):
+        return map(str, col)
+    keys = col.view(f"i{col.itemsize}") if col.dtype.kind == "f" else col
+    uniq, inverse = np.unique(keys, return_inverse=True)
+    texts = np.array(list(map(str, uniq.view(col.dtype).tolist())), dtype=object)
+    return texts[inverse]
+
+
 def _csv_text(header, columns, data, metrics):
     """The CSV text: the '#' key=value lines, one '# metrics rank=<key>'
     line per metrics entry (k=v!r pairs in insertion order), the column
@@ -162,18 +179,20 @@ def _csv_text(header, columns, data, metrics):
         pairs = " ".join(f"{k}={v!r}" for k, v in met.items())
         lines.append(f"# metrics rank={key} {pairs}")
     lines.append(",".join(columns))
-    lines.extend(map(",".join, zip(*(map(str, col) for col in data))))
+    lines.extend(map(",".join, zip(*map(_column_text, data))))
     lines.append("")  # the final newline, without a second copy of the text
     return "\n".join(lines)
 
 
 def _emit(args, header, columns, data, metrics=None):
-    """Write the table as CSV or JSON. data holds one sequence of Python
-    values per column (a list or a range), all of one length; row r is the
-    r-th value of each. metrics maps a rank key to named values, written as
-    '# metrics' lines or a JSON object. Undefined is nan in CSV, null in JSON."""
+    """Write the table as CSV or JSON. data holds one column per entry (a
+    list or a range of Python values, or a 1-D numpy array), all of one
+    length; row r is the r-th value of each. metrics maps a rank key
+    to named values, written as '# metrics' lines or a JSON object.
+    Undefined is nan in CSV, null in JSON."""
     if args.format == "json":
-        rows = list(zip(*(_json_value(list(col)) for col in data)))
+        lists = (col.tolist() if isinstance(col, np.ndarray) else list(col) for col in data)
+        rows = list(zip(*map(_json_value, lists)))
         payload = {"params": _json_value(header), "columns": list(columns), "rows": rows}
         if metrics is not None:
             payload["metrics"] = _json_value(metrics)
@@ -243,9 +262,9 @@ def cmd_spectrum(args) -> int:
     columns = ["rank", "energy_re", "energy_im", "degeneracy_group", "occupation"]
     data = [
         range(len(spec)),
-        spec.energies.real.tolist(),
-        spec.energies.imag.tolist(),
-        spec.groups.tolist(),
+        spec.energies.real,
+        spec.energies.imag,
+        spec.groups,
         occupation_strings(spec.occupations),
     ]
     _emit(args, header, columns, data)
@@ -263,9 +282,13 @@ def _select_ranks(ranks_arg, dim):
         raise UsageError(f"--ranks must be 'all', 'lowest8', or ints, got {ranks_arg!r}") from None
     if not ranks:
         raise UsageError("--ranks selected nothing")
+    seen = set()
     for r in ranks:
         if not 0 <= r < dim:
             raise UsageError(f"rank {r} outside 0..{dim - 1}")
+        if r in seen:
+            raise UsageError(f"rank {r} given twice in --ranks")
+        seen.add(r)
     return ranks
 
 

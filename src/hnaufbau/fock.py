@@ -220,9 +220,10 @@ def construct_product_state(orbitals, statistics, L=None) -> FockVector:
 
     Orbitals may come in unnormalized (open-boundary closed forms are); each
     is scaled to unit norm first, which only changes the overall factor that
-    normalization fixes anyway. Raises NullStateError when the result
-    vanishes, e.g. linearly dependent fermion orbitals or more hard-core
-    particles than an orbital's support can hold.
+    normalization fixes anyway; an orbital whose norm overflows is first
+    divided by its largest real or imaginary part. Raises NullStateError
+    when the result vanishes, e.g. linearly dependent fermion orbitals or
+    more hard-core particles than an orbital's support can hold.
     """
     orbs = [np.asarray(o, dtype=np.complex128).ravel() for o in orbitals]
     if L is None:
@@ -239,9 +240,12 @@ def construct_product_state(orbitals, statistics, L=None) -> FockVector:
         raise SectorError(f"{statistics} requires N <= L, got N={N}")
 
     normed = []
-    with np.errstate(over="ignore"):  # a norm beyond float range scales its orbital to zero
+    with np.errstate(over="ignore"):
         for o in orbs:
             nn = np.linalg.norm(o)
+            if not np.isfinite(nn):  # finite entries, norm beyond float range
+                o = o / max(np.abs(o.real).max(), np.abs(o.imag).max())
+                nn = np.linalg.norm(o)
             if nn < 1e-300:
                 raise NullStateError("zero orbital")
             normed.append(o / nn)

@@ -234,6 +234,54 @@ def test_spectrum_body_matches_row_by_row_writer(stats, bc, L, N, g):
     assert body == _row_by_row_body(build_spectrum(levels, stats, N))
 
 
+# float64 values that str formats differently or that share a value but not
+# their bits: signed zeros, NaN payloads, infinities, subnormals, and
+# integers near 1e16, where repr switches to exponent notation
+SPECIAL_FLOATS = [
+    0.0, -0.0, math.nan, -math.nan, float(np.uint64(0x7FF8_0000_0000_0001).view(np.float64)),
+    math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072009e-308,
+    1e16, 1e16 - 2.0, 9999999999999998.0, 1.0000000000000002e16, -1e16, 0.1, 1 / 3,
+]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(), max_size=12), st.lists(st.integers(0, 10**6), max_size=300))
+def test_float_column_text_matches_str(extra, picks):
+    # every special value, then heavy repeats drawn from the same pool
+    pool = SPECIAL_FLOATS + extra
+    col = np.array(pool + [pool[i % len(pool)] for i in picks], dtype=np.float64)
+    assert list(cli._column_text(col)) == [str(x) for x in col.tolist()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=12),
+    st.lists(st.integers(0, 10**6), max_size=300),
+)
+def test_int_column_text_matches_str(pool, picks):
+    col = np.array(pool + [pool[i % len(pool)] for i in picks], dtype=np.int64)
+    assert list(cli._column_text(col)) == [str(x) for x in col.tolist()]
+
+
+@pytest.mark.parametrize("flags", [
+    ["-L", "5", "-N", "3", "-g", "1.5", "--bc", "obc", "--stats", "boson"],
+    ["-L", "8", "-N", "4", "-g", "0.5", "--bc", "pbc", "--stats", "hardcore"],
+])
+def test_spectrum_json_rows_hold_plain_python_values(tmp_path, monkeypatch, flags):
+    # json.dumps writes a numpy float like a float, so look at the payload
+    # it is handed, not at the text
+    payloads = []
+    dumps = json.dumps
+    monkeypatch.setattr(cli.json, "dumps", lambda obj, **kw: payloads.append(obj) or dumps(obj, **kw))
+    code, out = run_to_file(tmp_path, "s.json", ["spectrum", *flags, "--format", "json"])
+    assert code == 0
+    (payload,) = payloads
+    assert payload["rows"]
+    assert {tuple(map(type, row)) for row in payload["rows"]} == {(int, float, float, int, str)}
+    _, _, rows = cli.read_table(str(run_to_file(tmp_path, "s.csv", ["spectrum", *flags])[1]))
+    assert [list(map(str, row)) for row in payload["rows"]] == rows
+
+
 def test_failed_formatting_writes_no_file(tmp_path):
     # the output is opened only after the whole text is formatted
     class Unprintable:
@@ -354,9 +402,9 @@ def test_observables_csv_metrics_comment(tmp_path):
 
 
 def test_observables_csv_metrics_mirror_json(tmp_path):
-    # one metrics record renders both ways: a line per JSON entry, in rank
-    # order of first appearance, values as repr; a repeated rank is one entry
-    argv = ["observables", "-L", "4", "-N", "2", "-g", "0.5", "--bc", "obc", "--ranks", "1,0,1"]
+    # one metrics record renders both ways: a line per JSON entry, in the
+    # order --ranks gives, values as repr
+    argv = ["observables", "-L", "4", "-N", "2", "-g", "0.5", "--bc", "obc", "--ranks", "1,0"]
     code, csv_out = run_to_file(tmp_path, "obs.csv", argv)
     assert code == 0
     code, json_out = run_to_file(tmp_path, "obs.json", [*argv, "--format", "json"])
@@ -680,6 +728,14 @@ def test_exit_2_on_bad_ranks_string():
         run_cli(["skin", "-L", "4", "-N", "2", "--bc", "obc", "--ranks", "x,y"])
         == 2
     )
+
+
+@pytest.mark.parametrize("command", ["observables", "skin"])
+def test_exit_2_on_repeated_rank(command, capsys):
+    # a repeated rank would write its rows twice under one metrics line
+    argv = [command, "-L", "4", "-N", "2", "--bc", "obc", "--ranks", "0,1,0"]
+    assert run_cli(argv) == 2
+    assert "rank 0 given twice" in capsys.readouterr().err
 
 
 def test_exit_1_on_computation_failure(capsys):

@@ -14,6 +14,7 @@ site: a second implementation that shares nothing with the lowering tables.
 
 import itertools
 import math
+import warnings
 from collections import defaultdict
 
 import numpy as np
@@ -378,6 +379,16 @@ def test_product_state_single_orbital():
             v.amplitudes, orb / np.linalg.norm(orb), atol=1e-13
         )
         assert v.norm() == pytest.approx(1.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("stats", ["fermion", "boson"])
+def test_product_state_orbital_with_overflowing_norm(stats):
+    # every entry is finite but the norm is not; the orbital must not scale
+    # to zero
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v = construct_product_state([np.full(3, 1e300)], stats)
+    np.testing.assert_allclose(v.amplitudes, np.full(3, 1 / np.sqrt(3)), rtol=1e-15)
 
 
 def test_product_state_identical_fermion_orbitals_null():
