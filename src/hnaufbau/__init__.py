@@ -4,7 +4,6 @@ their complex energy), with a brute-force Fock-space engine as the oracle.
 """
 
 from .aufbau import (
-    LevelOrdering,
     ManyBodyLevel,
     OccupationConfig,
     SectorError,

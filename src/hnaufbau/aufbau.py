@@ -3,12 +3,18 @@
 Single-particle levels (an array-backed lattice.Levels) are ordered by the
 real part of their complex energy; imaginary parts never influence which
 level fills first, only the tie-break inside real-part-degenerate groups
-(ascending imaginary part, then label). The ordering comes back as index
-arrays, and no orbital is ever read here.
+(ascending imaginary part, then label). The ordering comes back as the array
+of level positions in filling order, and no orbital is ever read here.
 Each sector is enumerated once as an occupation matrix (kernels), its
 energies are occupation-weighted sums of level energies over all rows at
-once, and build_spectrum returns the rank-ordered arrays as a Spectrum that
-builds a ManyBodyLevel only for the rank it is asked for.
+once, and build_spectrum returns the rank-ordered arrays as a Spectrum.
+
+A many-body state is passed around as its occupation row: an int array of
+n_m per mode, mode m at position m-1. energy_of_config (and
+fock.eigenstate_from_config) take that row and check it with
+_check_occupations. The records ManyBodyLevel and OccupationConfig exist
+only as what spectrum[r] and ground_state return; no function here takes
+one.
 
 Ties are resolved with a tolerance, not exact comparison: levels (or
 many-body energies) whose real parts differ by at most tie_tol are chained
@@ -43,7 +49,6 @@ from .lattice import hardcore_image, single_particle_levels
 
 __all__ = [
     "STATISTICS",
-    "LevelOrdering",
     "ManyBodyLevel",
     "OccupationConfig",
     "SectorError",
@@ -76,26 +81,11 @@ class SectorTooLargeError(SectorError):
 
 @dataclass(frozen=True)
 class OccupationConfig:
-    """One occupation configuration: n_m per mode, mode m at position m-1."""
+    """The configuration of a ManyBodyLevel: its statistics and the tuple of
+    n_m per mode, mode m at position m-1."""
 
     statistics: str
     occupations: tuple
-
-    def __post_init__(self):
-        if self.statistics not in STATISTICS:
-            raise ValueError(
-                f"statistics must be one of {STATISTICS}, got {self.statistics!r}"
-            )
-        occ = tuple(int(n) for n in self.occupations)
-        object.__setattr__(self, "occupations", occ)
-        if any(n < 0 for n in occ):
-            raise ValueError("occupations must be non-negative")
-        if self.statistics in ("fermion", "hardcore") and any(n > 1 for n in occ):
-            raise ValueError(f"{self.statistics} occupations must be 0 or 1")
-
-    @property
-    def N(self) -> int:
-        return sum(self.occupations)
 
 
 @dataclass(frozen=True)
@@ -116,8 +106,7 @@ class Spectrum:
     Row r of ``energies`` (complex128), ``occupations`` (dim x L, int16) and
     ``groups`` (real-part degeneracy cluster ids, non-decreasing) belongs to
     rank r. ``spectrum[r]`` builds the ManyBodyLevel of rank r (negative r
-    counts from the end), a slice gives the list of levels it selects, and
-    iteration yields every level in rank order.
+    counts from the end).
     """
 
     statistics: str
@@ -128,9 +117,7 @@ class Spectrum:
     def __len__(self) -> int:
         return self.energies.shape[0]
 
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            return [self[rank] for rank in range(*key.indices(len(self)))]
+    def __getitem__(self, key) -> ManyBodyLevel:
         rank = operator.index(key)
         if rank < 0:
             rank += len(self)
@@ -142,24 +129,6 @@ class Spectrum:
             rank=rank,
             degeneracy_group=int(self.groups[rank]),
         )
-
-    def __iter__(self):
-        return (self[rank] for rank in range(len(self)))
-
-
-@dataclass(frozen=True, eq=False)
-class LevelOrdering:
-    """Filling order of single-particle levels, as int64 arrays.
-
-    permutation holds mode labels, rank l at position l; positions holds the
-    corresponding 0-based indices into the Levels that produced it; groups
-    holds the real-part degeneracy cluster id per rank (non-decreasing).
-    """
-
-    permutation: np.ndarray
-    tie_tol: float
-    positions: np.ndarray = field(repr=False)
-    groups: np.ndarray = field(repr=False)
 
 
 def default_tie_tol(real_parts) -> float:
@@ -188,12 +157,10 @@ def _clustered_order(re, im, tiebreak, tie_tol):
     return order1[final], cid[final]
 
 
-def sort_levels(levels, tie_tol=None) -> LevelOrdering:
-    """Order Levels by (Re energy, then Im ascending, then mode label).
-
-    Levels whose real parts chain within tie_tol form one degeneracy group;
-    the group ids come back in LevelOrdering.groups. Default tie_tol is
-    default_tie_tol over the real parts.
+def sort_levels(levels, tie_tol=None) -> np.ndarray:
+    """Positions of Levels in filling order, as int64: by Re energy, and
+    levels whose real parts chain within tie_tol by Im ascending, then mode
+    label. Default tie_tol is default_tie_tol over the real parts.
     """
     if len(levels) == 0:
         raise ValueError("sort_levels requires a non-empty level list")
@@ -204,10 +171,7 @@ def sort_levels(levels, tie_tol=None) -> LevelOrdering:
     tie_tol = float(tie_tol)
     if not (tie_tol >= 0.0 and math.isfinite(tie_tol)):
         raise ValueError(f"tie_tol must be finite and >= 0, got {tie_tol}")
-    order, groups = _clustered_order(energies.real, energies.imag, labels, tie_tol)
-    return LevelOrdering(
-        permutation=labels[order], tie_tol=tie_tol, positions=order, groups=groups
-    )
+    return _clustered_order(energies.real, energies.imag, labels, tie_tol)[0]
 
 
 def _check_sector(L, N, statistics, ring=False):
@@ -292,7 +256,7 @@ def build_spectrum(levels, statistics, N, tie_tol=None):
     L = len(levels)
     dim = _capped_dim(L, N, statistics)
     levels = _sector_levels(levels, statistics, N)
-    perm = sort_levels(levels, tie_tol).positions
+    perm = sort_levels(levels, tie_tol)
     occupations = _occupation_rows(L, N, statistics)
     with np.errstate(over="ignore", invalid="ignore"):
         energies = kernels.config_energies_boson(occupations, perm, levels.energies)
@@ -309,7 +273,7 @@ def _fill(levels, statistics, N):
     occupation of each); only the filled modes enter the compensated sum."""
     _check_sector(len(levels), N, statistics)
     levels = _sector_levels(levels, statistics, N)
-    positions = sort_levels(levels).positions
+    positions = sort_levels(levels)
     if statistics == "boson":
         filled, counts = positions[: min(N, 1)], [N] * min(N, 1)
     else:
@@ -335,18 +299,33 @@ def ground_state(levels, statistics, N) -> ManyBodyLevel:
     return ManyBodyLevel(energy=energy, config=config, rank=0, degeneracy_group=0)
 
 
-def energy_of_config(levels, config) -> complex:
-    """Energy of one configuration, summed exactly as build_spectrum does.
-    An energy beyond float range raises OverflowError."""
-    L = len(levels)
-    if len(config.occupations) != L:
-        raise SectorError(
-            f"config has {len(config.occupations)} modes, levels have {L}"
-        )
-    levels = _sector_levels(levels, config.statistics, config.N)
-    perm = sort_levels(levels).positions
-    counts = [config.occupations[m] for m in perm.tolist()]
-    energy = _kahan_energy(levels.energies[perm].tolist(), counts)
+def _check_occupations(L, statistics, occupations) -> np.ndarray:
+    """The occupation row as int64, once it is a state of L modes of the
+    statistics: L integers, none negative, at most 1 per mode for fermions
+    and hard-core bosons. Raises SectorError otherwise."""
+    if statistics not in STATISTICS:
+        raise ValueError(f"statistics must be one of {STATISTICS}, got {statistics!r}")
+    occ = np.asarray(occupations)
+    if occ.dtype.kind not in "iu":  # a cast would truncate 0.5 to 0
+        raise SectorError(f"occupations must be integers, got {occ.dtype}")
+    occ = occ.astype(np.int64, copy=False)
+    if occ.shape != (L,):
+        raise SectorError(f"occupations have shape {occ.shape}, expected ({L},)")
+    if occ.min() < 0:
+        raise SectorError("occupations must be non-negative")
+    if statistics != "boson" and occ.max() > 1:
+        raise SectorError(f"{statistics} occupations must be 0 or 1")
+    return occ
+
+
+def energy_of_config(levels, statistics, occupations) -> complex:
+    """Energy of one occupation row, summed exactly as build_spectrum does.
+    A row that is not a state of the levels raises SectorError, an energy
+    beyond float range OverflowError."""
+    occ = _check_occupations(len(levels), statistics, occupations)
+    levels = _sector_levels(levels, statistics, int(occ.sum()))
+    perm = sort_levels(levels)
+    energy = _kahan_energy(levels.energies[perm].tolist(), occ[perm].tolist())
     if not cmath.isfinite(energy):
         raise OverflowError(f"configuration energy {energy} is not finite")
     return energy
@@ -356,14 +335,12 @@ def energy_of_config(levels, config) -> complex:
 _DIGITS = bytes(range(48, 58)).ljust(256, b"?")
 
 
-def occupation_string(config) -> str:
-    """Compact occupation text of an OccupationConfig or of a sequence of
-    occupation numbers (a bytes row holds one number per byte): digit string
-    when all n <= 9 ("0101100000"), ';'-joined otherwise ("0;11;0"), so the
-    text stays one CSV field."""
-    occ = config
-    if type(occ) is not bytes:  # bytes rows, the spectrum writer's, skip both checks
-        occ = getattr(occ, "occupations", occ)
+def occupation_string(occ) -> str:
+    """Compact occupation text of a sequence of occupation numbers (a bytes
+    row holds one number per byte): digit string when all n <= 9
+    ("0101100000"), ';'-joined otherwise ("0;11;0"), so the text stays one
+    CSV field."""
+    if type(occ) is not bytes:  # bytes rows, the spectrum writer's, skip the check
         occ = occ.tolist() if isinstance(occ, np.ndarray) else occ  # numbers, not buffer
     try:
         text = bytes(occ).translate(_DIGITS)
@@ -392,16 +369,12 @@ def occupation_strings(occupations) -> list:
     return list(map(occupation_string, rows))
 
 
-def parse_occupation_string(s, statistics) -> OccupationConfig:
-    """Inverse of occupation_string."""
+def parse_occupation_string(s) -> np.ndarray:
+    """Inverse of occupation_string: the occupation row as int64."""
     s = s.strip()
     if not s:
         raise ValueError("empty occupation string")
-    if ";" in s:
-        occ = tuple(int(part) for part in s.split(";"))
-    else:
-        occ = tuple(int(ch) for ch in s)
-    return OccupationConfig(statistics, occ)
+    return np.array([int(n) for n in (s.split(";") if ";" in s else s)], dtype=np.int64)
 
 
 def sort_complex_spectrum(values):

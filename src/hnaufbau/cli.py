@@ -16,9 +16,12 @@ built, so a failure while formatting leaves no file. A spectrum row still
 costs one occupation_string call, on a bytes row.
 Nothing time- or host-dependent is ever written, so identical inputs give
 byte-identical files. Everything runs serially; --workers, on observables
-only, is accepted for old command lines and has no effect.
+only, is accepted for old command lines and has no effect. The commands
+read a state straight off the spectrum arrays (spec.occupations[r],
+spec.energies[r]); no per-state record is built.
 
-Exit codes: 0 success, 1 verification/computation failure, 2 usage error.
+Exit codes: 0 success, 1 verification/computation failure, 2 usage error,
+which includes an --out that cannot be written.
 """
 
 from __future__ import annotations
@@ -200,10 +203,19 @@ def _emit(args, header, columns, data, metrics=None):
     else:
         text = _csv_text(header, columns, data, metrics)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        _write(args.out, text)
     else:
         sys.stdout.write(text)
+
+
+def _write(path, text):
+    """Write text to the file at path; a file that cannot be written is a
+    usage error."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def read_table(path):
@@ -301,7 +313,7 @@ def cmd_observables(args) -> int:
     data = rank_col, kind_col, index_col, grid_col, value_col = [[] for _ in columns]
     metrics = {}
     for rank in ranks:
-        v = eigenstate_from_config(p, spec[rank].config)
+        v = eigenstate_from_config(p, args.stats, spec.occupations[rank])
         nj = density_from_fock(v)
         nk = momentum_distribution(correlation_matrix(v))
         for profile in (nj, nk):
@@ -321,10 +333,8 @@ def cmd_skin(args) -> int:
     ranks = _select_ranks(args.ranks, len(spec))
     header = _base_header(args, "skin", p)
     columns = ["rank", "energy_re", "energy_im", "left_fraction", "ipr", "log_slope"]
-    mets = [
-        skin_metrics(density_from_fock(eigenstate_from_config(p, spec[rank].config)))
-        for rank in ranks
-    ]
+    states = (eigenstate_from_config(p, args.stats, spec.occupations[r]) for r in ranks)
+    mets = [skin_metrics(density_from_fock(v)) for v in states]
     energies = spec.energies[ranks]
     data = [
         ranks,
@@ -357,6 +367,9 @@ def _parse_lengths(spec_str):
         raise UsageError(f"--lengths must be integers, got {s!r}") from None
     if not lengths:
         raise UsageError("--lengths selected nothing")
+    for i, L in enumerate(lengths):
+        if L in lengths[:i]:
+            raise UsageError(f"length {L} given twice in --lengths")
     return lengths
 
 
@@ -394,8 +407,7 @@ def cmd_verify(args) -> int:
     results = verify_mod.run_checks(g=args.g, t=args.t, suites=args.suite)
     table = verify_mod.summary_table(results, g=float(args.g), t=float(args.t))
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(table + "\n")
+        _write(args.out, table + "\n")
     sys.stdout.write(table + "\n")
     return 0 if all(r.passed for r in results) else 1
 

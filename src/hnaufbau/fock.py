@@ -19,7 +19,9 @@ product states are all numpy array operations.
 
 Product states are built by applying creation operators sequentially to the
 vacuum, one sector at a time; determinant antisymmetry and permanent
-symmetrization come out automatically.
+symmetrization come out automatically. eigenstate_from_config takes a state
+as its occupation row and gathers its orbitals from the rows of
+Levels.orbitals with one np.repeat.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .aufbau import (
     SectorError,
     SectorTooLargeError,
     _capped_dim,
+    _check_occupations,
     _occupation_rows,
     count_configs,
 )
@@ -262,30 +265,26 @@ def residual(p: HNParams, v: FockVector, E) -> float:
     return float(np.linalg.norm(w.amplitudes - complex(E) * v.amplitudes))
 
 
-def eigenstate_from_config(p: HNParams, config) -> FockVector:
-    """Product eigenstate for one occupation configuration, using the
-    analytic orbitals of the boundary at hand (mode m occupied n_m times).
+def eigenstate_from_config(p: HNParams, statistics, occupations) -> FockVector:
+    """Product eigenstate of one occupation row (mode m occupied n_m times,
+    at position m-1), using the analytic orbitals of the boundary at hand.
 
     Hard-core states are the fermion states of the Jordan-Wigner image of p
     (lattice.hardcore_image), whose levels the hard-core occupations index:
     the image's fermion Hamiltonian equals the hard-core one of p entry by
     entry in the shared occupation basis, so the fermion amplitudes ARE the
     hard-core amplitudes; a symmetrized bosonic product would not be an
-    eigenstate. Orbitals beyond float range raise OverflowError.
+    eigenstate. A row that is not a state of p raises SectorError, occupied
+    orbitals beyond float range OverflowError.
     """
-    if len(config.occupations) != p.L:
-        raise SectorError(
-            f"config has {len(config.occupations)} modes, expected L={p.L}"
-        )
-    hardcore = config.statistics == "hardcore"
-    levels = single_particle_levels(hardcore_image(p, config.N) if hardcore else p)
-    if not np.isfinite(levels.orbitals).all():
+    occ = _check_occupations(p.L, statistics, occupations)
+    N = int(occ.sum())
+    hardcore = statistics == "hardcore"
+    levels = single_particle_levels(hardcore_image(p, N) if hardcore else p)
+    orbitals = np.repeat(levels.orbitals, occ, axis=0)
+    if not np.isfinite(orbitals).all():
         raise OverflowError(f"orbitals of the chain at g={p.g} leave float range")
-    orbitals = []
-    for pos, n in enumerate(config.occupations):
-        orbitals.extend([levels[pos].orbital] * n)
     if hardcore:
         ferm = construct_product_state(orbitals, "fermion", L=p.L)
-        basis = get_basis("hardcore", p.L, len(orbitals))
-        return FockVector(basis, ferm.amplitudes)
-    return construct_product_state(orbitals, config.statistics, L=p.L)
+        return FockVector(get_basis("hardcore", p.L, N), ferm.amplitudes)
+    return construct_product_state(orbitals, statistics, L=p.L)

@@ -127,8 +127,8 @@ class Levels:
     the closed form of ``params`` on first access and cached, so callers that
     need only energies never pay for it (nor for its overflow at large |g| on
     an open chain). ``levels[i]`` builds the ComplexLevel of level i
-    (negative i counts from the end), and iteration yields every level in
-    order. Levels made from bare energies (``params`` None) have no orbitals.
+    (negative i counts from the end). Levels made from bare energies
+    (``params`` None) have no orbitals.
     """
 
     labels: np.ndarray = field(repr=False)
@@ -151,9 +151,6 @@ class Levels:
             complex(self.energies[i]),
             self.orbitals[i],
         )
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
 
     @cached_property
     def orbitals(self) -> np.ndarray:

@@ -80,7 +80,9 @@ class DistributionProfile:
 class SkinMetrics:
     """left_fraction: weight on sites j <= L/2 over total; ipr: sum n^2 over
     (sum n)^2, 1/L for a flat profile; log_slope: least-squares slope of
-    ln n_j against j over the sites carrying weight."""
+    ln n_j against j over the sites carrying weight. Each is nan where it is
+    undefined: all three for a profile without weight (the vacuum), the
+    slope for one with fewer than two weighted sites."""
 
     left_fraction: float
     ipr: float
@@ -141,8 +143,8 @@ def skin_metrics(d: DistributionProfile) -> SkinMetrics:
     values = d.values
     L = values.size
     total = float(values.sum())
-    if total <= 0.0:
-        raise ValueError("profile carries no weight")
+    if not total > 0.0:
+        return SkinMetrics(left_fraction=math.nan, ipr=math.nan, log_slope=math.nan)
     left = float(values[d.grid <= L / 2.0].sum())
     ipr = float(np.sum(values**2)) / total**2
     peak = float(values.max())
@@ -153,5 +155,5 @@ def skin_metrics(d: DistributionProfile) -> SkinMetrics:
         xm = x - x.mean()
         slope = float(np.dot(xm, y - y.mean()) / np.dot(xm, xm))
     else:
-        slope = float("nan")
+        slope = math.nan
     return SkinMetrics(left_fraction=left / total, ipr=ipr, log_slope=slope)

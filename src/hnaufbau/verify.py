@@ -120,11 +120,11 @@ def _suite_single_particle(results, g, t, bond_transform):
     )
     for p in params:
         h = hopping_matrix(p)
+        levels = single_particle_levels(p)
         with np.errstate(over="ignore", invalid="ignore"):  # overflowed orbitals give nan
             worst = float(np.max([
-                np.linalg.norm(h @ lv.orbital - lv.energy * lv.orbital)
-                / np.linalg.norm(lv.orbital)
-                for lv in single_particle_levels(p)
+                np.linalg.norm(h @ orb - e * orb) / np.linalg.norm(orb)
+                for orb, e in zip(levels.orbitals, levels.energies)
             ]))
         _add(
             results, "single_particle", f"level-residual-{p.boundary}",
@@ -209,12 +209,11 @@ def _suite_aufbau_oracle(results, g, t, bond_transform):
             p = HNParams(L=8, t=t, g=g, boundary=boundary)
             levels = single_particle_levels(p)
             gs = ground_state(levels, stats, 4)
-            rank0 = build_spectrum(levels, stats, 4)[0]
-            same = gs.energy == rank0.energy
+            rank0 = complex(build_spectrum(levels, stats, 4).energies[0])
             _add(
                 results, "aufbau_oracle", f"ground-vs-rank0-{stats}-{boundary}",
-                same,
-                f"fill {gs.energy:.12g}, rank0 {rank0.energy:.12g}",
+                gs.energy == rank0,
+                f"fill {gs.energy:.12g}, rank0 {rank0:.12g}",
             )
 
 
@@ -227,18 +226,16 @@ def _suite_residuals(results, g, t, bond_transform):
                 if boundary == "periodic"
                 else TOLERANCES["residual_obc"]
             )
-            levels = single_particle_levels(p)
-            spec = build_spectrum(levels, stats, 4)
+            spec = build_spectrum(single_particle_levels(p), stats, 4)
             ranks = sorted({0, 1, len(spec) // 2, len(spec) - 1})
             h = hopping_matrix(p)
             if bond_transform is not None:
                 h = bond_transform(h)
             norms = []
             for r in ranks:
-                lv = spec[r]
-                v = eigenstate_from_config(p, lv.config)
+                v = eigenstate_from_config(p, stats, spec.occupations[r])
                 w = apply_hopping(v, h)
-                norms.append(np.linalg.norm(w.amplitudes - complex(lv.energy) * v.amplitudes))
+                norms.append(np.linalg.norm(w.amplitudes - spec.energies[r] * v.amplitudes))
             worst = float(np.max(norms))
             _add(
                 results, "residuals", f"{stats}-{boundary}-L8-N4",
@@ -256,7 +253,7 @@ def _suite_sumrules(results, g, t, bond_transform):
             ok = True
             detail = "sum rules hold"
             for r in (0, 1, len(spec) - 1):
-                v = eigenstate_from_config(p, spec[r].config)
+                v = eigenstate_from_config(p, stats, spec.occupations[r])
                 nj = observables.density_from_fock(v)
                 nk = observables.momentum_distribution(observables.correlation_matrix(v))
                 if abs(nj.total - 3) > tol or abs(nk.total - 3) > tol:
@@ -274,16 +271,10 @@ def _suite_sumrules(results, g, t, bond_transform):
             _add(results, "sumrules", f"{stats}-{boundary}-L8-N3", ok, detail)
     # dual route: Fock-space correlations against the orbital projector
     p = HNParams(L=6, t=t, g=g, boundary="open")
-    spec = build_spectrum(single_particle_levels(p), "fermion", 3)
-    lv = spec[0]
-    v = eigenstate_from_config(p, lv.config)
-    g1 = observables.correlation_matrix(v)
-    orbs = [
-        single_particle_levels(p)[pos].orbital
-        for pos, n in enumerate(lv.config.occupations)
-        if n
-    ]
-    g2 = observables.density_matrix_from_orbitals(orbs)
+    levels = single_particle_levels(p)
+    occ = build_spectrum(levels, "fermion", 3).occupations[0]
+    g1 = observables.correlation_matrix(eigenstate_from_config(p, "fermion", occ))
+    g2 = observables.density_matrix_from_orbitals(levels.orbitals[occ > 0])
     diff = float(np.max(np.abs(g1 - g2)))
     _add(
         results, "sumrules", "correlation-dual-route",
@@ -292,12 +283,10 @@ def _suite_sumrules(results, g, t, bond_transform):
     )
     # ring eigenstates resolve their own occupations in momentum space
     p = HNParams(L=8, t=t, g=g, boundary="periodic")
-    spec = build_spectrum(single_particle_levels(p), "fermion", 3)
-    lv = spec[0]
-    v = eigenstate_from_config(p, lv.config)
+    occ = build_spectrum(single_particle_levels(p), "fermion", 3).occupations[0]
+    v = eigenstate_from_config(p, "fermion", occ)
     nk = observables.momentum_distribution(observables.correlation_matrix(v))
-    want = np.array(lv.config.occupations, dtype=float)
-    diff = float(np.max(np.abs(nk.values - want)))
+    diff = float(np.max(np.abs(nk.values - occ)))
     _add(
         results, "sumrules", "ring-momentum-occupations",
         diff < tol, f"max |n_k - n_m| = {diff:.3e}",

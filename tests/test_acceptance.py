@@ -99,9 +99,10 @@ def test_acceptance_4_eigenstate_residuals():
             p = HNParams(L=8, t=1.0, g=0.5, boundary=boundary)
             levels = pbc_spectrum(p) if boundary == "periodic" else obc_spectrum(p)
             for stats in ("fermion", "boson"):
-                for lv in build_spectrum(levels, stats, 4):
-                    v = eigenstate_from_config(p, lv.config)
-                    worst = max(worst, residual(p, v, lv.energy))
+                spec = build_spectrum(levels, stats, 4)
+                for occ, energy in zip(spec.occupations, spec.energies):
+                    v = eigenstate_from_config(p, stats, occ)
+                    worst = max(worst, residual(p, v, energy))
         assert worst < 1e-9, f"worst residual {worst:.3e}"
         assert time.perf_counter() - start < 60.0
 
@@ -143,19 +144,18 @@ def test_acceptance_8_skin_effect():
         levels = obc_spectrum(p)
 
         def profiles(stats, N, limit=None):
-            spec = build_spectrum(levels, stats, N)
-            for lv in spec[:limit]:
-                v = eigenstate_from_config(p, lv.config)
+            for occ in build_spectrum(levels, stats, N).occupations[:limit]:
+                v = eigenstate_from_config(p, stats, occ)
                 nj = density_from_fock(v)
                 nk = momentum_distribution(correlation_matrix(v))
                 assert abs(nj.total - N) < 1e-8
                 assert abs(nk.total - N) < 1e-8
-                yield lv, nj, nk
+                yield nj, nk
 
-        for _lv, nj, _nk in profiles("fermion", 5):
+        for nj, _nk in profiles("fermion", 5):
             assert skin_metrics(nj).left_fraction > 0.5
 
-        _lv, nj, _nk = next(profiles("boson", 5, limit=1))
+        nj, _nk = next(profiles("boson", 5, limit=1))
         phi = levels[0].orbital
         closed = np.abs(phi[0]) ** 2 / np.sum(np.abs(phi) ** 2)
         assert abs(nj.values[0] / nj.total - closed) < 1e-10

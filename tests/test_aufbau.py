@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from hnaufbau import kernels
 from hnaufbau.aufbau import (
     DEFAULT_MAX_STATES,
+    _check_occupations,
     _occupation_rows,
     ManyBodyLevel,
     OccupationConfig,
@@ -25,6 +26,7 @@ from hnaufbau.aufbau import (
     Spectrum,
     build_spectrum,
     count_configs,
+    default_tie_tol,
     energy_of_config,
     ground_state,
     occupation_string,
@@ -33,6 +35,7 @@ from hnaufbau.aufbau import (
     sort_complex_spectrum,
     sort_levels,
 )
+from hnaufbau.fock import eigenstate_from_config
 from hnaufbau.lattice import HNParams, Levels, obc_spectrum, pbc_spectrum
 
 
@@ -57,35 +60,39 @@ def fake_levels(energies):
 # ------------------------------------------------------------- sort_levels
 
 
+def filling_labels(levels, tie_tol=None):
+    """Mode labels in filling order."""
+    return levels.labels[sort_levels(levels, tie_tol)].tolist()
+
+
 def test_sort_open_chain_l3():
-    ordering = sort_levels(chain_levels(3, g=1.5))
-    assert ordering.permutation.tolist() == [3, 2, 1]
+    positions = sort_levels(chain_levels(3, g=1.5))
+    assert positions.dtype == np.int64
+    assert positions.tolist() == [2, 1, 0]
 
 
 def test_sort_ring_l4_conjugate_pair_order():
     # Re-degenerate pair at k=pi/2 and 3pi/2: negative Im comes first
-    ordering = sort_levels(ring_levels(4, g=0.5))
-    assert ordering.permutation.tolist() == [2, 1, 3, 4]
-    assert ordering.groups.tolist() == [0, 1, 1, 2]
+    # (by real part alone, cos(3pi/2) ~ -1.8e-16 would put mode 3 first)
+    assert filling_labels(ring_levels(4, g=0.5)) == [2, 1, 3, 4]
 
 
 def test_sort_stability_all_equal():
-    ordering = sort_levels(fake_levels([1.0, 1.0, 1.0, 1.0]))
-    assert ordering.permutation.tolist() == [1, 2, 3, 4]
-    assert ordering.groups.tolist() == [0, 0, 0, 0]
+    assert filling_labels(fake_levels([1.0, 1.0, 1.0, 1.0])) == [1, 2, 3, 4]
 
 
 def test_sort_noise_within_tie_tol_does_not_split():
-    # 1e-15 jitter on the real part must not separate a conjugate pair
+    # 1e-15 jitter on the real part must not separate a conjugate pair:
+    # the pair orders by Im, not by its noisy real parts
     eps = 1e-15
-    ordering = sort_levels(fake_levels([eps + 1.0j, -eps - 1.0j, 2.0]))
-    assert ordering.permutation.tolist() == [2, 1, 3]
-    assert ordering.groups.tolist() == [0, 0, 1]
+    assert filling_labels(fake_levels([-eps + 1.0j, eps - 1.0j, 2.0])) == [2, 1, 3]
 
 
 def test_sort_tie_tol_zero_splits_everything():
-    ordering = sort_levels(fake_levels([0.0, 1e-12, 2e-12]), tie_tol=0.0)
-    assert ordering.groups.tolist() == [0, 1, 2]
+    # within the default tie_tol the pair orders by Im, at 0 by Re
+    levels = fake_levels([1e-12 - 1.0j, 0.0 + 1.0j, 2.0])
+    assert filling_labels(levels) == [1, 2, 3]
+    assert filling_labels(levels, tie_tol=0.0) == [2, 1, 3]
 
 
 def test_sort_rejects_empty():
@@ -109,16 +116,12 @@ def test_sort_real_parts_nondecreasing_property(seed, n):
     rng = np.random.default_rng(seed)
     energies = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     levels = fake_levels(energies)
-    ordering = sort_levels(levels)
-    by_label = dict(zip(levels.labels.tolist(), levels.energies.tolist()))
-    sorted_re = [by_label[m].real for m in ordering.permutation]
+    positions = sort_levels(levels)
+    assert sorted(positions.tolist()) == list(range(n))
+    sorted_re = levels.energies.real[positions]
+    tie_tol = default_tie_tol(levels.energies.real)
     for a, b in zip(sorted_re, sorted_re[1:]):
-        assert b >= a - ordering.tie_tol
-    # groups are non-decreasing and start at 0
-    assert ordering.groups[0] == 0
-    assert all(
-        b - a in (0, 1) for a, b in zip(ordering.groups, ordering.groups[1:])
-    )
+        assert b >= a - tie_tol
 
 
 # ------------------------------------------------------- config enumeration
@@ -140,10 +143,9 @@ def test_enumeration_counts_and_uniqueness():
     for stats in ("fermion", "boson", "hardcore"):
         seen = set()
         for occ in rows_of(6, 3, stats):
-            cfg = OccupationConfig(stats, occ)  # validates the statistics' cap
-            assert cfg.N == 3
-            assert len(cfg.occupations) == 6
-            seen.add(cfg.occupations)
+            row = _check_occupations(6, stats, occ)  # checks the statistics' cap
+            assert row.sum() == 3
+            seen.add(occ)
         assert len(seen) == count_configs(6, 3, stats)
 
 
@@ -229,15 +231,33 @@ def test_enumeration_invalid_sectors():
         build_spectrum(ring_levels(40), "fermion", 20)
 
 
-def test_occupation_config_validation():
-    with pytest.raises(ValueError):
-        OccupationConfig(statistics="fermion", occupations=(2, 0))
-    with pytest.raises(ValueError):
-        OccupationConfig(statistics="hardcore", occupations=(0, 2))
-    with pytest.raises(ValueError):
-        OccupationConfig(statistics="boson", occupations=(-1, 3))
-    cfg = OccupationConfig(statistics="boson", occupations=(2, 0, 1))
-    assert cfg.N == 3
+def energy_route(stats, occ):
+    return energy_of_config(ring_levels(4), stats, occ)
+
+
+def eigenstate_route(stats, occ):
+    return eigenstate_from_config(HNParams(L=4, g=0.5), stats, occ)
+
+
+@pytest.mark.parametrize("stats", ["fermion", "boson", "hardcore"])
+@pytest.mark.parametrize("route", [energy_route, eigenstate_route], ids=["energy", "eigenstate"])
+def test_occupation_row_checks(route, stats):
+    route(stats, [1, 0, 1, 0])
+    route(stats, np.array([0, 1, 1, 1], dtype=np.int16))
+    for wrong_length in ([1, 0, 1], [1, 0, 1, 0, 0], [[1, 0, 1, 0]]):
+        with pytest.raises(SectorError, match="shape"):
+            route(stats, wrong_length)
+    with pytest.raises(SectorError, match="non-negative"):
+        route(stats, [-1, 1, 1, 1])
+    with pytest.raises(SectorError, match="integers"):
+        route(stats, [0.5, 1.7, 1, 0])
+    if stats == "boson":
+        route(stats, [2, 0, 1, 0])
+    else:
+        with pytest.raises(SectorError, match="0 or 1"):
+            route(stats, [2, 0, 1, 0])
+    with pytest.raises(ValueError, match="statistics"):
+        route("anyon", [1, 0, 1, 0])
 
 
 # ----------------------------------------------------------- build_spectrum
@@ -311,9 +331,9 @@ def test_spectrum_energy_consistency():
     # the scalar compensated loop
     for levels in (ring_levels(7), chain_levels(7, g=1.5)):
         for stats in ("fermion", "boson", "hardcore"):
-            for lv in build_spectrum(levels, stats, 3):
-                redo = energy_of_config(levels, lv.config)
-                assert redo == lv.energy
+            spec = build_spectrum(levels, stats, 3)
+            for occ, energy in zip(spec.occupations, spec.energies):
+                assert energy_of_config(levels, stats, occ) == energy
 
 
 def test_spectrum_arrays_and_level_views():
@@ -332,9 +352,9 @@ def test_spectrum_arrays_and_level_views():
         assert lv.degeneracy_group == spec.groups[lv.rank]
     assert spec[-1] == levels[-1] and spec[-1].rank == 55
     assert spec[-56] == levels[0]
-    assert spec[2:5] == levels[2:5]
-    assert spec[::-7] == levels[::-7]
     assert spec[np.int64(3)] == levels[3]
+    with pytest.raises(TypeError):
+        spec[2:5]  # ranges of ranks are slices of the arrays
     with pytest.raises(IndexError):
         spec[56]
     with pytest.raises(IndexError):
@@ -345,8 +365,8 @@ def test_enumeration_matches_spectrum_rows():
     for stats in ("fermion", "boson", "hardcore"):
         rows = set(rows_of(6, 3, stats))
         spec = build_spectrum(ring_levels(6), stats, 3)
-        assert rows == {lv.config.occupations for lv in spec}
-        assert {lv.config.statistics for lv in spec} == {stats}
+        assert rows == set(map(tuple, spec.occupations.tolist()))
+        assert spec.statistics == stats
 
 
 def test_spectrum_cap_enforced():
@@ -384,10 +404,7 @@ def test_ground_state_fermion_chain_l4():
 
 def test_ground_state_boson_condenses():
     levels = ring_levels(9, g=0.7)
-    ordering = sort_levels(levels)
-    lowest = next(
-        lv.energy for lv in levels if lv.label == ordering.permutation[0]
-    )
+    lowest = levels.energies[sort_levels(levels)[0]]
     for N in (1, 3, 6):
         gs = ground_state(levels, "boson", N)
         assert gs.energy == pytest.approx(N * lowest, abs=1e-12)
@@ -436,22 +453,21 @@ def test_ground_state_is_minimal_real_part_property(L, g, data):
 
 
 def test_occupation_string_roundtrip_digits():
-    cfg = OccupationConfig(statistics="fermion", occupations=(1, 0, 1, 1))
-    s = occupation_string(cfg)
+    s = occupation_string((1, 0, 1, 1))
     assert s == "1011"
-    back = parse_occupation_string(s, "fermion")
-    assert back == cfg
+    back = parse_occupation_string(s)
+    assert back.dtype == np.int64
+    assert back.tolist() == [1, 0, 1, 1]
 
 
 def test_occupation_string_roundtrip_wide_boson():
-    cfg = OccupationConfig(statistics="boson", occupations=(12, 0, 1))
-    s = occupation_string(cfg)
+    s = occupation_string(np.array([12, 0, 1]))
     assert s == "12;0;1"
-    assert parse_occupation_string(s, "boson") == cfg
+    assert parse_occupation_string(s).tolist() == [12, 0, 1]
 
 
 def test_occupation_string_of_plain_rows():
-    # the same text from a config and from its bare occupation row
+    # the same text from a list, a tuple and a numpy row
     assert occupation_string([0, 1, 9, 0]) == "0190"
     assert occupation_string((0, 10, 255, 256)) == "0;10;255;256"
     assert occupation_string(np.array([3, 0, 1], dtype=np.int16).tolist()) == "301"
@@ -462,8 +478,7 @@ def test_occupation_string_of_numpy_rows(dtype):
     # the numbers of the row, not the bytes of its buffer
     assert occupation_string(np.array([1, 0, 2], dtype=dtype)) == "102"
     assert occupation_string(np.array([0, 11, 0], dtype=dtype)) == "0;11;0"
-    cfg = OccupationConfig("boson", (1, 0, 2))
-    assert occupation_string(np.array(cfg.occupations, dtype=dtype)) == occupation_string(cfg)
+    assert occupation_string(np.array([1, 0, 2], dtype=dtype)) == occupation_string((1, 0, 2))
 
 
 @settings(max_examples=60, deadline=None)
@@ -497,15 +512,13 @@ def test_energy_of_config_raises_beyond_float_range():
     # 3 bosons in one g = 709 ring level: a real part near 1.2e308 and an
     # imaginary part beyond float range, as build_spectrum and ground_state see
     levels = ring_levels(6, g=709.0)
-    cfg = OccupationConfig(statistics="boson", occupations=(3, 0, 0, 0, 0, 0))
     with pytest.raises(OverflowError):
-        energy_of_config(levels, cfg)
+        energy_of_config(levels, "boson", [3, 0, 0, 0, 0, 0])
 
 
 def test_energy_of_config_matches_manual_sum():
     levels = ring_levels(6)
-    cfg = OccupationConfig(statistics="boson", occupations=(0, 2, 1, 0, 0, 0))
-    got = energy_of_config(levels, cfg)
+    got = energy_of_config(levels, "boson", (0, 2, 1, 0, 0, 0))
     want = 2 * levels[1].energy + levels[2].energy
     assert got == pytest.approx(want, abs=1e-13)
 

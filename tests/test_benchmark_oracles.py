@@ -3,7 +3,9 @@
 perfbench/oracles.py calls into the package (density_matrix_from_orbitals,
 momentum_distribution, build_spectrum, ...) to check each pass's files, so a
 change of those signatures would only show when the benchmark runs. Here the
-profile oracle reads fresh observables files on both boundaries.
+profile oracle reads fresh observables files on both boundaries, and the
+benchmark's own command lines (the observables pair on --workers 2, verify at
+three couplings, the hcb-compare scan) run through the CLI and its oracles.
 """
 
 import sys
@@ -15,6 +17,7 @@ from hnaufbau import cli
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import oracles  # noqa: E402
+import workloads  # noqa: E402
 
 
 @pytest.mark.parametrize("stats", ["fermion", "boson"])
@@ -25,4 +28,14 @@ def test_profile_oracles_pass_program_output(tmp_path, stats, bc, g):
     code = cli.main(argv)
     checks, items = oracles.check_pass([argv], [code])
     assert items == 4
+    assert [(c.name, c.detail) for c in checks if not c.passed] == []
+
+
+@pytest.mark.parametrize("workload", ["eigenstate-profiles", "oracle-verify", "gap-scan"])
+def test_benchmark_commands_pass_their_oracles(tmp_path, workload):
+    commands = workloads.commands(workload, 1, tmp_path)
+    codes = [cli.main(argv) for argv in commands]
+    assert codes == [0] * len(commands)
+    checks, items = oracles.check_pass(commands, codes)
+    assert items > 0
     assert [(c.name, c.detail) for c in checks if not c.passed] == []

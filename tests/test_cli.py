@@ -86,8 +86,7 @@ def test_spectrum_csv_roundtrip_energies(tmp_path):
     assert len(rows) == 330
     levels = pbc_spectrum(HNParams(L=8, t=1.0, g=0.5, boundary="periodic"))
     for row in rows[:60]:
-        cfg = parse_occupation_string(row[4], "boson")
-        redo = energy_of_config(levels, cfg)
+        redo = energy_of_config(levels, "boson", parse_occupation_string(row[4]))
         assert abs(redo.real - float(row[1])) < 1e-12
         assert abs(redo.imag - float(row[2])) < 1e-12
 
@@ -106,7 +105,7 @@ def test_spectrum_wide_boson_occupation_is_one_field(tmp_path):
     assert rows[0][4] == "0;0;10"
     levels = single_particle_levels(HNParams(L=3, t=1.0, g=0.5, boundary="open"))
     for row in rows:
-        redo = energy_of_config(levels, parse_occupation_string(row[4], "boson"))
+        redo = energy_of_config(levels, "boson", parse_occupation_string(row[4]))
         assert abs(redo.real - float(row[1])) < 1e-12
         assert abs(redo.imag - float(row[2])) < 1e-12
 
@@ -364,7 +363,7 @@ def test_spectrum_beyond_word_width(tmp_path, L, N, dim):
     gs = ground_state(levels, "fermion", N)
     assert float(rows[0][1]) == gs.energy.real
     assert float(rows[0][2]) == gs.energy.imag
-    assert rows[0][4] == occupation_string(gs.config)
+    assert rows[0][4] == occupation_string(gs.config.occupations)
 
 
 # ------------------------------------------------------------- observables
@@ -435,6 +434,35 @@ def test_json_writes_undefined_log_slope_as_null(tmp_path, command):
     else:
         assert payload["metrics"]["0"]["log_slope"] is None
     code, out = run_to_file(tmp_path, "undefined.csv", argv)
+    assert code == 0
+    assert "nan" in out.read_text()
+
+
+@pytest.mark.parametrize("command", ["skin", "observables"])
+def test_vacuum_metrics_are_undefined(tmp_path, command):
+    # N = 0 is a sector like any other: its one state carries no weight, so
+    # left_fraction, ipr and log_slope are all undefined, nan in CSV and
+    # null in JSON
+    argv = [command, "-L", "6", "-N", "0", "--bc", "obc", "--ranks", "all"]
+    code, out = run_to_file(tmp_path, "vacuum.csv", argv)
+    assert code == 0
+    text = out.read_text()
+    if command == "skin":
+        assert text.splitlines()[-1] == "0,0.0,0.0,nan,nan,nan"
+    else:
+        assert "# metrics rank=0 left_fraction=nan ipr=nan log_slope=nan\n" in text
+        _, _, rows = cli.read_table(str(out))
+        assert len(rows) == 12 and {row[4] for row in rows} == {"0.0"}
+    code, out = run_to_file(tmp_path, "vacuum.json", [*argv, "--format", "json"])
+    assert code == 0
+    payload = json.loads(out.read_text(), parse_constant=_reject_constant)
+    if command == "skin":
+        assert payload["rows"] == [[0, 0.0, 0.0, None, None, None]]
+    else:
+        assert payload["metrics"] == {"0": dict.fromkeys(("left_fraction", "ipr", "log_slope"))}
+    # the vacuum occupies no orbital, so orbitals beyond float range do not matter
+    argv = [command, "-L", "12", "-N", "0", "-g", "-70", "--bc", "obc", "--ranks", "0"]
+    code, out = run_to_file(tmp_path, "vacuum_g70.csv", argv)
     assert code == 0
     assert "nan" in out.read_text()
 
@@ -524,6 +552,12 @@ def test_hcb_compare_output_matches_golden_digest(tmp_path, flags, digest):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
+def test_hcb_compare_rejects_repeated_length(capsys):
+    # a repeated length would write its row twice
+    assert run_cli(["hcb-compare", "--lengths", "8,12,8"]) == 2
+    assert capsys.readouterr().err == "error: length 8 given twice in --lengths\n"
+
+
 def test_hcb_compare_rejects_odd_filling_sector():
     assert run_cli(["hcb-compare", "--lengths", "10,14"]) == 2
 
@@ -574,6 +608,21 @@ def test_config_unknown_key_rejected(tmp_path):
 
 def test_config_missing_file_rejected(tmp_path):
     assert run_cli(["spectrum", "--config", str(tmp_path / "nope.cfg")]) == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "-L", "4", "-N", "2"],
+    ["verify", "--suite", "counting"],
+])
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys, argv):
+    # like an unreadable --config: one line on stderr, exit 2, nothing on stdout
+    for out, reason in ((tmp_path / "missing" / "x.csv", "No such file or directory"),
+                        (tmp_path, "Is a directory")):
+        assert run_cli([*argv, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {out}: {reason}\n"
+        assert captured.out == ""
+    assert not (tmp_path / "missing").exists()
 
 
 def test_config_bad_value_rejected(tmp_path):

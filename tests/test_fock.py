@@ -21,7 +21,6 @@ import numpy as np
 import pytest
 
 from hnaufbau.aufbau import (
-    OccupationConfig,
     _occupation_rows,
     SectorError,
     SectorTooLargeError,
@@ -483,9 +482,9 @@ def residual_scan(p, stats, N, tol, limit=None):
     levels = pbc_spectrum(p) if p.boundary != "open" else obc_spectrum(p)
     spec = build_spectrum(levels, stats, N)
     worst = 0.0
-    for lv in spec[: limit or len(spec)]:
-        v = eigenstate_from_config(p, lv.config)
-        worst = max(worst, residual(p, v, lv.energy))
+    for occ, energy in zip(spec.occupations[:limit], spec.energies[:limit]):
+        v = eigenstate_from_config(p, stats, occ)
+        worst = max(worst, residual(p, v, energy))
     assert worst < tol, f"worst residual {worst:.3e} over {stats} {p.boundary}"
 
 
@@ -521,24 +520,22 @@ def test_residuals_hardcore_ring_via_parity_twist():
     residual_scan(ring, "hardcore", 3, 1e-10)
 
     spec = build_spectrum(pbc_spectrum(ring), "hardcore", 4)
-    for lv in spec[:8]:
-        v = eigenstate_from_config(ring, lv.config)
-        assert residual(ring, v, lv.energy) < 1e-10
+    for occ, energy in zip(spec.occupations[:8], spec.energies[:8]):
+        v = eigenstate_from_config(ring, "hardcore", occ)
+        assert residual(ring, v, energy) < 1e-10
 
 
 def test_residual_detects_perturbation(rng):
     p = HNParams(L=6, t=1.0, g=0.5, boundary="periodic")
     spec = build_spectrum(pbc_spectrum(p), "fermion", 3)
-    gs = spec[0]
-    v = eigenstate_from_config(p, gs.config)
+    v = eigenstate_from_config(p, "fermion", spec.occupations[0])
     noisy = v.amplitudes + 1e-3 * rng.standard_normal(v.basis.dim)
     noisy /= np.linalg.norm(noisy)
-    r = residual(p, FockVector(v.basis, noisy), gs.energy)
+    r = residual(p, FockVector(v.basis, noisy), spec.energies[0])
     assert r > 1e-4
 
 
 def test_eigenstate_from_config_checks_length():
     p = HNParams(L=6, t=1.0, g=0.5, boundary="periodic")
-    cfg = OccupationConfig(statistics="fermion", occupations=(1, 0, 1, 0))
     with pytest.raises(SectorError):
-        eigenstate_from_config(p, cfg)
+        eigenstate_from_config(p, "fermion", (1, 0, 1, 0))

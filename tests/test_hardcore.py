@@ -94,9 +94,9 @@ def test_hardcore_spectrum_of_physical_chain_matches_dense_oracle():
                     diff = np.max(np.abs(
                         sort_complex_spectrum(spec.energies) - sort_complex_spectrum(dense)
                     ))
-                    v = eigenstate_from_config(p, spec[0].config)
+                    v = eigenstate_from_config(p, "hardcore", spec.occupations[0])
                     w = apply_hamiltonian(p, v)
-                    res = np.linalg.norm(w.amplitudes - spec[0].energy * v.amplitudes)
+                    res = np.linalg.norm(w.amplitudes - spec.energies[0] * v.amplitudes)
                     if not (diff < TOLERANCES["spectrum_multiset"]
                             and res < TOLERANCES["residual_obc"]):
                         failures.append((p, N, float(diff), float(res)))

@@ -15,7 +15,7 @@ import pytest
 
 import hnaufbau
 from hnaufbau import observables
-from hnaufbau.aufbau import OccupationConfig, build_spectrum
+from hnaufbau.aufbau import build_spectrum
 from hnaufbau.fock import (
     FockVector,
     NullStateError,
@@ -61,8 +61,8 @@ def test_density_single_particle_is_normalized_orbital():
 def test_density_ring_eigenstates_uniform():
     p = ring(6)
     spec = build_spectrum(pbc_spectrum(p), "fermion", 3)
-    for lv in spec[:6]:
-        v = eigenstate_from_config(p, lv.config)
+    for occ in spec.occupations[:6]:
+        v = eigenstate_from_config(p, "fermion", occ)
         d = density_from_fock(v)
         np.testing.assert_allclose(d.values, np.full(6, 0.5), atol=1e-10)
 
@@ -71,8 +71,8 @@ def test_density_sums_to_particle_number():
     p = chain(8, g=0.7)
     for stats, N in (("fermion", 3), ("boson", 3), ("hardcore", 4)):
         spec = build_spectrum(obc_spectrum(p), stats, N)
-        for lv in spec[:10]:
-            v = eigenstate_from_config(p, lv.config)
+        for occ in spec.occupations[:10]:
+            v = eigenstate_from_config(p, stats, occ)
             d = density_from_fock(v)
             assert d.total == pytest.approx(N, abs=1e-8)
             assert np.all(d.values >= 0)
@@ -84,8 +84,8 @@ def test_density_mirror_under_g_flip():
         specs = []
         for g in (0.8, -0.8):
             p = chain(7, g=g)
-            lv = build_spectrum(obc_spectrum(p), stats, 3)[0]
-            v = eigenstate_from_config(p, lv.config)
+            occ = build_spectrum(obc_spectrum(p), stats, 3).occupations[0]
+            v = eigenstate_from_config(p, stats, occ)
             specs.append(density_from_fock(v).values)
         np.testing.assert_allclose(specs[0], specs[1][::-1], atol=1e-10)
 
@@ -94,10 +94,10 @@ def test_density_boson_ground_frozen_edge_weight():
     # open chain, five bosons condensed in the leftmost-localized orbital:
     # the edge site holds |phi_1|^2 / sum |phi_j|^2 of the weight
     p = chain(10, g=1.5)
-    lv = build_spectrum(obc_spectrum(p), "boson", 5)[0]
-    v = eigenstate_from_config(p, lv.config)
+    occ = build_spectrum(obc_spectrum(p), "boson", 5).occupations[0]
+    v = eigenstate_from_config(p, "boson", occ)
     d = density_from_fock(v)
-    phi = obc_spectrum(p)[0].orbital
+    phi = obc_spectrum(p).orbitals[0]
     expect = np.abs(phi[0]) ** 2 / np.sum(np.abs(phi) ** 2)
     assert d.values[0] / d.total == pytest.approx(expect, abs=1e-10)
     assert d.values[0] / d.total == pytest.approx(0.8315702527234174, abs=1e-10)
@@ -109,8 +109,8 @@ def test_density_boson_ground_frozen_edge_weight():
 def test_correlation_diagonal_equals_density():
     p = chain(6, g=0.5)
     for stats in ("fermion", "boson", "hardcore"):
-        lv = build_spectrum(obc_spectrum(p), stats, 3)[1]
-        v = eigenstate_from_config(p, lv.config)
+        occ = build_spectrum(obc_spectrum(p), stats, 3).occupations[1]
+        v = eigenstate_from_config(p, stats, occ)
         G = correlation_matrix(v)
         d = density_from_fock(v)
         np.testing.assert_allclose(np.diag(G).real, d.values, atol=1e-10)
@@ -134,15 +134,10 @@ def test_correlation_dual_route_fermion():
     p = chain(6, g=0.5)
     levels = obc_spectrum(p)
     spec = build_spectrum(levels, "fermion", 3)
-    for lv in spec[:8]:
-        occupied = [
-            levels[pos].orbital
-            for pos, n in enumerate(lv.config.occupations)
-            if n
-        ]
-        v = eigenstate_from_config(p, lv.config)
+    for occ in spec.occupations[:8]:
+        v = eigenstate_from_config(p, "fermion", occ)
         G_fock = correlation_matrix(v)
-        G_orb = density_matrix_from_orbitals(occupied)
+        G_orb = density_matrix_from_orbitals(levels.orbitals[occ > 0])
         np.testing.assert_allclose(G_fock, G_orb, atol=1e-10)
 
 
@@ -155,16 +150,15 @@ def test_correlation_dual_route_property_over_g(boundary):
     for g in np.linspace(0.0, 6.0, 25):
         p = HNParams(L=6, t=1.0, g=float(g), boundary=boundary)
         levels = single_particle_levels(p)
-        for lv in build_spectrum(levels, "fermion", 3):
+        for rank, occ in enumerate(build_spectrum(levels, "fermion", 3).occupations):
             try:
-                v = eigenstate_from_config(p, lv.config)
+                v = eigenstate_from_config(p, "fermion", occ)
             except NullStateError:
                 continue
-            occupied = [levels[m].orbital for m, n in enumerate(lv.config.occupations) if n]
-            G_orb = density_matrix_from_orbitals(occupied)
+            G_orb = density_matrix_from_orbitals(levels.orbitals[occ > 0])
             diff = np.max(np.abs(correlation_matrix(v) - G_orb))
             if not diff < bound:
-                failures.append((float(g), lv.rank, float(diff)))
+                failures.append((float(g), rank, float(diff)))
     assert failures == []
 
 
@@ -188,12 +182,10 @@ def test_momentum_of_ring_eigenstates_equals_occupations():
     p = ring(6)
     for stats in ("fermion", "boson"):
         spec = build_spectrum(pbc_spectrum(p), stats, 3)
-        for lv in spec[:8]:
-            v = eigenstate_from_config(p, lv.config)
+        for occ in spec.occupations[:8]:
+            v = eigenstate_from_config(p, stats, occ)
             nk = momentum_distribution(correlation_matrix(v))
-            np.testing.assert_allclose(
-                nk.values, np.asarray(lv.config.occupations, float), atol=1e-10
-            )
+            np.testing.assert_allclose(nk.values, occ.astype(float), atol=1e-10)
 
 
 def test_momentum_grid_convention():
@@ -207,8 +199,8 @@ def test_momentum_sum_rule():
     p = chain(8, g=1.0)
     for stats, N in (("fermion", 4), ("boson", 3)):
         spec = build_spectrum(obc_spectrum(p), stats, N)
-        for lv in spec[:10]:
-            v = eigenstate_from_config(p, lv.config)
+        for occ in spec.occupations[:10]:
+            v = eigenstate_from_config(p, stats, occ)
             nk = momentum_distribution(correlation_matrix(v))
             assert nk.total == pytest.approx(N, abs=1e-8)
             assert np.all(nk.values >= -1e-10)
@@ -217,16 +209,16 @@ def test_momentum_sum_rule():
 def test_momentum_fermion_pauli_bound():
     p = chain(8, g=1.5)
     spec = build_spectrum(obc_spectrum(p), "fermion", 4)
-    for lv in spec[:20]:
-        v = eigenstate_from_config(p, lv.config)
+    for occ in spec.occupations[:20]:
+        v = eigenstate_from_config(p, "fermion", occ)
         nk = momentum_distribution(correlation_matrix(v))
         assert np.all(nk.values <= 1.0 + 1e-8)
 
 
 def test_momentum_boson_ring_condensate_peak():
     p = ring(10)
-    lv = build_spectrum(pbc_spectrum(p), "boson", 5)[0]
-    v = eigenstate_from_config(p, lv.config)
+    occ = build_spectrum(pbc_spectrum(p), "boson", 5).occupations[0]
+    v = eigenstate_from_config(p, "boson", occ)
     nk = momentum_distribution(correlation_matrix(v))
     peak = int(np.argmax(nk.values))
     assert nk.values[peak] == pytest.approx(5.0, abs=1e-8)
@@ -256,8 +248,8 @@ def test_skin_pure_exponential_slope():
 
 def test_skin_boson_ground_slope_matches_minus_two_g():
     p = chain(10, g=1.5)
-    lv = build_spectrum(obc_spectrum(p), "boson", 5)[0]
-    v = eigenstate_from_config(p, lv.config)
+    occ = build_spectrum(obc_spectrum(p), "boson", 5).occupations[0]
+    v = eigenstate_from_config(p, "boson", occ)
     m = skin_metrics(density_from_fock(v))
     assert m.log_slope == pytest.approx(-3.0, rel=0.15)
     assert m.left_fraction > 0.99
@@ -267,8 +259,8 @@ def test_skin_fermion_chain_all_left_skewed():
     p = chain(10, g=1.5)
     spec = build_spectrum(obc_spectrum(p), "fermion", 5)
     fractions = []
-    for lv in spec:
-        v = eigenstate_from_config(p, lv.config)
+    for occ in spec.occupations:
+        v = eigenstate_from_config(p, "fermion", occ)
         fractions.append(skin_metrics(density_from_fock(v)).left_fraction)
     assert min(fractions) > 0.5
 
@@ -307,7 +299,7 @@ def test_hardcore_momentum_not_fermionic():
     # their momentum profile need not match the fermionic occupations, but
     # the sum rule still holds
     ring = HNParams(L=6, t=1.0, g=0.5, boundary="periodic")
-    lv = build_spectrum(pbc_spectrum(ring), "hardcore", 4)[0]
-    v = eigenstate_from_config(ring, lv.config)
+    occ = build_spectrum(pbc_spectrum(ring), "hardcore", 4).occupations[0]
+    v = eigenstate_from_config(ring, "hardcore", occ)
     nk = momentum_distribution(correlation_matrix(v))
     assert nk.total == pytest.approx(4.0, abs=1e-8)
