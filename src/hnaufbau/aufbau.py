@@ -69,6 +69,7 @@ __all__ = [
 STATISTICS = ("fermion", "boson", "hardcore")
 
 DEFAULT_MAX_STATES = 5_000_000
+MAX_OCCUPATION_CELLS = 1 << 28
 
 
 class SectorError(ValueError):
@@ -197,11 +198,17 @@ def count_configs(L, N, statistics) -> int:
 
 
 def _capped_dim(L, N, statistics):
-    """count_configs, raising SectorTooLargeError above DEFAULT_MAX_STATES."""
+    """count_configs, raising SectorTooLargeError above DEFAULT_MAX_STATES
+    states or MAX_OCCUPATION_CELLS cells of the dim x L occupation matrix."""
     dim = count_configs(L, N, statistics)
     if dim > DEFAULT_MAX_STATES:
         raise SectorTooLargeError(
             f"sector has {dim} states, above the cap of {DEFAULT_MAX_STATES}"
+        )
+    if dim * L > MAX_OCCUPATION_CELLS:
+        raise SectorTooLargeError(
+            f"sector has {dim} states x {L} modes = {dim * L} occupation cells, "
+            f"above the cap of {MAX_OCCUPATION_CELLS}"
         )
     return dim
 
@@ -249,9 +256,9 @@ def build_spectrum(levels, statistics, N, tie_tol=None):
 
     Ranks run 0..dim-1 in sorted order; degeneracy groups are maximal
     runs of energies whose real parts chain within tie_tol. The ground
-    state is rank 0. Sectors larger than DEFAULT_MAX_STATES raise
-    SectorTooLargeError before any allocation; an energy beyond float
-    range raises OverflowError.
+    state is rank 0. Sectors above DEFAULT_MAX_STATES states or
+    MAX_OCCUPATION_CELLS occupation cells raise SectorTooLargeError before
+    any allocation; an energy beyond float range raises OverflowError.
     """
     L = len(levels)
     dim = _capped_dim(L, N, statistics)

@@ -1,10 +1,11 @@
 """Explicit Fock-space engine: bases, Hamiltonian application, product states.
 
-A basis lists the occupation vectors of one sector in colexicographic order,
-with one ascending int64 key per state: the occupations read as digits with
-place values ``radix`` (base 2 for fermions and hard-core bosons, so a key
-is the L-bit occupation word; base N+1 for bosons). Lookups are binary
-searches over the keys.
+A basis lists the occupation vectors of one sector in colexicographic order
+(the last mode varies slowest), and a state's index is its colex rank: the
+combinatorial number system of kernels._colex_rank, read off a table of
+partial-sector counts clipped at the sector dimension. So the rank of any
+state, and of every state with one particle removed, is exact int64
+arithmetic at any L, and no lookup searches the basis.
 
 The Hamiltonian is H = sum_ij h[i, j] c_i^dag c_j for the L x L hopping
 matrix h of lattice.hopping_matrix. Every operator goes through one
@@ -31,7 +32,9 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
+from . import kernels
 from .aufbau import (
+    MAX_OCCUPATION_CELLS,
     SectorError,
     SectorTooLargeError,
     _capped_dim,
@@ -71,26 +74,40 @@ class NullStateError(ArithmeticError):
 class FockBasis:
     """Ordered N-particle basis for one statistics over L sites.
 
-    ``occupations`` is the dim x L int16 occupation matrix, ``keys`` the
-    ascending int64 state keys and ``radix`` their per-site place values.
-    The lowering table ``down``/``coef`` (dim x L each) is built on first
-    use and kept on the basis; ``down`` points at ``lower_dim``, one past
-    the last state of the N-1 sector, where n_j = 0.
+    ``occupations`` is the dim x L int16 occupation matrix in colex order;
+    a state's index is its colex rank. The lowering table ``down``/``coef``
+    (dim x L each) is built on first use and kept on the basis; ``down``
+    points at ``lower_dim``, one past the last state of the N-1 sector,
+    where n_j = 0.
     """
 
     def __init__(self, statistics, L, N):
-        dim = _capped_dim(L, N, statistics)
-        base = N + 1 if statistics == "boson" else 2
-        if base**max(L - 1, 0) >= 1 << 62:
-            raise SectorTooLargeError(f"state keys overflow int64 for base {base}, L={L}")
         self.statistics = statistics
         self.L = int(L)
         self.N = int(N)
-        self.dim = dim
+        self.dim = _capped_dim(L, N, statistics)
         self.lower_dim = count_configs(L, N - 1, statistics) if N > 0 else 0
-        self.radix = base ** np.arange(L, dtype=np.int64)
         self.occupations = _occupation_rows(L, N, statistics)
-        self.keys = self.occupations.astype(np.int64) @ self.radix
+
+    @cached_property
+    def _counts(self) -> np.ndarray:
+        """w[m, n]: the rows with n particles on modes 0..m-1, clipped at dim.
+        It outgrows the dim x L occupations only where dim = 1: a full
+        fermion or hard-core sector, or bosons on one mode."""
+        if self.L * (self.N + 1) > MAX_OCCUPATION_CELLS:
+            raise SectorTooLargeError(
+                f"rank table of {self.L} x {self.N + 1} counts, above the cap of "
+                f"{MAX_OCCUPATION_CELLS}"
+            )
+        w = np.zeros((self.L, self.N + 1), dtype=np.int64)
+        w[:, 0] = 1
+        # by the highest occupied mode m' < m: the other n - 1 particles sit
+        # on the modes below m' (fermions), or on those up to m' (bosons)
+        s = 1 if self.statistics == "boson" else 0
+        for n in range(1, self.N + 1):
+            np.cumsum(w[s : self.L - 1 + s, n - 1], out=w[1:, n])
+            np.minimum(w[:, n], self.dim, out=w[:, n])
+        return w
 
     @cached_property
     def coef(self) -> np.ndarray:
@@ -104,27 +121,19 @@ class FockBasis:
     @cached_property
     def down(self) -> np.ndarray:
         """Index of c_j|s> in the N-1 sector; lower_dim where n_j = 0."""
-        if self.N == 0:
-            return np.zeros((self.dim, self.L), dtype=np.intp)
-        lower = get_basis(self.statistics, self.L, self.N - 1)
-        # keyed with this sector's radix: ascending keys are still colex order
-        lower_keys = lower.occupations.astype(np.int64) @ self.radix
-        down = np.searchsorted(lower_keys, self.keys[:, None] - self.radix)
-        down[self.occupations == 0] = self.lower_dim
-        return down
+        lowered = kernels._colex_rank(self.occupations, self._counts)[1]
+        return np.where(self.occupations == 0, self.lower_dim, lowered)
 
     def index_of(self, occ) -> int:
         """Position of an occupation vector in the basis."""
         occ = tuple(int(n) for n in occ)
         if len(occ) != self.L or sum(occ) != self.N:
             raise BasisMismatchError(f"occupation {occ} not in sector (L={self.L}, N={self.N})")
-        if self.statistics != "boson" and any(n > 1 for n in occ):
+        if min(occ) < 0:
+            raise BasisMismatchError(f"occupation {occ} has a negative entry")
+        if self.statistics != "boson" and max(occ) > 1:
             raise BasisMismatchError(f"occupation {occ} exceeds the hard-core cap")
-        key = sum(n * int(r) for n, r in zip(occ, self.radix))
-        i = int(np.searchsorted(self.keys, key))
-        if i >= self.dim or self.keys[i] != key:
-            raise BasisMismatchError(f"occupation {occ} not found in basis")
-        return i
+        return int(kernels._colex_rank(np.array([occ]), self._counts)[0][0])
 
     def zero_vector(self) -> "FockVector":
         return FockVector(self, np.zeros(self.dim, dtype=np.complex128))

@@ -37,7 +37,7 @@ from .aufbau import (
     sort_complex_spectrum,
 )
 from .fock import build_dense_hamiltonian
-from .lattice import HNParams, pbc_spectrum
+from .lattice import HNParams, _exp_pm, pbc_spectrum
 
 __all__ = [
     "EnergyGap",
@@ -94,7 +94,8 @@ def hcb_ground_energy_pbc(L, N, g, t=1.0) -> complex:
 def im_delta_closed_form(L, N, g, t=1.0) -> float:
     """Filling-only closed form for Im(Delta E_fb)."""
     _check_sector(L, N, "hardcore", ring=True)
-    return t * (-math.exp(g) + math.exp(-g)) * math.sin(math.pi * (1.0 - N / L))
+    eg, eg_rev = _exp_pm(g)
+    return t * (-eg + eg_rev) * math.sin(math.pi * (1.0 - N / L))
 
 
 def delta_E_scan(L_list, filling=0.5, g=0.5, t=1.0):

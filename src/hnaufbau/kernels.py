@@ -3,10 +3,11 @@ builds of the occupation rows (colex order) and of their compensated
 level sums.
 
 Plain interpreted NumPy; there is no compiled backend. Enumeration builds
-a sector's occupation matrix mode by mode in colex order, and
-configuration energies are one compensated sum over all rows at once, for
-every statistics. The Fock-space operators do not live here: they are
-gathers and scatters over each basis's lowering table (see
+a sector's occupation matrix mode by mode in colex order, _colex_rank maps
+rows back to their colex positions, and configuration energies are one
+compensated sum over all rows at once, for every statistics. The
+Fock-space operators do not live here: they are gathers and scatters over
+each basis's lowering table, whose indices are colex ranks (see
 ``fock.FockBasis``).
 
 Kernels never raise; input checks live in the calling modules.
@@ -47,6 +48,32 @@ def _colex_rows(L, N, cap):
             new[n] = rows
         blocks = new
     return blocks[N]
+
+
+def _colex_rank(rows, w):
+    """Colex positions of occupation rows within their sector, and, in
+    column j, the position of each row with one particle taken off mode j
+    within the sector below (meaningless where n_j = 0).
+
+    The combinatorial number system: w[m, n] counts the rows with n
+    particles on modes 0..m-1. With r_m and c_m the particles on modes
+    0..m and 0..m-1, a row's rank is sum_m sum_{c_m < u <= r_m} w[m, u],
+    and taking a particle off mode j lowers it by w[j, r_j] plus
+    sum_{m > j} (w[m, r_m] - w[m, c_m]). Every entry read is at most the
+    sector dimension, so w may be clipped there and int64 stays exact.
+    """
+    r = np.cumsum(rows, axis=1)
+    r += np.arange(rows.shape[1]) * w.shape[1]  # flat position of w[m, r_m]
+    c = r - rows  # of w[m, c_m]
+    cum = np.cumsum(w, axis=1).ravel()
+    rank = cum[r].sum(axis=1) - cum[c].sum(axis=1)
+    wr = w.ravel()[r]
+    step = np.subtract(wr, w.ravel()[c], out=c)
+    # sum_{m > j} step_m is the row total less the running sum up to j
+    low = np.cumsum(step, axis=1, out=r)
+    low -= wr
+    low += (rank - step.sum(axis=1))[:, None]
+    return rank, low
 
 
 def fermion_occupations(L, N):

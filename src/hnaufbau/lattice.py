@@ -168,6 +168,15 @@ class Levels:
         return orbitals
 
 
+def _exp_pm(g):
+    """(e^g, e^-g) for the hopping amplitudes; an OverflowError that names g
+    when either leaves float range."""
+    try:
+        return math.exp(g), math.exp(-g)
+    except OverflowError:
+        raise OverflowError(f"hopping amplitude e^|g| at g={g} leaves float range") from None
+
+
 def hardcore_image(p: HNParams, N) -> HNParams:
     """Jordan-Wigner image of N hard-core bosons on p: the chain whose N free
     fermions have the same Hamiltonian, entry by entry in the occupation
@@ -186,8 +195,7 @@ def hopping_matrix(p: HNParams) -> np.ndarray:
     and wrap bonds coincide.
     """
     L = p.L
-    tg = p.t * math.exp(p.g)
-    tg_rev = p.t * math.exp(-p.g)
+    tg, tg_rev = (p.t * e for e in _exp_pm(p.g))
     h = np.zeros((L, L), dtype=np.complex128)
     for j in range(L - 1):
         h[j, j + 1] += tg
@@ -210,9 +218,8 @@ def pbc_spectrum(p: HNParams) -> Levels:
     L = p.L
     m = np.arange(1, L + 1, dtype=np.int64)
     k = (2.0 * math.pi * m + p.phi) / L
-    energies = p.t * math.exp(p.g) * np.exp(-1j * k) + p.t * math.exp(
-        -p.g
-    ) * np.exp(1j * k)
+    eg, eg_rev = _exp_pm(p.g)
+    energies = p.t * eg * np.exp(-1j * k) + p.t * eg_rev * np.exp(1j * k)
     return Levels(m, k, energies, p)
 
 

@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -415,6 +416,44 @@ def test_observables_csv_metrics_mirror_json(tmp_path):
         f"ipr={metrics[rank]['ipr']!r} log_slope={metrics[rank]['log_slope']!r}"
         for rank in ("1", "0")
     ]
+
+
+@pytest.mark.parametrize("command,L,N,stats,bc", [
+    ("skin", 40, 3, "boson", "pbc"),
+    ("observables", 25, 5, "boson", "obc"),
+    ("skin", 64, 2, "fermion", "obc"),
+])
+def test_fock_sectors_past_int64_keys(tmp_path, command, L, N, stats, bc):
+    # state keys in base N+1 (or 2) overflowed int64 here; colex ranks do not
+    argv = [command, "-L", str(L), "-N", str(N), "--stats", stats, "--bc", bc]
+    code, out = run_to_file(tmp_path, "big.csv", argv)
+    assert code == 0
+    # eight ranks: one row each from skin, an n_j and an n_k profile from observables
+    assert len(cli.read_table(str(out))[2]) == (8 if command == "skin" else 8 * 2 * L)
+    p = HNParams(L=L, g=0.5, boundary="periodic" if bc == "pbc" else "open")
+    spec = build_spectrum(single_particle_levels(p), stats, N)
+    v = fock.eigenstate_from_config(p, stats, spec.occupations[0])
+    assert fock.residual(p, v, spec.energies[0]) < TOLERANCES["residual_obc"]
+
+
+@pytest.mark.parametrize("command", ["spectrum", "observables"])
+def test_sector_beyond_occupation_cells_exits_2_unallocated(tmp_path, capsys, command):
+    # 1e5 states of 1e5 modes pass the state cap but would take 20 GB of
+    # occupations; the refusal comes before any sector allocation
+    out = tmp_path / "huge.csv"
+    tracemalloc.start()
+    try:
+        code = run_cli([command, "-L", "100000", "-N", "1", "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: sector has 100000 states x 100000 modes = 10000000000 occupation cells, "
+        "above the cap of 268435456"
+    ]
+    assert not out.exists()
+    assert peak < 32 << 20
 
 
 def _reject_constant(token):
@@ -818,6 +857,33 @@ def test_exit_1_on_non_finite_energy(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "-L", "4", "-N", "2", "-g", "710", "--bc", "twist=0.3"],
+    ["hcb-compare", "--lengths", "8", "-g", "710"],
+    ["verify", "-g", "-710", "--suite", "closedform"],
+])
+def test_ring_beyond_float_range_names_g(argv, capsys):
+    # e^|g| itself overflows: the message says which g, not just a range error
+    assert run_cli(argv) == 1
+    g = argv[argv.index("-g") + 1]
+    text = f"hopping amplitude e^|g| at g={float(g)} leaves float range"
+    if argv[0] == "verify":
+        assert f"OverflowError: {text}" in capsys.readouterr().out
+    else:
+        assert capsys.readouterr().err.splitlines() == [f"computation failed: {text}"]
+    with pytest.raises(OverflowError, match=f"at g={float(g)} "):
+        im_delta_closed_form(8, 4, float(g))
+
+
+def test_open_chain_spectrum_at_g_710(tmp_path):
+    # open-chain energies never read e^|g|, so the chain still builds
+    code, out = run_to_file(
+        tmp_path, "open.csv", ["spectrum", "-L", "4", "-N", "2", "-g", "710", "--bc", "obc"]
+    )
+    assert code == 0
+    assert cli.read_table(str(out))[0]["states"] == "6"
+
+
 def test_help_exits_zero(capsys):
     assert run_cli(["--help"]) == 0
     assert "spectrum" in capsys.readouterr().out
@@ -906,6 +972,23 @@ def test_verify_counting_checks_the_built_basis(monkeypatch):
         row = rows[f"basis-dims-{stats}"]
         assert not row.passed
         assert row.detail.startswith("basis dim mismatch at L=")
+
+
+@pytest.mark.parametrize("fault", [
+    lambda rows: rows[[1, 0, *range(2, len(rows))]] if len(rows) > 1 else rows,
+    lambda rows: np.vstack([rows[:1], rows[:-1]]),
+], ids=["swapped", "repeated"])
+def test_verify_counting_checks_strict_colex_order(monkeypatch, fault):
+    # the right number of rows, but out of colex order or with a state twice
+    rows_of = fock._occupation_rows
+    monkeypatch.setattr(fock, "_occupation_rows", lambda L, N, stats: fault(rows_of(L, N, stats)))
+    fock.get_basis.cache_clear()
+    try:
+        rows = {r.name: r for r in run_checks(suites=["counting"])}
+    finally:
+        fock.get_basis.cache_clear()
+    for stats in ("fermion", "boson", "hardcore"):
+        assert not rows[f"basis-dims-{stats}"].passed
 
 
 @pytest.mark.parametrize("g", [0.25, 0.5, 1.1, 2.0, 4.0])

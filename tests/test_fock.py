@@ -21,12 +21,14 @@ import numpy as np
 import pytest
 
 from hnaufbau.aufbau import (
+    _capped_dim,
     _occupation_rows,
     SectorError,
     SectorTooLargeError,
     build_spectrum,
     sort_complex_spectrum,
 )
+from hnaufbau import fock
 from hnaufbau.fock import (
     BasisMismatchError,
     FockBasis,
@@ -91,6 +93,8 @@ def test_basis_lookup_rejects_foreign_occupation():
     bos = get_basis("boson", 3, 2)
     with pytest.raises(BasisMismatchError):
         bos.index_of((1, 1))  # wrong length
+    with pytest.raises(BasisMismatchError):
+        bos.index_of((3, -1, 0))  # negative entry, right sum
 
 
 def test_basis_sector_guards():
@@ -98,12 +102,66 @@ def test_basis_sector_guards():
         FockBasis("fermion", 4, 5)
     with pytest.raises(SectorError):
         FockBasis("boson", 4, -1)
-    with pytest.raises(SectorTooLargeError):
-        FockBasis("hardcore", 63, 1)  # word storage is 62 bits
-    with pytest.raises(SectorTooLargeError):
-        FockBasis("boson", 40, 3)  # keys overflow int64
+    # past 62 bits, and past base-(N+1) keys in int64: ranks need neither
+    assert FockBasis("hardcore", 63, 1).dim == 63
+    assert FockBasis("boson", 40, 3).dim == 11480
     with pytest.raises(SectorTooLargeError):
         FockBasis("boson", 30, 10)  # 635 million states
+    with pytest.raises(SectorTooLargeError, match="occupation cells"):
+        FockBasis("fermion", 20000, 1)  # 4e8 cells, under 5e6 states
+    # the largest sector the two guards ever let through still is
+    assert _capped_dim(58, 5, "fermion") * 58 == 265_762_728
+
+
+def test_rank_table_guard(monkeypatch):
+    # a full sector has one state, but its L x (N+1) count table does not
+    # shrink with it: the table obeys the occupation-cell cap as well
+    monkeypatch.setattr(fock, "MAX_OCCUPATION_CELLS", 100)
+    assert FockBasis("fermion", 12, 6).index_of([1] * 6 + [0] * 6) == 0  # 12 x 7 counts
+    full = FockBasis("hardcore", 12, 12)
+    with pytest.raises(SectorTooLargeError, match="rank table of 12 x 13 counts"):
+        full.down
+
+
+def _colex_sector(statistics, L, N):
+    """The sector's rows from itertools, sorted last mode first: an oracle
+    that shares nothing with the enumeration or the rank."""
+    if statistics == "boson":
+        picks = itertools.combinations_with_replacement(range(L), N)
+    else:
+        picks = itertools.combinations(range(L), N)
+    rows = [tuple(sum(1 for m in pick if m == j) for j in range(L)) for pick in picks]
+    return sorted(rows, key=lambda row: row[::-1])
+
+
+_STATS = ("fermion", "boson", "hardcore")
+# sectors past the old int64 keys, the vacuum of each statistics, and seeded
+# draws of L in 1..9, N in 0..5
+RANK_SECTORS = [("hardcore", 63, 1), ("boson", 40, 3), ("fermion", 70, 2)] + sorted(
+    {(stats, L, 0) for stats, L in zip(_STATS, (1, 3, 5))}
+    | {
+        (stats, int(L), int(N))
+        for stats, (L, N) in zip(
+            _STATS * 8, np.random.default_rng(17).integers([1, 0], [10, 6], size=(24, 2))
+        )
+        if stats == "boson" or N <= L
+    }
+)
+
+
+@pytest.mark.parametrize("statistics,L,N", RANK_SECTORS)
+def test_rank_matches_brute_force_rows(statistics, L, N):
+    basis = FockBasis(statistics, L, N)
+    rows = _colex_sector(statistics, L, N)
+    assert basis.occupations.tolist() == [list(row) for row in rows]
+    lower = {row: i for i, row in enumerate(_colex_sector(statistics, L, N - 1))} if N else {}
+    want = np.full((basis.dim, L), len(lower))
+    for s, row in enumerate(rows):
+        for j in np.flatnonzero(row):
+            want[s, j] = lower[row[:j] + (row[j] - 1,) + row[j + 1:]]
+    np.testing.assert_array_equal(basis.down, want)
+    for s in np.random.default_rng(L * 10 + N).choice(basis.dim, min(basis.dim, 50), replace=False):
+        assert basis.index_of(rows[s]) == s
 
 
 def test_vector_shape_guard():
