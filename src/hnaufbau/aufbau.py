@@ -69,7 +69,9 @@ __all__ = [
 STATISTICS = ("fermion", "boson", "hardcore")
 
 DEFAULT_MAX_STATES = 5_000_000
-MAX_OCCUPATION_CELLS = 1 << 28
+# dim x L cells of the int16 occupation matrix: 2 GiB, about 6 GB at the
+# peak of a spectrum run
+MAX_OCCUPATION_CELLS = 1 << 30
 
 
 class SectorError(ValueError):
@@ -197,18 +199,18 @@ def count_configs(L, N, statistics) -> int:
     return math.comb(L, N)
 
 
-def _capped_dim(L, N, statistics):
+def _capped_dim(L, N, statistics, max_cells=MAX_OCCUPATION_CELLS):
     """count_configs, raising SectorTooLargeError above DEFAULT_MAX_STATES
-    states or MAX_OCCUPATION_CELLS cells of the dim x L occupation matrix."""
+    states or max_cells cells of the dim x L occupation matrix."""
     dim = count_configs(L, N, statistics)
     if dim > DEFAULT_MAX_STATES:
         raise SectorTooLargeError(
             f"sector has {dim} states, above the cap of {DEFAULT_MAX_STATES}"
         )
-    if dim * L > MAX_OCCUPATION_CELLS:
+    if dim * L > max_cells:
         raise SectorTooLargeError(
             f"sector has {dim} states x {L} modes = {dim * L} occupation cells, "
-            f"above the cap of {MAX_OCCUPATION_CELLS}"
+            f"above the cap of {max_cells}"
         )
     return dim
 

@@ -35,8 +35,8 @@ from dataclasses import asdict
 import numpy as np
 
 from . import verify as verify_mod
-from .aufbau import STATISTICS, build_spectrum, occupation_strings
-from .fock import eigenstate_from_config
+from .aufbau import STATISTICS, _capped_dim, build_spectrum, occupation_strings
+from .fock import MAX_FOCK_CELLS, eigenstate_from_config
 from .hardcore import delta_E_scan, im_delta_closed_form
 from .lattice import HNParams, hardcore_image, single_particle_levels
 from .observables import (
@@ -242,10 +242,15 @@ def read_table(path):
     return header, columns, rows
 
 
-def _spectrum_for(args):
+def _spectrum_for(args, fock=False):
+    """The chain and its sector's spectrum; with fock, a sector too large
+    for a Fock basis is refused before its spectrum is built."""
     boundary, twist = _parse_bc(args.bc)
     p = HNParams(L=args.L, t=args.t, g=args.g, boundary=boundary, twist=twist)
-    spec = build_spectrum(single_particle_levels(p), args.stats, args.N, tie_tol=args.tol)
+    levels = single_particle_levels(p)
+    if fock:
+        _capped_dim(args.L, args.N, args.stats, MAX_FOCK_CELLS)
+    spec = build_spectrum(levels, args.stats, args.N, tie_tol=args.tol)
     return p, spec
 
 
@@ -305,7 +310,7 @@ def _select_ranks(ranks_arg, dim):
 
 
 def cmd_observables(args) -> int:
-    p, spec = _spectrum_for(args)
+    p, spec = _spectrum_for(args, fock=True)
     ranks = _select_ranks(args.ranks, len(spec))
     header = _base_header(args, "observables", p)
     header["ranks"] = ";".join(str(r) for r in ranks)
@@ -329,7 +334,7 @@ def cmd_observables(args) -> int:
 
 
 def cmd_skin(args) -> int:
-    p, spec = _spectrum_for(args)
+    p, spec = _spectrum_for(args, fock=True)
     ranks = _select_ranks(args.ranks, len(spec))
     header = _base_header(args, "skin", p)
     columns = ["rank", "energy_re", "energy_im", "left_fraction", "ipr", "log_slope"]

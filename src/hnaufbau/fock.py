@@ -34,7 +34,6 @@ import numpy as np
 
 from . import kernels
 from .aufbau import (
-    MAX_OCCUPATION_CELLS,
     SectorError,
     SectorTooLargeError,
     _capped_dim,
@@ -60,6 +59,11 @@ __all__ = [
 ]
 
 DENSE_DIM_CAP = 2500
+# dim x L cells of a basis: rank arithmetic, lowering tables and the bases
+# below take about 50 bytes a cell, against about 6 in a spectrum run, so
+# the cap is a quarter of MAX_OCCUPATION_CELLS; fermions at L = 58, N = 5
+# (265,762,728 cells) fit
+MAX_FOCK_CELLS = 1 << 28
 NULL_NORM_TOL = 1e-12
 
 
@@ -85,7 +89,7 @@ class FockBasis:
         self.statistics = statistics
         self.L = int(L)
         self.N = int(N)
-        self.dim = _capped_dim(L, N, statistics)
+        self.dim = _capped_dim(L, N, statistics, MAX_FOCK_CELLS)
         self.lower_dim = count_configs(L, N - 1, statistics) if N > 0 else 0
         self.occupations = _occupation_rows(L, N, statistics)
 
@@ -94,10 +98,10 @@ class FockBasis:
         """w[m, n]: the rows with n particles on modes 0..m-1, clipped at dim.
         It outgrows the dim x L occupations only where dim = 1: a full
         fermion or hard-core sector, or bosons on one mode."""
-        if self.L * (self.N + 1) > MAX_OCCUPATION_CELLS:
+        if self.L * (self.N + 1) > MAX_FOCK_CELLS:
             raise SectorTooLargeError(
                 f"rank table of {self.L} x {self.N + 1} counts, above the cap of "
-                f"{MAX_OCCUPATION_CELLS}"
+                f"{MAX_FOCK_CELLS}"
             )
         w = np.zeros((self.L, self.N + 1), dtype=np.int64)
         w[:, 0] = 1

@@ -436,10 +436,11 @@ def test_fock_sectors_past_int64_keys(tmp_path, command, L, N, stats, bc):
     assert fock.residual(p, v, spec.energies[0]) < TOLERANCES["residual_obc"]
 
 
-@pytest.mark.parametrize("command", ["spectrum", "observables"])
-def test_sector_beyond_occupation_cells_exits_2_unallocated(tmp_path, capsys, command):
+@pytest.mark.parametrize("command,cap", [("spectrum", 1 << 30), ("observables", 1 << 28)])
+def test_sector_beyond_occupation_cells_exits_2_unallocated(tmp_path, capsys, command, cap):
     # 1e5 states of 1e5 modes pass the state cap but would take 20 GB of
-    # occupations; the refusal comes before any sector allocation
+    # occupations; the refusal comes before any sector allocation, at the
+    # spectrum's cap or, for a command that builds Fock states, the basis's
     out = tmp_path / "huge.csv"
     tracemalloc.start()
     try:
@@ -450,10 +451,28 @@ def test_sector_beyond_occupation_cells_exits_2_unallocated(tmp_path, capsys, co
     assert code == 2
     assert capsys.readouterr().err.splitlines() == [
         "error: sector has 100000 states x 100000 modes = 10000000000 occupation cells, "
-        "above the cap of 268435456"
+        f"above the cap of {cap}"
     ]
     assert not out.exists()
     assert peak < 32 << 20
+
+
+def test_fock_cell_cap_leaves_spectrum_alone(tmp_path, capsys, monkeypatch):
+    # spectrum -L 100 -N 4 (392 million cells) needs no Fock basis and runs;
+    # skin and observables refuse such a sector before building its spectrum
+    for module in (cli, fock):
+        monkeypatch.setattr(module, "MAX_FOCK_CELLS", 8 * 70 - 1)  # C(8, 4) x 8 cells
+    code, out = run_to_file(tmp_path, "spectrum.csv", ["spectrum", "-L", "8", "-N", "4"])
+    assert code == 0
+    assert cli.read_table(str(out))[0]["states"] == "70"
+    monkeypatch.setattr(cli, "build_spectrum", None)
+    for command in ("skin", "observables"):
+        code, out = run_to_file(tmp_path, f"{command}.csv", [command, "-L", "8", "-N", "4"])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: sector has 70 states x 8 modes = 560 occupation cells, above the cap of 559"
+        ]
+        assert not out.exists()
 
 
 def _reject_constant(token):

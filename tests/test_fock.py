@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 
 from hnaufbau.aufbau import (
+    MAX_OCCUPATION_CELLS,
     _capped_dim,
     _occupation_rows,
     SectorError,
@@ -110,14 +111,27 @@ def test_basis_sector_guards():
     with pytest.raises(SectorTooLargeError, match="occupation cells"):
         FockBasis("fermion", 20000, 1)  # 4e8 cells, under 5e6 states
     # the largest sector the two guards ever let through still is
-    assert _capped_dim(58, 5, "fermion") * 58 == 265_762_728
+    assert _capped_dim(58, 5, "fermion", fock.MAX_FOCK_CELLS) * 58 == 265_762_728
+
+
+@pytest.mark.parametrize("statistics,L,N", [
+    ("fermion", 100, 4), ("fermion", 1000, 2), ("boson", 100, 4), ("hardcore", 202, 3),
+])
+def test_spectrum_sectors_past_the_fock_cell_cap(statistics, L, N):
+    # 3.9e8 to 5e8 cells: a spectrum enumerates them, a Fock basis refuses
+    dim = _capped_dim(L, N, statistics)
+    assert fock.MAX_FOCK_CELLS < dim * L <= MAX_OCCUPATION_CELLS
+    with pytest.raises(SectorTooLargeError, match="occupation cells"):
+        FockBasis(statistics, L, N)
+    with pytest.raises(SectorTooLargeError, match="occupation cells"):
+        _capped_dim(100_000, 1, statistics)  # 1e10 cells, 20 GB of int16
 
 
 def test_rank_table_guard(monkeypatch):
     # a full sector has one state, but its L x (N+1) count table does not
     # shrink with it: the table obeys the occupation-cell cap as well
-    monkeypatch.setattr(fock, "MAX_OCCUPATION_CELLS", 100)
-    assert FockBasis("fermion", 12, 6).index_of([1] * 6 + [0] * 6) == 0  # 12 x 7 counts
+    monkeypatch.setattr(fock, "MAX_FOCK_CELLS", 100)
+    assert FockBasis("fermion", 5, 2).index_of([1, 1, 0, 0, 0]) == 0  # 5 x 3 counts
     full = FockBasis("hardcore", 12, 12)
     with pytest.raises(SectorTooLargeError, match="rank table of 12 x 13 counts"):
         full.down
