@@ -3,8 +3,8 @@
 Single-particle levels (an array-backed lattice.Levels) are ordered by the
 real part of their complex energy; imaginary parts never influence which
 level fills first, only the tie-break inside real-part-degenerate groups
-(ascending imaginary part, then label). The ordering comes back as the array
-of level positions in filling order, and no orbital is ever read here.
+(ascending imaginary part, then position). The ordering comes back as the
+array of level positions in filling order, and no orbital is ever read here.
 Each sector is enumerated once as an occupation matrix (kernels), its
 energies are occupation-weighted sums of level energies over all rows at
 once, and build_spectrum returns the rank-ordered arrays as a Spectrum.
@@ -146,35 +146,32 @@ def default_tie_tol(real_parts) -> float:
     return 1e-9 * (1.0 + width)
 
 
-def _clustered_order(re, im, tiebreak, tie_tol):
+def _clustered_order(re, im, tie_tol):
     """Order by Re, chain runs with adjacent gaps <= tie_tol into clusters,
-    sort each cluster by (Im, tiebreak). Returns (order, cluster_ids)."""
+    sort each cluster by Im, then position. Returns (order, cluster_ids)."""
     order1 = np.argsort(re, kind="stable")
-    re_sorted = re[order1]
-    if re_sorted.size > 1:
-        breaks = np.diff(re_sorted) > tie_tol
-        cid = np.concatenate(([0], np.cumsum(breaks)))
-    else:
-        cid = np.zeros(re_sorted.size, dtype=np.int64)
-    final = np.lexsort((tiebreak[order1], im[order1], cid))
-    return order1[final], cid[final]
+    cid = np.zeros(re.size, dtype=np.int64)
+    if re.size > 1:
+        # cluster id of each value, scattered back to its position
+        cid[order1[1:]] = np.cumsum(np.diff(re[order1]) > tie_tol)
+    final = np.lexsort((im, cid))
+    return final, cid[final]
 
 
 def sort_levels(levels, tie_tol=None) -> np.ndarray:
     """Positions of Levels in filling order, as int64: by Re energy, and
-    levels whose real parts chain within tie_tol by Im ascending, then mode
-    label. Default tie_tol is default_tie_tol over the real parts.
+    levels whose real parts chain within tie_tol by Im ascending, then
+    position. Default tie_tol is default_tie_tol over the real parts.
     """
     if len(levels) == 0:
         raise ValueError("sort_levels requires a non-empty level list")
     energies = levels.energies
-    labels = levels.labels
     if tie_tol is None:
         tie_tol = default_tie_tol(energies.real)
     tie_tol = float(tie_tol)
     if not (tie_tol >= 0.0 and math.isfinite(tie_tol)):
         raise ValueError(f"tie_tol must be finite and >= 0, got {tie_tol}")
-    return _clustered_order(energies.real, energies.imag, labels, tie_tol)[0]
+    return _clustered_order(energies.real, energies.imag, tie_tol)[0]
 
 
 def _check_sector(L, N, statistics, ring=False):
@@ -257,13 +254,14 @@ def build_spectrum(levels, statistics, N, tie_tol=None):
     """All many-body levels of the sector, sorted by (Re E, Im E), as a Spectrum.
 
     Ranks run 0..dim-1 in sorted order; degeneracy groups are maximal
-    runs of energies whose real parts chain within tie_tol. The ground
+    runs of energies whose real parts chain within tie_tol, ordered by Im
+    and then by the row's position in the sector's colex order. The ground
     state is rank 0. Sectors above DEFAULT_MAX_STATES states or
     MAX_OCCUPATION_CELLS occupation cells raise SectorTooLargeError before
     any allocation; an energy beyond float range raises OverflowError.
     """
     L = len(levels)
-    dim = _capped_dim(L, N, statistics)
+    _capped_dim(L, N, statistics)
     levels = _sector_levels(levels, statistics, N)
     perm = sort_levels(levels, tie_tol)
     occupations = _occupation_rows(L, N, statistics)
@@ -272,8 +270,7 @@ def build_spectrum(levels, statistics, N, tie_tol=None):
     if not np.isfinite(energies).all():
         raise OverflowError("a many-body energy is not finite")
     mb_tol = default_tie_tol(energies.real) if tie_tol is None else float(tie_tol)
-    positions = np.arange(dim, dtype=np.int64)
-    order, groups = _clustered_order(energies.real, energies.imag, positions, mb_tol)
+    order, groups = _clustered_order(energies.real, energies.imag, mb_tol)
     return Spectrum(statistics, energies[order], occupations[order], groups)
 
 
@@ -396,6 +393,5 @@ def sort_complex_spectrum(values):
     arr = np.asarray(values, dtype=np.complex128).ravel()
     if arr.size == 0:
         return arr.copy()
-    positions = np.arange(arr.size, dtype=np.int64)
-    order, _groups = _clustered_order(arr.real, arr.imag, positions, default_tie_tol(arr.real))
+    order, _groups = _clustered_order(arr.real, arr.imag, default_tie_tol(arr.real))
     return arr[order]

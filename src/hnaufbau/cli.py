@@ -8,12 +8,20 @@ CSV output starts with '#'-prefixed key=value parameter lines and carries
 complex values as separate _re/_im columns; JSON mirrors the same payload,
 with null where CSV writes nan. Every command hands the writer its table as
 columns. Every cell is str of its value, so floats keep full repr
-precision. A numpy column is formatted once per distinct bit pattern and
-gathered back with one index, so the repeated many-body energies of a
-spectrum cost one str each; any other column is formatted value by value.
-The rows are joined in C. The output is opened only once its whole text is
-built, so a failure while formatting leaves no file. A spectrum row still
-costs one occupation_string call, on a bytes row.
+precision. The writer yields the text in pieces: the header block, then
+the rows CHUNK_ROWS at a time, joined in C. A numpy column is formatted
+once per distinct bit pattern over the whole column and gathered back with
+one index, so the repeated many-body energies of a spectrum cost one str
+each; a spectrum's occupation rows are formatted chunk by chunk, one
+occupation_string call per row on a bytes row, so a sector's strings are
+never all held at once; any other column is formatted value by value.
+JSON rows are the same cell texts (null for a non-finite float, json.dumps
+of a string) spliced into a json.dumps skeleton of the rest of the payload.
+An --out file appears whole or not at all: the pieces go to a sibling
+<out>.<pid>.part file that replaces it once the last piece is written and
+is removed on any failure, so an existing file keeps its bytes. Without
+--out the pieces stream to stdout, and a reader that closes the pipe ends
+the command quietly.
 Nothing time- or host-dependent is ever written, so identical inputs give
 byte-identical files. Everything runs serially; --workers, on observables
 only, is accepted for old command lines and has no effect. The commands
@@ -29,6 +37,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 
@@ -159,63 +168,133 @@ def _json_value(value):
     return value
 
 
-def _column_text(col):
-    """str of each value of col, in order. A numpy column is keyed on its
-    raw bits (a float column viewed as integers, so -0.0 and 0.0, and NaN
-    payloads, stay apart), each distinct key is formatted once, and the
-    texts are gathered back by the inverse index."""
-    if not isinstance(col, np.ndarray):
-        return map(str, col)
+# rows formatted and written per piece of output
+CHUNK_ROWS = 1 << 15
+
+
+def _json_text(value):
+    """The JSON text of one table cell, as json.dumps writes it, with a
+    non-finite float as null; a plain float or int skips the encoder."""
+    if type(value) is float:
+        return repr(value) if math.isfinite(value) else "null"
+    if type(value) is int:
+        return repr(value)
+    return json.dumps(_json_value(value))
+
+
+def _column_text(col, fmt=str):
+    """fmt of each value of the 1-D numpy column col, as an object array.
+    The column is keyed on its raw bits (a float column viewed as integers,
+    so -0.0 and 0.0, and NaN payloads, stay apart), each distinct key is
+    formatted once, and the texts are gathered back by the inverse index."""
     keys = col.view(f"i{col.itemsize}") if col.dtype.kind == "f" else col
     uniq, inverse = np.unique(keys, return_inverse=True)
-    texts = np.array(list(map(str, uniq.view(col.dtype).tolist())), dtype=object)
+    texts = np.array(list(map(fmt, uniq.view(col.dtype).tolist())), dtype=object)
     return texts[inverse]
 
 
-def _csv_text(header, columns, data, metrics):
-    """The CSV text: the '#' key=value lines, one '# metrics rank=<key>'
-    line per metrics entry (k=v!r pairs in insertion order), the column
-    names, then one line per row. Its row lines are freed on return, before
-    the text is written."""
-    lines = [f"# {k}={v}" for k, v in header.items()]
-    for key, met in (metrics or {}).items():
-        pairs = " ".join(f"{k}={v!r}" for k, v in met.items())
-        lines.append(f"# metrics rank={key} {pairs}")
-    lines.append(",".join(columns))
-    lines.extend(map(",".join, zip(*map(_column_text, data))))
-    lines.append("")  # the final newline, without a second copy of the text
-    return "\n".join(lines)
+def _chunk_texts(col, fmt):
+    """A function of (lo, hi) giving fmt of the cells lo..hi-1 of col. A
+    1-D numpy column is formatted whole by _column_text and sliced; a 2-D
+    one holds one occupation row per cell and is formatted per slice by
+    occupation_strings; any other column value by value per slice."""
+    if isinstance(col, np.ndarray) and col.ndim == 1:
+        texts = _column_text(col, fmt)
+        return lambda lo, hi: texts[lo:hi]
+    if isinstance(col, np.ndarray):
+        return lambda lo, hi: map(fmt, occupation_strings(col[lo:hi]))
+    return lambda lo, hi: map(fmt, col[lo:hi])
+
+
+def _pieces(fmt, header, columns, data, metrics):
+    """The table's text as pieces: the header block, then the rows
+    CHUNK_ROWS at a time. CSV: the '#' key=value lines, one '# metrics
+    rank=<key>' line per metrics entry (k=v!r pairs in insertion order),
+    the column names, then one line per row. JSON: json.dumps(indent=2,
+    sort_keys=True) of the params/columns/metrics/rows payload, its rows
+    spliced into the skeleton from each cell's _json_text."""
+    n = len(data[0])
+    if fmt == "json":
+        payload = {"params": _json_value(header), "columns": list(columns), "rows": []}
+        if metrics is not None:
+            payload["metrics"] = _json_value(metrics)
+        # "rows" sorts last, so the skeleton ends in its empty list
+        yield json.dumps(payload, indent=2, sort_keys=True)[: -len("]\n}")]
+        cell, first, between, cell_sep = (
+            _json_text, "\n    [\n      ", "\n    ],\n    [\n      ", ",\n      ")
+        end = "\n    ]\n  ]\n}\n" if n else "]\n}\n"
+    else:
+        lines = [f"# {k}={v}" for k, v in header.items()]
+        for key, met in (metrics or {}).items():
+            pairs = " ".join(f"{k}={v!r}" for k, v in met.items())
+            lines.append(f"# metrics rank={key} {pairs}")
+        lines.append(",".join(columns))
+        yield "\n".join(lines) + "\n"
+        cell, first, between, cell_sep = str, "", "\n", ","
+        end = "\n" if n else ""
+    texts = [_chunk_texts(col, cell) for col in data]
+    for lo in range(0, n, CHUNK_ROWS):
+        rows = zip(*(chunk(lo, lo + CHUNK_ROWS) for chunk in texts))
+        yield (first if lo == 0 else between) + between.join(map(cell_sep.join, rows))
+    yield end
 
 
 def _emit(args, header, columns, data, metrics=None):
     """Write the table as CSV or JSON. data holds one column per entry (a
-    list or a range of Python values, or a 1-D numpy array), all of one
-    length; row r is the r-th value of each. metrics maps a rank key
-    to named values, written as '# metrics' lines or a JSON object.
-    Undefined is nan in CSV, null in JSON."""
-    if args.format == "json":
-        lists = (col.tolist() if isinstance(col, np.ndarray) else list(col) for col in data)
-        rows = list(zip(*map(_json_value, lists)))
-        payload = {"params": _json_value(header), "columns": list(columns), "rows": rows}
-        if metrics is not None:
-            payload["metrics"] = _json_value(metrics)
-        text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    else:
-        text = _csv_text(header, columns, data, metrics)
+    list or a range of Python values, a 1-D numpy array, or a 2-D numpy
+    array of occupation rows, written by occupation_string), all of one
+    length; row r is the r-th value of each. metrics maps a rank key to
+    named values, written as '# metrics' lines or a JSON object. Undefined
+    is nan in CSV, null in JSON."""
+    pieces = _pieces(args.format, header, columns, data, metrics)
     if args.out:
-        _write(args.out, text)
+        _write(args.out, pieces)
     else:
-        sys.stdout.write(text)
+        _print(pieces)
 
 
-def _write(path, text):
-    """Write text to the file at path; a file that cannot be written is a
-    usage error."""
+def _write(path, pieces):
+    """Write the text pieces to the file at path, which appears whole or not
+    at all: they go to a sibling part file that replaces path only once the
+    last piece is written, and that is removed if anything fails. A target
+    that is neither a regular file nor a directory (a device, a FIFO) is
+    written in place, since a rename would replace the node itself. The
+    part file is <path>.<pid>.part, its name cut to 255 bytes. A file that
+    cannot be written is a usage error."""
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        if os.path.exists(path) and not (os.path.isfile(path) or os.path.isdir(path)):
+            with open(path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(pieces)
+            return
+        # the real path: a rename replaces a symlink, not its file
+        target = os.fsencode(os.path.realpath(path))
+        head, name = os.path.split(target)
+        suffix = b".%d.part" % os.getpid()
+        part = os.path.join(head, name[: 255 - len(suffix)] + suffix)  # within NAME_MAX
+        fd = os.open(part, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+        try:
+            with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+                fh.writelines(pieces)
+            os.replace(part, target)
+        except BaseException:
+            os.unlink(part)
+            raise
     except OSError as exc:
         raise UsageError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _print(pieces):
+    """Write the text pieces to stdout as they come. A reader that closes
+    the pipe ends the output quietly: the rest, and the flush at exit, go
+    to the null device."""
+    try:
+        for piece in pieces:
+            sys.stdout.write(piece)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def read_table(path):
@@ -282,7 +361,7 @@ def cmd_spectrum(args) -> int:
         spec.energies.real,
         spec.energies.imag,
         spec.groups,
-        occupation_strings(spec.occupations),
+        spec.occupations,
     ]
     _emit(args, header, columns, data)
     return 0
@@ -412,8 +491,8 @@ def cmd_verify(args) -> int:
     results = verify_mod.run_checks(g=args.g, t=args.t, suites=args.suite)
     table = verify_mod.summary_table(results, g=float(args.g), t=float(args.t))
     if args.out:
-        _write(args.out, table + "\n")
-    sys.stdout.write(table + "\n")
+        _write(args.out, [table + "\n"])
+    _print([table + "\n"])
     return 0 if all(r.passed for r in results) else 1
 
 

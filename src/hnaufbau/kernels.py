@@ -96,16 +96,27 @@ def config_energies_boson(occupations, perm, eps):
 
     A row adds eps[m] itself where n_m = 1, n_m * eps[m] where n_m > 1, and
     skips the update where n_m = 0, so each sum is bit-identical to the
-    scalar ``aufbau._kahan_energy`` of the same row.
+    scalar ``aufbau._kahan_energy`` of the same row. The occupations are
+    copied transposed once, so each mode's column is contiguous, and every
+    step writes into buffers allocated once.
     """
     dim = occupations.shape[0]
+    columns = np.ascontiguousarray(occupations.T)
     acc = np.zeros(dim, np.complex128)
     comp = np.zeros(dim, np.complex128)
+    y = np.empty(dim, np.complex128)
+    t = np.empty(dim, np.complex128)
+    hit = np.empty(dim, bool)
+    many = np.empty(dim, bool)
     for m in perm:
-        n = occupations[:, m]
-        hit = n != 0
-        y = np.where(n > 1, n * eps[m], eps[m]) - comp
-        t = acc + y
-        comp = np.where(hit, (t - acc) - y, comp)
-        acc = np.where(hit, t, acc)
+        n = columns[m]
+        np.not_equal(n, 0, out=hit)
+        np.greater(n, 1, out=many)
+        y.fill(eps[m])
+        np.multiply(n, eps[m], out=y, where=many)
+        y -= comp
+        np.add(acc, y, out=t)
+        np.subtract(t, acc, out=comp, where=hit)
+        np.subtract(comp, y, out=comp, where=hit)
+        np.copyto(acc, t, where=hit)
     return acc

@@ -11,14 +11,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hnaufbau import kernels
 from hnaufbau.aufbau import (
     DEFAULT_MAX_STATES,
     _check_occupations,
+    _kahan_energy,
     _occupation_rows,
+    _sector_levels,
     ManyBodyLevel,
     OccupationConfig,
     SectorError,
@@ -36,7 +38,13 @@ from hnaufbau.aufbau import (
     sort_levels,
 )
 from hnaufbau.fock import eigenstate_from_config
-from hnaufbau.lattice import HNParams, Levels, obc_spectrum, pbc_spectrum
+from hnaufbau.lattice import (
+    HNParams,
+    Levels,
+    obc_spectrum,
+    pbc_spectrum,
+    single_particle_levels,
+)
 
 
 def ring_levels(L, g=0.5, t=1.0):
@@ -506,6 +514,34 @@ def test_occupation_strings_mixed_rows_and_bad_input():
         occupation_strings(np.array([1, 0]))
     with pytest.raises(ValueError):
         occupation_strings([[1, -1]])
+
+
+@settings(deadline=None, max_examples=60)
+@given(
+    stats=st.sampled_from(["fermion", "boson", "hardcore"]),
+    bc=st.sampled_from([("periodic", 0.0), ("open", 0.0), ("twisted", 0.7)]),
+    L=st.integers(2, 7),
+    N=st.integers(0, 6),
+    g=st.sampled_from([0.0, 0.5, 1.5, -2.0]),
+)
+@example(stats="boson", bc=("open", 0.0), L=3, N=6, g=0.5)
+@example(stats="boson", bc=("twisted", 0.7), L=4, N=5, g=-2.0)
+def test_energy_kernel_bits_match_scalar_kahan(stats, bc, L, N, g):
+    # every row of the whole-sector kernel against the scalar oracle, bit
+    # for bit; boson rows with n > 1 take the n * eps branch
+    if stats != "boson":
+        N = min(N, L)
+    boundary, twist = bc
+    levels = single_particle_levels(HNParams(L=L, t=1.0, g=g, boundary=boundary, twist=twist))
+    levels = _sector_levels(levels, stats, N)
+    perm = sort_levels(levels)
+    occ = _occupation_rows(L, N, stats)
+    got = kernels.config_energies_boson(occ, perm, levels.energies)
+    eps = levels.energies[perm].tolist()
+    want = np.array([_kahan_energy(eps, row) for row in occ[:, perm].tolist()], np.complex128)
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    if stats == "boson" and N > 1:
+        assert (occ > 1).any()
 
 
 def test_energy_of_config_raises_beyond_float_range():

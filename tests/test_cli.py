@@ -15,6 +15,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -267,15 +268,11 @@ def test_int_column_text_matches_str(pool, picks):
     ["-L", "5", "-N", "3", "-g", "1.5", "--bc", "obc", "--stats", "boson"],
     ["-L", "8", "-N", "4", "-g", "0.5", "--bc", "pbc", "--stats", "hardcore"],
 ])
-def test_spectrum_json_rows_hold_plain_python_values(tmp_path, monkeypatch, flags):
-    # json.dumps writes a numpy float like a float, so look at the payload
-    # it is handed, not at the text
-    payloads = []
-    dumps = json.dumps
-    monkeypatch.setattr(cli.json, "dumps", lambda obj, **kw: payloads.append(obj) or dumps(obj, **kw))
+def test_spectrum_json_rows_hold_plain_python_values(tmp_path, flags):
+    # the rows are spliced in as text, so read their types off the parsed file
     code, out = run_to_file(tmp_path, "s.json", ["spectrum", *flags, "--format", "json"])
     assert code == 0
-    (payload,) = payloads
+    payload = json.loads(out.read_text(encoding="utf-8"))
     assert payload["rows"]
     assert {tuple(map(type, row)) for row in payload["rows"]} == {(int, float, float, int, str)}
     _, _, rows = cli.read_table(str(run_to_file(tmp_path, "s.csv", ["spectrum", *flags])[1]))
@@ -283,7 +280,7 @@ def test_spectrum_json_rows_hold_plain_python_values(tmp_path, monkeypatch, flag
 
 
 def test_failed_formatting_writes_no_file(tmp_path):
-    # the output is opened only after the whole text is formatted
+    # a failure while formatting removes the part file, so no file appears
     class Unprintable:
         def __str__(self):
             raise MemoryError
@@ -293,6 +290,193 @@ def test_failed_formatting_writes_no_file(tmp_path):
     with pytest.raises(MemoryError):
         cli._emit(args, {"command": "spectrum"}, ["a", "b"], [[1, 2], [3.0, Unprintable()]])
     assert not out.exists()
+
+
+def _unchunked(fmt, header, columns, data, metrics=None):
+    """The whole text as the writer made it before it streamed: CSV row by
+    row with str, JSON as one json.dumps of the payload."""
+    cells = []
+    for col in data:
+        if isinstance(col, np.ndarray) and col.ndim == 2:
+            cells.append([occupation_string(row) for row in col.tolist()])
+        else:
+            cells.append(col.tolist() if isinstance(col, np.ndarray) else list(col))
+    rows = [list(row) for row in zip(*cells)]
+    if fmt == "json":
+        payload = {"params": cli._json_value(header), "columns": list(columns),
+                   "rows": cli._json_value(rows)}
+        if metrics is not None:
+            payload["metrics"] = cli._json_value(metrics)
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    lines = [f"# {k}={v}" for k, v in header.items()]
+    for key, met in (metrics or {}).items():
+        lines.append(f"# metrics rank={key} " + " ".join(f"{k}={v!r}" for k, v in met.items()))
+    lines.append(",".join(columns))
+    lines.extend(",".join(map(str, row)) for row in rows)
+    return "".join(line + "\n" for line in lines)
+
+
+def _mixed_table(dim):
+    """Every kind of column the writer takes, dim rows, with the special
+    floats (nan, inf, -0.0, ...) in both a numpy and a list column."""
+    pool = np.array(SPECIAL_FLOATS)
+    floats = pool[np.arange(dim) % pool.size]
+    occupations = (np.arange(dim * 4).reshape(dim, 4) * 7) % 3
+    if dim:
+        occupations[-1, 0] = 12  # a ';'-joined occupation string
+    data = [
+        range(dim),
+        floats,
+        floats[::-1].tolist(),
+        np.arange(dim, dtype=np.int64) // 3,
+        [f"s{r % 3}\u00e9" for r in range(dim)],
+        occupations,
+    ]
+    header = {"command": "test", "x": math.nan, "L": dim}
+    metrics = {"0": {"left_fraction": 0.5, "log_slope": math.nan}, "1": {"ipr": -math.inf}}
+    return header, ["rank", "a", "b", "group", "name", "occupation"], data, metrics
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("dim", [0, 1, 2, 23])
+def test_chunked_table_matches_unchunked_writer(tmp_path, monkeypatch, fmt, dim):
+    # chunks of 1, 2, dim - 1, dim and dim + 1 rows all give the same bytes
+    header, columns, data, metrics = _mixed_table(dim)
+    want = _unchunked(fmt, header, columns, data, metrics)
+    out = tmp_path / "table"
+    for chunk in sorted({1, 2, max(dim - 1, 1), max(dim, 1), dim + 1}):
+        monkeypatch.setattr(cli, "CHUNK_ROWS", chunk)
+        for met in (metrics, None):
+            cli._emit(argparse.Namespace(format=fmt, out=str(out)), header, columns, data, met)
+            assert out.read_text(encoding="utf-8") == _unchunked(fmt, header, columns, data, met)
+    assert want.count("\n") > 5
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_chunked_spectrum_matches_row_by_row_writer(tmp_path, monkeypatch, fmt):
+    levels = single_particle_levels(HNParams(L=7, t=1.0, g=0.5, boundary="open"))
+    spec = build_spectrum(levels, "boson", 3)
+    dim = len(spec)
+    argv = ["spectrum", "-L", "7", "-N", "3", "--bc", "obc", "--stats", "boson", "--format", fmt]
+    reference = None
+    for chunk in (1, 2, dim - 1, dim, dim + 1):
+        monkeypatch.setattr(cli, "CHUNK_ROWS", chunk)
+        code, out = run_to_file(tmp_path, f"{chunk}.{fmt}", argv)
+        assert code == 0
+        text = out.read_text(encoding="utf-8")
+        if fmt == "csv":
+            lines = text.splitlines()
+            body = lines[lines.index("rank,energy_re,energy_im,degeneracy_group,occupation") + 1:]
+            assert body == _row_by_row_body(spec)
+        else:
+            rows = [line.split(",") for line in _row_by_row_body(spec)]
+            assert [list(map(str, row)) for row in json.loads(text)["rows"]] == rows
+        reference = reference or text
+        assert text == reference
+
+
+def _late_failure_table():
+    class Unprintable:
+        def __str__(self):
+            raise MemoryError
+
+    return ["a"], [[*range(7), Unprintable()]]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_late_chunk_failure_leaves_no_file(tmp_path, monkeypatch, fmt):
+    # the first chunks reach the part file; the last one fails
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 2)
+    columns, data = _late_failure_table()
+    written = []
+    real_write = cli._write
+
+    def spy(path, pieces):
+        def watched():
+            for piece in pieces:
+                written.append(sorted(p.name for p in tmp_path.iterdir()))
+                yield piece
+        return real_write(path, watched())
+
+    monkeypatch.setattr(cli, "_write", spy)
+    fresh, kept = tmp_path / "fresh.out", tmp_path / "kept.out"
+    kept.write_bytes(b"old bytes\n")
+    for out in (fresh, kept):
+        # str raises MemoryError; the JSON encoder refuses the object first
+        with pytest.raises(MemoryError if fmt == "csv" else TypeError):
+            args = argparse.Namespace(format=fmt, out=str(out))
+            cli._emit(args, {"command": "x"}, columns, data)
+    assert len(written) >= 8 and any(name.endswith(".part") for name in written[-1])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.out"]
+    assert kept.read_bytes() == b"old bytes\n"
+
+
+def test_written_file_mode_matches_plain_open(tmp_path):
+    plain = tmp_path / "plain"
+    with open(plain, "w"):
+        pass
+    code, out = run_to_file(tmp_path, "spec.csv", ["spectrum", "-L", "4", "-N", "2"])
+    assert code == 0
+    assert out.stat().st_mode == plain.stat().st_mode
+
+
+def test_out_through_symlink_and_fifo(tmp_path):
+    argv = ["spectrum", "-L", "5", "-N", "2"]
+    want = run_to_file(tmp_path, "want.csv", argv)[1].read_bytes()
+    # a symlink keeps pointing at its file, which gets the bytes
+    real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+    link.symlink_to(real)
+    assert run_cli([*argv, "--out", str(link)]) == 0
+    assert link.is_symlink() and real.read_bytes() == want
+    # a FIFO is written in place, not renamed over
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    assert run_cli([*argv, "--out", str(fifo)]) == 0
+    reader.join(timeout=60)
+    assert got == [want]
+    assert fifo.is_fifo()
+    assert not list(tmp_path.glob("*.part"))
+
+
+def test_out_name_at_the_length_limit(tmp_path):
+    # <out>.<pid>.part would pass 255 bytes; the part name is cut instead
+    out = tmp_path / ("a" * 251 + ".csv")
+    assert run_cli(["spectrum", "-L", "4", "-N", "2", "--out", str(out)]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == [out.name]
+
+
+def test_failed_out_leaves_no_part_file(tmp_path, capsys):
+    target = tmp_path / "dir"
+    target.mkdir()
+    for out in (target, tmp_path / "missing" / "x.csv"):
+        assert run_cli(["spectrum", "-L", "4", "-N", "2", "--out", str(out)]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
+    assert not list(target.iterdir())
+
+
+def test_closed_stdout_ends_quietly():
+    # a reader that stops after one line (| head -1) ends the command with
+    # exit 0 and nothing on stderr
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    for fmt in ("csv", "json"):
+        proc = subprocess.Popen(
+            [sys.executable, "-W", "error", "-m", "hnaufbau", "spectrum", "-L", "20", "-N", "10",
+             "--format", fmt],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 0
+        assert err == b""
+        assert first in (b"# command=spectrum\n", b"{\n")
 
 
 def test_overflowing_spectrum_warns_nothing():
