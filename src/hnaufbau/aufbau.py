@@ -72,6 +72,8 @@ DEFAULT_MAX_STATES = 5_000_000
 # dim x L cells of the int16 occupation matrix: 2 GiB, about 6 GB at the
 # peak of a spectrum run
 MAX_OCCUPATION_CELLS = 1 << 30
+# largest particle number one int16 occupation cell holds
+MAX_OCCUPATION = int(np.iinfo(np.int16).max)
 
 
 class SectorError(ValueError):
@@ -166,9 +168,8 @@ def sort_levels(levels, tie_tol=None) -> np.ndarray:
     if len(levels) == 0:
         raise ValueError("sort_levels requires a non-empty level list")
     energies = levels.energies
-    if tie_tol is None:
-        tie_tol = default_tie_tol(energies.real)
-    tie_tol = float(tie_tol)
+    spread_tol = default_tie_tol(energies.real)  # raises on a spread beyond float range
+    tie_tol = spread_tol if tie_tol is None else float(tie_tol)
     if not (tie_tol >= 0.0 and math.isfinite(tie_tol)):
         raise ValueError(f"tie_tol must be finite and >= 0, got {tie_tol}")
     return _clustered_order(energies.real, energies.imag, tie_tol)[0]
@@ -198,8 +199,13 @@ def count_configs(L, N, statistics) -> int:
 
 def _capped_dim(L, N, statistics, max_cells=MAX_OCCUPATION_CELLS):
     """count_configs, raising SectorTooLargeError above DEFAULT_MAX_STATES
-    states or max_cells cells of the dim x L occupation matrix."""
+    states, max_cells cells of the dim x L occupation matrix, or (bosons)
+    more particles than an int16 occupation holds."""
     dim = count_configs(L, N, statistics)
+    if statistics == "boson" and N > MAX_OCCUPATION:
+        raise SectorTooLargeError(
+            f"boson sector has N = {N}, above the int16 occupation limit of {MAX_OCCUPATION}"
+        )
     if dim > DEFAULT_MAX_STATES:
         raise SectorTooLargeError(
             f"sector has {dim} states, above the cap of {DEFAULT_MAX_STATES}"
@@ -269,7 +275,8 @@ def build_spectrum(levels, statistics, N, tie_tol=None):
         energies = kernels.config_energies_boson(occupations, perm, levels.energies)
     if not np.isfinite(energies).all():
         raise OverflowError("a many-body energy is not finite")
-    mb_tol = default_tie_tol(energies.real) if tie_tol is None else float(tie_tol)
+    spread_tol = default_tie_tol(energies.real)  # raises on a spread beyond float range
+    mb_tol = spread_tol if tie_tol is None else float(tie_tol)
     order, groups = _clustered_order(energies.real, energies.imag, mb_tol)
     return Spectrum(statistics, energies[order], occupations[order], groups)
 

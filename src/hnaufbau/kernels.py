@@ -3,17 +3,19 @@ builds of the occupation rows (colex order) and of their compensated
 level sums.
 
 Plain interpreted NumPy; there is no compiled backend. Enumeration builds
-a sector's occupation matrix mode by mode in colex order, _colex_rank maps
-rows back to their colex positions, and configuration energies are one
-compensated sum over all rows at once, for every statistics. The
-Fock-space operators do not live here: they are gathers and scatters over
-each basis's lowering table, whose indices are colex ranks (see
-``fock.FockBasis``).
+a sector's occupation matrix particle by particle in colex order,
+_colex_rank maps rows back to their colex positions, and configuration
+energies are one compensated sum over all rows at once, for every
+statistics. The Fock-space operators do not live here: they are gathers
+and scatters over each basis's lowering table, whose indices are colex
+ranks (see ``fock.FockBasis``).
 
 Kernels never raise; input checks live in the calling modules.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -24,30 +26,27 @@ JIT_ENABLED = NUMBA_AVAILABLE = False
 
 
 def _colex_rows(L, N, cap):
-    """All rows of L occupation numbers in 0..cap summing to N, colex order.
+    """All rows of L occupation numbers summing to N, in colex order, for
+    cap = 1 (fermions) or cap >= N (bosons).
 
-    Built one mode at a time: the rows over modes 0..m are the rows over
-    modes 0..m-1 extended by n_m = 0, then by n_m = 1, and so on, so each
-    row's last occupied mode varies slowest. ``blocks[n]`` holds the rows
-    over the modes seen so far that carry n particles.
+    Built one particle at a time. In colex order the rows with every
+    particle below mode c (bosons: at or below c) come first, so the
+    n-particle rows whose top particle sits on mode c are a prefix of the
+    (n-1)-particle rows plus one particle on c. The blocks follow c upward;
+    fermions stop where the particles still to come fit above c.
     """
-    blocks = [np.zeros((1, 0), np.int16)] + [None] * N
-    for m in range(L):
-        # fewest particles on modes 0..m that the remaining modes can top up
-        lo = max(0, N - cap * (L - 1 - m))
-        new = [None] * (N + 1)
-        for n in range(lo, min(N, cap * (m + 1)) + 1):
-            parts = [(k, blocks[n - k]) for k in range(min(cap, n) + 1)
-                     if blocks[n - k] is not None]
-            rows = np.empty((sum(b.shape[0] for _k, b in parts), m + 1), np.int16)
-            r = 0
-            for k, b in parts:
-                rows[r : r + b.shape[0], :m] = b
-                rows[r : r + b.shape[0], m] = k
-                r += b.shape[0]
-            new[n] = rows
-        blocks = new
-    return blocks[N]
+    rows = np.zeros((1, L), np.int16)
+    for n in range(1, N + 1):
+        span, tops = (0, range(n - 1, L - N + n)) if cap == 1 else (n - 1, range(L))
+        sizes = [math.comb(c + span, n - 1) for c in tops]
+        new = np.empty((sum(sizes), L), np.int16)
+        r = 0
+        for c, size in zip(tops, sizes):
+            new[r : r + size] = rows[:size]
+            new[r : r + size, c] += 1
+            r += size
+        rows = new
+    return rows
 
 
 def _colex_rank(rows, w):

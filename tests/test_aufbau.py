@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from hnaufbau import kernels
 from hnaufbau.aufbau import (
     DEFAULT_MAX_STATES,
+    _capped_dim,
     _check_occupations,
     _kahan_energy,
     _occupation_rows,
@@ -115,6 +116,18 @@ def test_sort_rejects_bad_tie_tol():
         sort_levels(fake_levels([1.0]), tie_tol=float("nan"))
 
 
+@pytest.mark.parametrize("tie_tol", [None, 1e-3])
+def test_spread_beyond_float_range_raises_whatever_tie_tol(tie_tol):
+    # an explicit tie_tol keeps the spread check: real parts 2e308 apart
+    # (levels) or 3e308 apart (two-particle energies of levels 1.6e308
+    # apart) raise instead of overflowing in the gaps
+    with pytest.raises(OverflowError, match="beyond float range"):
+        sort_levels(fake_levels([-1e308, 1e308]), tie_tol)
+    levels = fake_levels([-8e307, -7e307, 7e307, 8e307])
+    with pytest.raises(OverflowError, match="beyond float range"):
+        build_spectrum(levels, "fermion", 2, tie_tol=tie_tol)
+
+
 @settings(deadline=None, max_examples=50)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -157,14 +170,22 @@ def test_enumeration_counts_and_uniqueness():
         assert len(seen) == count_configs(6, 3, stats)
 
 
+# (L, N) per statistics: a small sector, thin sectors, and near-full
+# fermion or few-mode boson sectors
+FERMION_SECTORS = [(5, 3), (64, 1), (40, 2), (12, 11), (12, 12)]
+BOSON_SECTORS = [(5, 3), (64, 1), (40, 2), (2, 40), (3, 25)]
+
+
 def test_enumeration_is_colexicographic():
     # colex: compare occupation tuples read from the last mode backwards
     def colex_key(occ):
         return tuple(reversed(occ))
 
-    for stats in ("fermion", "boson"):
-        occs = rows_of(5, 3, stats)
-        assert occs == sorted(occs, key=colex_key)
+    for stats, sectors in (("fermion", FERMION_SECTORS), ("boson", BOSON_SECTORS)):
+        for L, N in sectors:
+            occs = rows_of(L, N, stats)
+            assert len(occs) == count_configs(L, N, stats)
+            assert occs == sorted(occs, key=colex_key)
 
 
 def test_enumeration_first_rows():
@@ -197,14 +218,14 @@ def test_enumeration_matches_itertools_combinations():
 def test_fermion_words_match_combinations():
     # independent reference: bit words from combinations, sorted ascending,
     # unpacked into occupation rows
-    L, N = 10, 4
-    rows = kernels.fermion_occupations(L, N)
-    words = sorted(
-        sum(1 << p for p in positions)
-        for positions in itertools.combinations(range(L), N)
-    )
-    ref = [[(w >> j) & 1 for j in range(L)] for w in words]
-    np.testing.assert_array_equal(rows, np.array(ref, dtype=np.int16))
+    for L, N in [(10, 4), *FERMION_SECTORS[1:]]:
+        rows = kernels.fermion_occupations(L, N)
+        words = sorted(
+            sum(1 << p for p in positions)
+            for positions in itertools.combinations(range(L), N)
+        )
+        ref = [[(w >> j) & 1 for j in range(L)] for w in words]
+        np.testing.assert_array_equal(rows, np.array(ref, dtype=np.int16))
 
 
 def test_boson_states_match_compositions():
@@ -217,15 +238,34 @@ def test_boson_states_match_compositions():
             for rest in compositions(L - 1, N - head):
                 yield (head,) + rest
 
-    L, N = 5, 4
-    states = kernels.boson_states(L, N)
-    ref = sorted(compositions(L, N), key=lambda occ: tuple(reversed(occ)))
-    np.testing.assert_array_equal(states, np.array(ref, dtype=np.int16))
+    for L, N in [(5, 4), *BOSON_SECTORS[1:]]:
+        states = kernels.boson_states(L, N)
+        ref = sorted(compositions(L, N), key=lambda occ: tuple(reversed(occ)))
+        np.testing.assert_array_equal(states, np.array(ref, dtype=np.int16))
 
 
 def test_enumeration_vacuum_and_full():
     assert rows_of(3, 0, "boson") == [(0, 0, 0)]
     assert rows_of(3, 3, "fermion") == [(1, 1, 1)]
+    for enumerate_sector in (kernels.fermion_occupations, kernels.boson_states):
+        vacuum = enumerate_sector(5000, 0)
+        assert vacuum.dtype == np.int16
+        np.testing.assert_array_equal(vacuum, np.zeros((1, 5000), np.int16))
+
+
+def test_single_fermion_rows_are_the_identity():
+    # one particle: row m holds it on mode m, at a cost of the L x L output
+    np.testing.assert_array_equal(
+        kernels.fermion_occupations(2000, 1), np.eye(2000, dtype=np.int16)
+    )
+
+
+def test_boson_particle_number_fits_int16():
+    # occupations are int16, so a boson sector is refused above its limit
+    limit = int(np.iinfo(np.int16).max)
+    assert _capped_dim(2, limit, "boson") == limit + 1
+    with pytest.raises(SectorTooLargeError, match=f"int16 occupation limit of {limit}"):
+        _capped_dim(2, limit + 1, "boson")
 
 
 def test_enumeration_invalid_sectors():

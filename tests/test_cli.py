@@ -497,6 +497,24 @@ def test_overflowing_spectrum_warns_nothing():
     assert proc.stderr.splitlines() == ["computation failed: a many-body energy is not finite"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["-L", "9", "-N", "2", "-g", "709", "-t", "1e200", "--bc", "pbc", "--stats", "hardcore"],
+    ["-L", "2", "-N", "3", "-g", "-709", "-t", "2", "--bc", "twist=0.7", "--stats", "boson"],
+])
+def test_tol_keeps_the_level_spread_check(tmp_path, capsys, argv):
+    # levels spread beyond float range fail with the same one line whether
+    # or not --tol is given, with no numpy warning and no file
+    for tol in ([], ["--tol", "1e-3"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out = run_to_file(tmp_path, "spread.csv", ["spectrum", *argv, *tol])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "computation failed: real parts spread over inf, beyond float range"
+        ]
+        assert not out.exists()
+
+
 def test_overflowing_orbitals_exit_1_with_one_line():
     # at g = -70 the open-chain orbitals e^{-g j} leave float range on a
     # valid input: a computation failure (1), not a usage error (2), with
@@ -639,6 +657,19 @@ def test_sector_beyond_occupation_cells_exits_2_unallocated(tmp_path, capsys, co
     ]
     assert not out.exists()
     assert peak < 32 << 20
+
+
+@pytest.mark.parametrize("command", ["spectrum", "observables"])
+def test_boson_sector_past_int16_exits_2_up_front(tmp_path, capsys, command):
+    # an int16 occupation holds at most 32767 bosons; a larger N is refused
+    # before enumeration instead of failing after it
+    out = tmp_path / "many.csv"
+    argv = [command, "-L", "2", "-N", "32768", "--stats", "boson", "--bc", "obc"]
+    assert run_cli([*argv, "--out", str(out)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: boson sector has N = 32768, above the int16 occupation limit of 32767"
+    ]
+    assert not out.exists()
 
 
 def test_fock_cell_cap_leaves_spectrum_alone(tmp_path, capsys, monkeypatch):
