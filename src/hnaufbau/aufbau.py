@@ -278,7 +278,8 @@ def build_spectrum(levels, statistics, N, tie_tol=None):
     spread_tol = default_tie_tol(energies.real)  # raises on a spread beyond float range
     mb_tol = spread_tol if tie_tol is None else float(tie_tol)
     order, groups = _clustered_order(energies.real, energies.imag, mb_tol)
-    return Spectrum(statistics, energies[order], occupations[order], groups)
+    energies = energies[order]  # frees the unsorted energies before the rows gather
+    return Spectrum(statistics, energies, occupations[order], groups)
 
 
 def _fill(levels, statistics, N):
@@ -353,7 +354,8 @@ def occupation_string(occ) -> str:
     row holds one number per byte): digit string when all n <= 9
     ("0101100000"), ';'-joined otherwise ("0;11;0"), so the text stays one
     CSV field."""
-    if type(occ) is not bytes:  # bytes rows, the spectrum writer's, skip the check
+    writer_row = type(occ) is bytes  # a bytes row cannot hold a negative number
+    if not writer_row:
         occ = occ.tolist() if isinstance(occ, np.ndarray) else occ  # numbers, not buffer
     try:
         text = bytes(occ).translate(_DIGITS)
@@ -361,7 +363,7 @@ def occupation_string(occ) -> str:
         text = b""
     if text.isdigit():
         return text.decode("ascii")
-    if min(occ, default=0) < 0:
+    if not writer_row and min(occ, default=0) < 0:
         raise ValueError("occupations must be non-negative")
     return ";".join(map(str, occ))
 

@@ -9,12 +9,13 @@ complex values as separate _re/_im columns; JSON mirrors the same payload,
 with null where CSV writes nan. Every command hands the writer its table as
 columns. Every cell is str of its value, so floats keep full repr
 precision. The writer yields the text in pieces: the header block, then
-the rows CHUNK_ROWS at a time, joined in C. A numpy column is formatted
-once per distinct bit pattern over the whole column and gathered back with
-one index, so the repeated many-body energies of a spectrum cost one str
-each; a spectrum's occupation rows are formatted chunk by chunk, one
-occupation_string call per row on a bytes row, so a sector's strings are
-never all held at once; any other column is formatted value by value.
+the rows CHUNK_ROWS (4096) at a time, joined in C, so one chunk's strings
+stay small. A numpy column is formatted once per distinct bit pattern
+over the whole column and gathered back with one index, so the repeated
+many-body energies of a spectrum cost one str each; a spectrum's
+occupation rows are formatted chunk by chunk, one occupation_string call
+per row on a bytes row, so a sector's strings are never all held at once;
+any other column is formatted value by value.
 JSON rows are the same cell texts (null for a non-finite float, json.dumps
 of a string) spliced into a json.dumps skeleton of the rest of the payload.
 An --out file appears whole or not at all: the pieces go to a sibling
@@ -35,6 +36,7 @@ which includes an --out that cannot be written.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -66,8 +68,10 @@ def _comma_list(text):
     return [part.strip() for part in text.split(",") if part.strip()]
 
 
+@functools.cache
 def _build_parser():
-    """The parser. Each option's flag is --<dest>, or -<dest> for one letter."""
+    """The parser, built once per process. Each option's flag is --<dest>,
+    or -<dest> for one letter."""
     run = argparse.ArgumentParser(add_help=False)
     run.add_argument("-t", type=float, default=1.0)
     run.add_argument("-g", type=float, default=0.5)
@@ -169,7 +173,7 @@ def _json_value(value):
 
 
 # rows formatted and written per piece of output
-CHUNK_ROWS = 1 << 15
+CHUNK_ROWS = 1 << 12
 
 
 def _json_text(value):

@@ -1,14 +1,14 @@
-"""Sector enumeration and configuration energies: whole-sector numpy
-builds of the occupation rows (colex order) and of their compensated
-level sums.
+"""Sector enumeration and configuration energies: numpy builds of the
+occupation rows (colex order) and of their compensated level sums.
 
 Plain interpreted NumPy; there is no compiled backend. Enumeration builds
 a sector's occupation matrix particle by particle in colex order,
 _colex_rank maps rows back to their colex positions, and configuration
-energies are one compensated sum over all rows at once, for every
-statistics. The Fock-space operators do not live here: they are gathers
-and scatters over each basis's lowering table, whose indices are colex
-ranks (see ``fock.FockBasis``).
+energies are one compensated sum per row, for every statistics, run over
+blocks of BLOCK_ROWS rows whose transposed occupations are copied once
+into cache-sized buffers. The Fock-space operators do not live here: they
+are gathers and scatters over each basis's lowering table, whose indices
+are colex ranks (see ``fock.FockBasis``).
 
 Kernels never raise; input checks live in the calling modules.
 """
@@ -23,6 +23,9 @@ __all__ = ["boson_states", "fermion_occupations", "config_energies_boson"]
 
 # no compiled backend; kept so tools that record the backend can read it
 JIT_ENABLED = NUMBA_AVAILABLE = False
+
+# rows per block of config_energies_boson, so its buffers stay in cache
+BLOCK_ROWS = 1 << 13
 
 
 def _colex_rows(L, N, cap):
@@ -89,33 +92,38 @@ def boson_states(L, N):
 
 
 def config_energies_boson(occupations, perm, eps):
-    """Occupation-weighted level sums of every row at once, compensated
-    (Kahan) and visiting the modes in sorted-level order ``perm``. The
-    rows may hold any occupations, so this serves every statistics.
+    """Occupation-weighted level sums of every row, compensated (Kahan) and
+    visiting the modes in sorted-level order ``perm``. The rows may hold
+    any occupations, so this serves every statistics.
 
     A row adds eps[m] itself where n_m = 1, n_m * eps[m] where n_m > 1, and
     skips the update where n_m = 0, so each sum is bit-identical to the
-    scalar ``aufbau._kahan_energy`` of the same row. The occupations are
-    copied transposed once, so each mode's column is contiguous, and every
-    step writes into buffers allocated once.
+    scalar ``aufbau._kahan_energy`` of the same row. The rows go BLOCK_ROWS
+    at a time: each block's occupations are copied transposed once, so each
+    mode's column is contiguous, its sums accumulate in place in the
+    output, and every step writes into buffers allocated once at block
+    size; no whole-sector temporary is made.
     """
-    dim = occupations.shape[0]
-    columns = np.ascontiguousarray(occupations.T)
-    acc = np.zeros(dim, np.complex128)
-    comp = np.zeros(dim, np.complex128)
-    y = np.empty(dim, np.complex128)
-    t = np.empty(dim, np.complex128)
-    hit = np.empty(dim, bool)
-    many = np.empty(dim, bool)
-    for m in perm:
-        n = columns[m]
-        np.not_equal(n, 0, out=hit)
-        np.greater(n, 1, out=many)
-        y.fill(eps[m])
-        np.multiply(n, eps[m], out=y, where=many)
-        y -= comp
-        np.add(acc, y, out=t)
-        np.subtract(t, acc, out=comp, where=hit)
-        np.subtract(comp, y, out=comp, where=hit)
-        np.copyto(acc, t, where=hit)
-    return acc
+    dim, L = occupations.shape
+    out = np.zeros(dim, np.complex128)
+    size = min(dim, BLOCK_ROWS)
+    sums, flags = np.empty((3, size), np.complex128), np.empty((2, size), bool)
+    block = np.empty((L, size), occupations.dtype)
+    for lo in range(0, dim, BLOCK_ROWS):
+        k = min(size, dim - lo)
+        acc, (comp, y, t), (hit, many) = out[lo : lo + k], sums[:, :k], flags[:, :k]
+        columns = block[:, :k]
+        comp.fill(0)
+        np.copyto(columns, occupations[lo : lo + k].T)
+        for m in perm:
+            n = columns[m]
+            np.not_equal(n, 0, out=hit)
+            np.greater(n, 1, out=many)
+            y.fill(eps[m])
+            np.multiply(n, eps[m], out=y, where=many)
+            y -= comp
+            np.add(acc, y, out=t)
+            np.subtract(t, acc, out=comp, where=hit)
+            np.subtract(comp, y, out=comp, where=hit)
+            np.copyto(acc, t, where=hit)
+    return out

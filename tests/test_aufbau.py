@@ -8,6 +8,7 @@ diagonalization (see test_fock / the verify module); they are asserted at
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -519,6 +520,13 @@ def test_occupation_string_of_plain_rows():
     assert occupation_string([0, 1, 9, 0]) == "0190"
     assert occupation_string((0, 10, 255, 256)) == "0;10;255;256"
     assert occupation_string(np.array([3, 0, 1], dtype=np.int16).tolist()) == "301"
+    # a bytes row, the writer's, holds one number per byte
+    assert occupation_string(bytes([0, 10, 255])) == "0;10;255"
+    assert occupation_string(bytes([1, 0, 9])) == "109"
+    # lists and arrays are still checked for negatives
+    for row in ([1, -1, 0], np.array([12, -1]), (-300,)):
+        with pytest.raises(ValueError, match="non-negative"):
+            occupation_string(row)
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64, np.uint8])
@@ -582,6 +590,48 @@ def test_energy_kernel_bits_match_scalar_kahan(stats, bc, L, N, g):
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
     if stats == "boson" and N > 1:
         assert (occ > 1).any()
+
+
+@pytest.mark.parametrize(
+    "stats, L, N, g",
+    [("fermion", 7, 3, 0.5), ("hardcore", 6, 3, 1.5), ("boson", 4, 5, -2.0)],
+)
+def test_blocked_energy_kernel_matches_scalar_kahan(monkeypatch, stats, L, N, g):
+    # blocks of 1, 2, dim - 1, dim and dim + 1 rows all give every row's
+    # scalar compensated sum, bit for bit
+    levels = _sector_levels(
+        single_particle_levels(HNParams(L=L, t=1.0, g=g, boundary="open")), stats, N)
+    perm = sort_levels(levels)
+    occ = _occupation_rows(L, N, stats)
+    eps = levels.energies[perm].tolist()
+    want = np.array([_kahan_energy(eps, row) for row in occ[:, perm].tolist()], np.complex128)
+    dim = len(occ)
+    for block in (1, 2, dim - 1, dim, dim + 1):
+        monkeypatch.setattr(kernels, "BLOCK_ROWS", block)
+        got = kernels.config_energies_boson(occ, perm, levels.energies)
+        assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist(), block
+    assert stats != "boson" or (occ > 1).any()
+
+
+def test_energy_kernel_holds_block_sized_buffers():
+    # 48,620 rows, several blocks: the traced peak stays below the output
+    # plus twice one block's buffers (the occupation columns, up to four complex
+    # and two bool vectors); whole-sector buffers would be about 5 MB
+    L, N = 18, 9
+    levels = single_particle_levels(HNParams(L=L, t=1.0, g=0.5))
+    perm = sort_levels(levels)
+    occ = _occupation_rows(L, N, "fermion")
+    dim = len(occ)
+    assert dim > 4 * kernels.BLOCK_ROWS
+    block = kernels.BLOCK_ROWS * (L * occ.itemsize + 4 * 16 + 2)
+    tracemalloc.start()
+    try:
+        energies = kernels.config_energies_boson(occ, perm, levels.energies)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert energies.shape == (dim,)
+    assert peak < dim * 16 + 2 * block
 
 
 def test_energy_of_config_raises_beyond_float_range():

@@ -930,6 +930,29 @@ def test_config_suite_yields_to_flag(tmp_path, capsys):
     assert "sumrules/" in captured and "counting/" not in captured
 
 
+def test_parser_is_built_once_and_carries_nothing_over(tmp_path, capsys):
+    # one parser per process; each of three runs in this process gives the
+    # exit code and bytes of a fresh process, so no list flag carries over
+    assert cli._build_parser() is cli._build_parser()
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("suite = counting\ng = 0.3\n")
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    runs = (["spectrum", "-L", "6", "-N", "3", "--stats", "boson"],
+            ["verify", "--config", str(cfg), "--suite", "sumrules"],
+            ["verify"])
+    for i, argv in enumerate(runs):
+        here, fresh = tmp_path / f"here{i}", tmp_path / f"fresh{i}"
+        code = run_cli([*argv, "--out", str(here)])
+        out = capsys.readouterr().out
+        proc = subprocess.run([sys.executable, "-m", "hnaufbau", *argv, "--out", str(fresh)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (code, out) == (proc.returncode, proc.stdout), argv
+        assert here.read_bytes() == fresh.read_bytes(), argv
+    assert "counting/" in out and "sumrules/" in out
+
+
 def test_config_keys_name_their_flags():
     # a config key k is read as -k (one letter) or --k; each option's dest
     # must be spelled that way for its key to reach it
