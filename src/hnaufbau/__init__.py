@@ -23,7 +23,6 @@ from .fock import (
     FockBasis,
     FockVector,
     NullStateError,
-    apply_hamiltonian,
     build_dense_hamiltonian,
     construct_product_state,
     eigenstate_from_config,
@@ -33,20 +32,15 @@ from .fock import (
 from .hardcore import (
     EnergyGap,
     delta_E_scan,
-    fermion_ground_energy_pbc,
-    hcb_ground_energy_pbc,
     im_delta_closed_form,
     obc_equivalence_check,
 )
 from .lattice import (
-    BoundaryError,
     ComplexLevel,
     HNParams,
     Levels,
     hardcore_image,
     hopping_matrix,
-    obc_spectrum,
-    pbc_spectrum,
     single_particle_levels,
 )
 from .numerics import eigenvalues

@@ -148,9 +148,17 @@ def default_tie_tol(real_parts) -> float:
     return 1e-9 * (1.0 + width)
 
 
-def _clustered_order(re, im, tie_tol):
-    """Order by Re, chain runs with adjacent gaps <= tie_tol into clusters,
-    sort each cluster by Im, then position. Returns (order, cluster_ids)."""
+def _cluster_sort(values, tie_tol=None):
+    """Order complex values by Re, chain runs with adjacent gaps <= tie_tol
+    into clusters, sort each cluster by Im, then position. Returns (order,
+    cluster_ids). tie_tol defaults to default_tie_tol of the real parts,
+    whose spread check runs either way; an explicit one must be finite and
+    >= 0."""
+    re, im = values.real, values.imag
+    spread_tol = default_tie_tol(re)  # raises on a spread beyond float range
+    tie_tol = spread_tol if tie_tol is None else float(tie_tol)
+    if not (tie_tol >= 0.0 and math.isfinite(tie_tol)):
+        raise ValueError(f"tie_tol must be finite and >= 0, got {tie_tol}")
     order1 = np.argsort(re, kind="stable")
     cid = np.zeros(re.size, dtype=np.int64)
     if re.size > 1:
@@ -167,12 +175,7 @@ def sort_levels(levels, tie_tol=None) -> np.ndarray:
     """
     if len(levels) == 0:
         raise ValueError("sort_levels requires a non-empty level list")
-    energies = levels.energies
-    spread_tol = default_tie_tol(energies.real)  # raises on a spread beyond float range
-    tie_tol = spread_tol if tie_tol is None else float(tie_tol)
-    if not (tie_tol >= 0.0 and math.isfinite(tie_tol)):
-        raise ValueError(f"tie_tol must be finite and >= 0, got {tie_tol}")
-    return _clustered_order(energies.real, energies.imag, tie_tol)[0]
+    return _cluster_sort(levels.energies, tie_tol)[0]
 
 
 def _check_sector(L, N, statistics, ring=False):
@@ -275,9 +278,7 @@ def build_spectrum(levels, statistics, N, tie_tol=None):
         energies = kernels.config_energies_boson(occupations, perm, levels.energies)
     if not np.isfinite(energies).all():
         raise OverflowError("a many-body energy is not finite")
-    spread_tol = default_tie_tol(energies.real)  # raises on a spread beyond float range
-    mb_tol = spread_tol if tie_tol is None else float(tie_tol)
-    order, groups = _clustered_order(energies.real, energies.imag, mb_tol)
+    order, groups = _cluster_sort(energies, tie_tol)
     energies = energies[order]  # frees the unsorted energies before the rows gather
     return Spectrum(statistics, energies, occupations[order], groups)
 
@@ -402,5 +403,4 @@ def sort_complex_spectrum(values):
     arr = np.asarray(values, dtype=np.complex128).ravel()
     if arr.size == 0:
         return arr.copy()
-    order, _groups = _clustered_order(arr.real, arr.imag, default_tie_tol(arr.real))
-    return arr[order]
+    return arr[_cluster_sort(arr)[0]]

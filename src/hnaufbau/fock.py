@@ -8,15 +8,16 @@ state, and of every state with one particle removed, is exact int64
 arithmetic at any L, and no lookup searches the basis.
 
 The Hamiltonian is H = sum_ij h[i, j] c_i^dag c_j for the L x L hopping
-matrix h of lattice.hopping_matrix. Every operator goes through one
-lowering table per basis: c_j|s> = coef[s, j] |down[s, j]> in the N-1
-sector. The factor is the Jordan-Wigner sign (-1)^(occupied sites below j)
-for fermions and sqrt(n_j) for bosons and hard-core bosons; hard-core
-bosons thus follow bosonic rules with occupancy capped at 1 and no sign,
-which is exactly where the two statistics part ways on a periodic
-wrap-around bond. Annihilation is a scatter over the table, creation a
-gather, so H v, the dense sector Hamiltonian, correlation matrices and
-product states are all numpy array operations.
+matrix h of lattice.hopping_matrix, so H v is apply_hopping(v,
+hopping_matrix(p)). Every operator goes through one lowering table per
+basis: c_j|s> = coef[s, j] |down[s, j]> in the N-1 sector. The factor is the
+Jordan-Wigner sign (-1)^(occupied sites below j) for fermions and sqrt(n_j)
+for bosons and hard-core bosons; hard-core bosons thus follow bosonic rules
+with occupancy capped at 1 and no sign, which is exactly where the two
+statistics part ways on a periodic wrap-around bond. Annihilation is a
+scatter over the table, creation a gather, so H v, the dense sector
+Hamiltonian, correlation matrices and product states are all numpy array
+operations.
 
 Product states are built by applying creation operators sequentially to the
 vacuum, one sector at a time; determinant antisymmetry and permanent
@@ -49,7 +50,6 @@ __all__ = [
     "FockVector",
     "NullStateError",
     "annihilate",
-    "apply_hamiltonian",
     "apply_hopping",
     "build_dense_hamiltonian",
     "construct_product_state",
@@ -139,9 +139,6 @@ class FockBasis:
             raise BasisMismatchError(f"occupation {occ} exceeds the hard-core cap")
         return int(kernels._colex_rank(np.array([occ]), self._counts)[0][0])
 
-    def zero_vector(self) -> "FockVector":
-        return FockVector(self, np.zeros(self.dim, dtype=np.complex128))
-
     def __repr__(self):
         return (
             f"FockBasis(statistics={self.statistics!r}, L={self.L}, "
@@ -200,11 +197,6 @@ def apply_hopping(v: FockVector, h: np.ndarray) -> FockVector:
     if h.shape != (v.basis.L, v.basis.L):
         raise BasisMismatchError(f"hopping matrix shape {h.shape} does not fit L={v.basis.L}")
     return FockVector(v.basis, _create(v.basis, annihilate(v) @ h.T))
-
-
-def apply_hamiltonian(p: HNParams, v: FockVector) -> FockVector:
-    """Action of the many-body Hamiltonian of p on v, in v's own statistics."""
-    return apply_hopping(v, hopping_matrix(p))
 
 
 def build_dense_hamiltonian(p: HNParams, statistics, N) -> np.ndarray:
@@ -274,7 +266,7 @@ def construct_product_state(orbitals, statistics, L=None) -> FockVector:
 
 def residual(p: HNParams, v: FockVector, E) -> float:
     """Euclidean norm of H v - E v."""
-    w = apply_hamiltonian(p, v)
+    w = apply_hopping(v, hopping_matrix(p))
     return float(np.linalg.norm(w.amplitudes - complex(E) * v.amplitudes))
 
 

@@ -6,7 +6,8 @@ the hard-core sector (lattice.hardcore_image) is the periodic ring for odd
 particle number and the antiperiodic one (twist pi) for even. The aufbau
 fill applies that image to the ring it is given, so hard-core ground-state
 energies are reachable at any size by free-fermion filling, no Fock
-enumeration involved.
+enumeration involved: the one level builder gives both statistics,
+ground_state(single_particle_levels(p), statistics, N).energy.
 
 The half-filled ground-state gap
 
@@ -29,21 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import numerics
-from .aufbau import (
-    SectorError,
-    _check_sector,
-    _fill,
-    ground_state,
-    sort_complex_spectrum,
-)
+from .aufbau import SectorError, _check_sector, _fill, sort_complex_spectrum
 from .fock import build_dense_hamiltonian
-from .lattice import HNParams, _exp_pm, pbc_spectrum
+from .lattice import HNParams, _exp_pm, single_particle_levels
 
 __all__ = [
     "EnergyGap",
     "delta_E_scan",
-    "fermion_ground_energy_pbc",
-    "hcb_ground_energy_pbc",
     "im_delta_closed_form",
     "obc_equivalence_check",
 ]
@@ -71,24 +64,6 @@ class EnergyGap:
                 f"hard-core ground energy has Im = {self.E0_hcb.imag:.3e}, "
                 f"expected |Im| < {HCB_IM_TOL}"
             )
-
-
-def _ring_ground_energy(L, N, g, t, statistics) -> complex:
-    _check_sector(L, N, "hardcore", ring=True)
-    levels = pbc_spectrum(HNParams(L=int(L), t=t, g=g))
-    return ground_state(levels, statistics, int(N)).energy
-
-
-def fermion_ground_energy_pbc(L, N, g, t=1.0) -> complex:
-    """Aufbau ground energy of N periodic fermions; for even N this sits on
-    the negative-imaginary branch of the degenerate pair (g > 0)."""
-    return _ring_ground_energy(L, N, g, t, "fermion")
-
-
-def hcb_ground_energy_pbc(L, N, g, t=1.0) -> complex:
-    """Hard-core ground energy of N bosons on the periodic ring, filled on
-    its Jordan-Wigner image: twist 0 for odd N, twist pi for even N."""
-    return _ring_ground_energy(L, N, g, t, "hardcore")
 
 
 def im_delta_closed_form(L, N, g, t=1.0) -> float:
@@ -122,7 +97,7 @@ def delta_E_scan(L_list, filling=0.5, g=0.5, t=1.0):
                 f"scan requires even N (got N={N} at L={L}); use L = 0 mod 4 at half filling"
             )
         _check_sector(L, N, "hardcore", ring=True)
-        levels = pbc_spectrum(HNParams(L=int(L), t=t, g=g))
+        levels = single_particle_levels(HNParams(L=int(L), t=t, g=g))
         e0f, e0b = (_fill(levels, stats, N)[0] for stats in ("fermion", "hardcore"))
         gaps.append(
             EnergyGap(

@@ -29,12 +29,12 @@ passes the other N-1 particles, so that bond picks up the sign (-1)^(N-1)
 p itself for an open chain or odd N, and p with its twist shifted by pi
 otherwise.
 
-The builders return one array-backed Levels per chain: labels, momenta and
-energies are evaluated with numpy over all m at once, by the same expressions
-in the same order as the scalar formulas, so they agree with a level-by-level
-evaluation bit for bit. The L x L orbital matrix is built lazily, on first
-access, so energy-only work (spectra, ground-energy scans over long rings)
-never allocates it.
+One builder, single_particle_levels, returns one array-backed Levels per
+chain, for either boundary: labels, momenta and energies are evaluated with
+numpy over all m at once, by the same expressions in the same order as the
+scalar formulas, so they agree with a level-by-level evaluation bit for bit.
+The L x L orbital matrix is built lazily, on first access, so energy-only
+work (spectra, ground-energy scans over long rings) never allocates it.
 """
 
 from __future__ import annotations
@@ -48,22 +48,15 @@ import numpy as np
 
 __all__ = [
     "BOUNDARIES",
-    "BoundaryError",
     "ComplexLevel",
     "HNParams",
     "Levels",
     "hardcore_image",
     "hopping_matrix",
-    "obc_spectrum",
-    "pbc_spectrum",
     "single_particle_levels",
 ]
 
 BOUNDARIES = ("periodic", "open", "twisted")
-
-
-class BoundaryError(ValueError):
-    """Operation called with an incompatible boundary condition."""
 
 
 @dataclass(frozen=True)
@@ -197,9 +190,9 @@ def hopping_matrix(p: HNParams) -> np.ndarray:
     L = p.L
     tg, tg_rev = (p.t * e for e in _exp_pm(p.g))
     h = np.zeros((L, L), dtype=np.complex128)
-    for j in range(L - 1):
-        h[j, j + 1] += tg
-        h[j + 1, j] += tg_rev
+    bond = np.arange(L - 1)
+    h[bond, bond + 1] = tg
+    h[bond + 1, bond] = tg_rev
     if p.boundary != "open":
         phase = np.exp(-1j * p.phi)
         h[L - 1, 0] += tg * phase
@@ -207,41 +200,22 @@ def hopping_matrix(p: HNParams) -> np.ndarray:
     return h
 
 
-def pbc_spectrum(p: HNParams) -> Levels:
-    """Analytic levels for periodic or twisted boundaries.
-
-    Returns the L Levels with labels m = 1..L, momenta k_m = (2 pi m + phi)/L
-    and plane-wave orbitals normalized to 1.
-    """
-    if p.boundary == "open":
-        raise BoundaryError("pbc_spectrum requires periodic or twisted boundary")
-    L = p.L
-    m = np.arange(1, L + 1, dtype=np.int64)
-    k = (2.0 * math.pi * m + p.phi) / L
-    eg, eg_rev = _exp_pm(p.g)
-    energies = p.t * eg * np.exp(-1j * k) + p.t * eg_rev * np.exp(1j * k)
-    return Levels(m, k, energies, p)
-
-
-def obc_spectrum(p: HNParams) -> Levels:
-    """Analytic levels for the open chain.
-
-    Returns the L Levels with labels m = 1..L, momenta k'_m = m pi/(L+1),
-    real energies 2 t cos k'_m and orbitals e^{-g j} sin(j k'_m)
-    unnormalized. Energies are independent of g (similarity transform to the
-    Hermitian chain); the orbitals are not.
-    """
-    if p.boundary != "open":
-        raise BoundaryError("obc_spectrum requires open boundary")
-    L = p.L
-    m = np.arange(1, L + 1, dtype=np.int64)
-    k = math.pi * m / (L + 1)
-    energies = (2.0 * p.t * np.cos(k)).astype(np.complex128)
-    return Levels(m, k, energies, p)
-
-
 def single_particle_levels(p: HNParams) -> Levels:
-    """Dispatch to the analytic spectrum for the boundary at hand."""
+    """Analytic levels of the chain, labels m = 1..L.
+
+    Periodic or twisted: momenta k_m = (2 pi m + phi)/L and plane-wave
+    orbitals normalized to 1. Open: momenta k'_m = m pi/(L+1), real energies
+    2 t cos k'_m and orbitals e^{-g j} sin(j k'_m) unnormalized; the energies
+    are independent of g (similarity transform to the Hermitian chain), the
+    orbitals are not.
+    """
+    L = p.L
+    m = np.arange(1, L + 1, dtype=np.int64)
     if p.boundary == "open":
-        return obc_spectrum(p)
-    return pbc_spectrum(p)
+        k = math.pi * m / (L + 1)
+        energies = (2.0 * p.t * np.cos(k)).astype(np.complex128)
+    else:
+        k = (2.0 * math.pi * m + p.phi) / L
+        eg, eg_rev = _exp_pm(p.g)
+        energies = p.t * eg * np.exp(-1j * k) + p.t * eg_rev * np.exp(1j * k)
+    return Levels(m, k, energies, p)

@@ -35,20 +35,8 @@ from .fock import (
     eigenstate_from_config,
     get_basis,
 )
-from .hardcore import (
-    delta_E_scan,
-    fermion_ground_energy_pbc,
-    hcb_ground_energy_pbc,
-    im_delta_closed_form,
-    obc_equivalence_check,
-)
-from .lattice import (
-    HNParams,
-    hopping_matrix,
-    obc_spectrum,
-    pbc_spectrum,
-    single_particle_levels,
-)
+from .hardcore import delta_E_scan, im_delta_closed_form, obc_equivalence_check
+from .lattice import HNParams, hopping_matrix, single_particle_levels
 
 __all__ = ["CheckResult", "SUITES", "run_checks", "summary_table"]
 
@@ -134,21 +122,21 @@ def _suite_single_particle(results, g, t, bond_transform):
             f"max rel residual {worst:.3e} < {TOLERANCES['level_residual']:.0e}",
         )
     p = HNParams(L=12, t=t, g=g, boundary="periodic")
-    tr = sum(pbc_spectrum(p).energies.tolist())
+    tr = sum(single_particle_levels(p).energies.tolist())
     _add(
         results, "single_particle", "ring-energies-traceless",
         abs(tr) < 1e-10 * (1 + abs(g)) * t * p.L,
         f"|sum eps| = {abs(tr):.3e}",
     )
     po = HNParams(L=12, t=t, g=g, boundary="open")
-    eo = obc_spectrum(po).energies
+    eo = single_particle_levels(po).energies
     sym = float(np.max(np.abs(eo + eo[::-1])))
     _add(
         results, "single_particle", "open-energies-symmetric",
         np.max(np.abs(eo.imag)) < 1e-12 and sym < 1e-12,
         f"max |eps_m + eps_{{L+1-m}}| = {sym:.3e}",
     )
-    e0 = obc_spectrum(HNParams(L=12, t=t, boundary="open")).energies
+    e0 = single_particle_levels(HNParams(L=12, t=t, boundary="open")).energies
     gdiff = float(np.max(np.abs(eo - e0)))
     _add(
         results, "single_particle", "open-energies-g-independent",
@@ -196,7 +184,7 @@ def _suite_eigensolver(results, g, t, bond_transform):
 def _suite_aufbau_oracle(results, g, t, bond_transform):
     for stats in ("fermion", "boson"):
         p = HNParams(L=6, t=t, g=g, boundary="periodic")
-        spec = build_spectrum(pbc_spectrum(p), stats, 3)
+        spec = build_spectrum(single_particle_levels(p), stats, 3)
         dense = numerics.eigenvalues(build_dense_hamiltonian(p, stats, 3))
         a = sort_complex_spectrum(spec.energies)
         b = sort_complex_spectrum(dense)
@@ -308,9 +296,10 @@ def _suite_equivalence(results, g, t, bond_transform):
             got == want, f"multiset equal = {got}, expected {want}",
         )
     p = HNParams(L=8, t=t, g=g, boundary="periodic")
+    ring = single_particle_levels(p)
     dense_b = numerics.eigenvalues(build_dense_hamiltonian(p, "hardcore", 4))
     e0_dense = sort_complex_spectrum(dense_b)[0]
-    e0_fill = hcb_ground_energy_pbc(8, 4, g, t)
+    e0_fill = ground_state(ring, "hardcore", 4).energy
     db = abs(e0_dense - e0_fill)
     _add(
         results, "equivalence", "hardcore-ground-dense-vs-fill",
@@ -319,7 +308,7 @@ def _suite_equivalence(results, g, t, bond_transform):
     )
     dense_f = numerics.eigenvalues(build_dense_hamiltonian(p, "fermion", 4))
     e0f_dense = sort_complex_spectrum(dense_f)[0]
-    e0f_fill = fermion_ground_energy_pbc(8, 4, g, t)
+    e0f_fill = ground_state(ring, "fermion", 4).energy
     df = abs(e0f_dense - e0f_fill)
     _add(
         results, "equivalence", "fermion-ground-dense-vs-fill",

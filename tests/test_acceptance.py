@@ -22,7 +22,7 @@ import pytest
 from hnaufbau.aufbau import build_spectrum, sort_complex_spectrum
 from hnaufbau.fock import build_dense_hamiltonian, eigenstate_from_config, residual
 from hnaufbau.hardcore import delta_E_scan, obc_equivalence_check
-from hnaufbau.lattice import HNParams, obc_spectrum, pbc_spectrum
+from hnaufbau.lattice import HNParams, single_particle_levels
 from hnaufbau.numerics import eigenvalues
 from hnaufbau.observables import (
     correlation_matrix,
@@ -57,7 +57,7 @@ def group_sizes(spec):
 def test_acceptance_1_degeneracy_groups():
     with verdict(1, "degeneracy-groups"):
         start = time.perf_counter()
-        levels = pbc_spectrum(HNParams(L=10, t=1.0, g=0.5, boundary="periodic"))
+        levels = single_particle_levels(HNParams(L=10, t=1.0, g=0.5, boundary="periodic"))
         fermion = build_spectrum(levels, "fermion", 5, tie_tol=1e-9)
         boson = build_spectrum(levels, "boson", 5, tie_tol=1e-9)
         fsizes = group_sizes(fermion)
@@ -70,7 +70,7 @@ def test_acceptance_1_degeneracy_groups():
 def test_acceptance_2_sector_counting():
     with verdict(2, "sector-counting"):
         start = time.perf_counter()
-        levels = pbc_spectrum(HNParams(L=10, t=1.0, g=0.5, boundary="periodic"))
+        levels = single_particle_levels(HNParams(L=10, t=1.0, g=0.5, boundary="periodic"))
         assert len(build_spectrum(levels, "fermion", 5)) == 252
         assert len(build_spectrum(levels, "boson", 5)) == 2002
         assert time.perf_counter() - start < 1.0
@@ -80,7 +80,7 @@ def test_acceptance_3_oracle_multiset_equality():
     with verdict(3, "oracle-multiset-equality"):
         start = time.perf_counter()
         p = HNParams(L=6, t=1.0, g=0.5, boundary="periodic")
-        levels = pbc_spectrum(p)
+        levels = single_particle_levels(p)
         for stats, dim in (("fermion", 20), ("boson", 56)):
             spec = build_spectrum(levels, stats, 3)
             assert len(spec) == dim
@@ -97,7 +97,7 @@ def test_acceptance_4_eigenstate_residuals():
         worst = 0.0
         for boundary in ("periodic", "open"):
             p = HNParams(L=8, t=1.0, g=0.5, boundary=boundary)
-            levels = pbc_spectrum(p) if boundary == "periodic" else obc_spectrum(p)
+            levels = single_particle_levels(p)
             for stats in ("fermion", "boson"):
                 spec = build_spectrum(levels, stats, 4)
                 for occ, energy in zip(spec.occupations, spec.energies):
@@ -141,7 +141,7 @@ def test_acceptance_8_skin_effect():
     with verdict(8, "skin-effect"):
         start = time.perf_counter()
         p = HNParams(L=10, t=1.0, g=1.5, boundary="open")
-        levels = obc_spectrum(p)
+        levels = single_particle_levels(p)
 
         def profiles(stats, N, limit=None):
             for occ in build_spectrum(levels, stats, N).occupations[:limit]:

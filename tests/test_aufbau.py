@@ -43,18 +43,16 @@ from hnaufbau.fock import eigenstate_from_config
 from hnaufbau.lattice import (
     HNParams,
     Levels,
-    obc_spectrum,
-    pbc_spectrum,
     single_particle_levels,
 )
 
 
 def ring_levels(L, g=0.5, t=1.0):
-    return pbc_spectrum(HNParams(L=L, t=t, g=g, boundary="periodic"))
+    return single_particle_levels(HNParams(L=L, t=t, g=g, boundary="periodic"))
 
 
 def chain_levels(L, g=0.5, t=1.0):
-    return obc_spectrum(HNParams(L=L, t=t, g=g, boundary="open"))
+    return single_particle_levels(HNParams(L=L, t=t, g=g, boundary="open"))
 
 
 def fake_levels(energies):

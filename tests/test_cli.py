@@ -36,7 +36,7 @@ from hnaufbau.aufbau import (
 )
 from hnaufbau.fock import build_dense_hamiltonian
 from hnaufbau.hardcore import im_delta_closed_form
-from hnaufbau.lattice import HNParams, pbc_spectrum, single_particle_levels
+from hnaufbau.lattice import HNParams, single_particle_levels
 from hnaufbau.numerics import eigenvalues
 from hnaufbau.verify import TOLERANCES, run_checks
 
@@ -86,7 +86,7 @@ def test_spectrum_csv_roundtrip_energies(tmp_path):
     assert header["command"] == "spectrum"
     assert columns == ["rank", "energy_re", "energy_im", "degeneracy_group", "occupation"]
     assert len(rows) == 330
-    levels = pbc_spectrum(HNParams(L=8, t=1.0, g=0.5, boundary="periodic"))
+    levels = single_particle_levels(HNParams(L=8, t=1.0, g=0.5, boundary="periodic"))
     for row in rows[:60]:
         redo = energy_of_config(levels, "boson", parse_occupation_string(row[4]))
         assert abs(redo.real - float(row[1])) < 1e-12

@@ -23,19 +23,17 @@ from hnaufbau.aufbau import (
     sort_complex_spectrum,
 )
 from hnaufbau.fock import (
-    apply_hamiltonian,
+    apply_hopping,
     build_dense_hamiltonian,
     eigenstate_from_config,
 )
 from hnaufbau.hardcore import (
     EnergyGap,
     delta_E_scan,
-    fermion_ground_energy_pbc,
-    hcb_ground_energy_pbc,
     im_delta_closed_form,
     obc_equivalence_check,
 )
-from hnaufbau.lattice import HNParams, hardcore_image, pbc_spectrum, single_particle_levels
+from hnaufbau.lattice import HNParams, hardcore_image, hopping_matrix, single_particle_levels
 from hnaufbau.numerics import eigenvalues
 from hnaufbau.verify import TOLERANCES
 
@@ -45,6 +43,11 @@ SCAN_LENGTHS = list(range(160, 481, 16))
 def lowest_re(values):
     s = sort_complex_spectrum(values)
     return s[0]
+
+
+def ring_e0(L, N, g, statistics):
+    """Aufbau ground energy of N particles on the periodic ring of L sites."""
+    return ground_state(single_particle_levels(HNParams(L=L, g=g)), statistics, N).energy
 
 
 # ------------------------------------------------------------ parity sector
@@ -64,11 +67,9 @@ def test_parity_sector_mapping():
 
 def test_parity_sector_validation():
     with pytest.raises(SectorError):
-        hcb_ground_energy_pbc(8, 0, 0.5)
-    with pytest.raises(SectorError):
-        hcb_ground_energy_pbc(8, 9, 0.5)
-    with pytest.raises(SectorError):
-        hcb_ground_energy_pbc(1, 1, 0.5)
+        ring_e0(8, 9, 0.5, "hardcore")
+    with pytest.raises(ValueError):
+        ring_e0(1, 1, 0.5, "hardcore")
 
 
 def _chains(L, g):
@@ -95,7 +96,7 @@ def test_hardcore_spectrum_of_physical_chain_matches_dense_oracle():
                         sort_complex_spectrum(spec.energies) - sort_complex_spectrum(dense)
                     ))
                     v = eigenstate_from_config(p, "hardcore", spec.occupations[0])
-                    w = apply_hamiltonian(p, v)
+                    w = apply_hopping(v, hopping_matrix(p))
                     res = np.linalg.norm(w.amplitudes - spec.energies[0] * v.amplitudes)
                     if not (diff < TOLERANCES["spectrum_multiset"]
                             and res < TOLERANCES["residual_obc"]):
@@ -111,7 +112,7 @@ def test_hcb_ground_matches_dense_oracle_l8():
     p = HNParams(L=8, t=1.0, g=0.5, boundary="periodic")
     h = build_dense_hamiltonian(p, "hardcore", 4)  # dim 70
     dense = lowest_re(eigenvalues(h))
-    fast = hcb_ground_energy_pbc(8, 4, 0.5)
+    fast = ring_e0(8, 4, 0.5, "hardcore")
     assert abs(dense - fast) < 1e-8
 
 
@@ -119,47 +120,45 @@ def test_fermion_ground_matches_dense_oracle_l8():
     p = HNParams(L=8, t=1.0, g=0.5, boundary="periodic")
     h = build_dense_hamiltonian(p, "fermion", 4)
     dense = lowest_re(eigenvalues(h))
-    fast = fermion_ground_energy_pbc(8, 4, 0.5)
+    fast = ring_e0(8, 4, 0.5, "fermion")
     assert abs(dense - fast) < 1e-8
 
 
 def test_odd_parity_sectors_coincide():
     # odd N: the fermion image is periodic, so the two routes agree exactly
     for L, N in ((6, 3), (10, 5), (9, 3)):
-        assert hcb_ground_energy_pbc(L, N, 0.7) == fermion_ground_energy_pbc(
-            L, N, 0.7
-        )
+        assert ring_e0(L, N, 0.7, "hardcore") == ring_e0(L, N, 0.7, "fermion")
 
 
 def test_hcb_ground_energy_is_real():
     for L, N in ((8, 4), (12, 6), (160, 80)):
-        e = hcb_ground_energy_pbc(L, N, 0.5)
+        e = ring_e0(L, N, 0.5, "hardcore")
         assert abs(e.imag) < 1e-10
 
 
 def test_hermitian_limit_hcb_below_fermion():
     # g=0: both energies real, hard-core strictly lower in the even sector
-    ef = fermion_ground_energy_pbc(8, 4, 0.0)
-    eb = hcb_ground_energy_pbc(8, 4, 0.0)
+    ef = ring_e0(8, 4, 0.0, "fermion")
+    eb = ring_e0(8, 4, 0.0, "hardcore")
     assert abs(ef.imag) < 1e-12 and abs(eb.imag) < 1e-12
     assert eb.real < ef.real
     # the separation closes as 1/L^2
-    gap_small = fermion_ground_energy_pbc(8, 4, 0.0).real - eb.real
-    eb_big = hcb_ground_energy_pbc(32, 16, 0.0).real
-    ef_big = fermion_ground_energy_pbc(32, 16, 0.0).real
+    gap_small = ring_e0(8, 4, 0.0, "fermion").real - eb.real
+    eb_big = ring_e0(32, 16, 0.0, "hardcore").real
+    ef_big = ring_e0(32, 16, 0.0, "fermion").real
     assert 0 < ef_big - eb_big < gap_small
 
 
 def test_fermion_even_sector_picks_negative_im_branch():
-    e = fermion_ground_energy_pbc(8, 4, 0.5)
+    e = ring_e0(8, 4, 0.5, "fermion")
     assert e.imag < 0
 
 
 def test_hcb_route_matches_full_spectrum_route():
-    # energy-only scan levels vs the orbital-carrying constructor
+    # the hard-core fill of the ring is the fermion fill of its antiperiodic image
     p = HNParams(L=12, t=1.0, g=0.5, boundary="twisted", twist=math.pi)
-    via_spectrum = ground_state(pbc_spectrum(p), "fermion", 6).energy
-    assert hcb_ground_energy_pbc(12, 6, 0.5) == via_spectrum
+    via_spectrum = ground_state(single_particle_levels(p), "fermion", 6).energy
+    assert ring_e0(12, 6, 0.5, "hardcore") == via_spectrum
 
 
 # ----------------------------------------------------------- closed forms
@@ -218,7 +217,7 @@ def test_scan_matches_ground_state_fill_bitwise():
             HNParams(L=L, t=1.0, g=0.5, boundary="periodic"),
             HNParams(L=L, t=1.0, g=0.5, boundary="twisted", twist=math.pi),
         ):
-            energies.append(ground_state(pbc_spectrum(p), "fermion", L // 2).energy)
+            energies.append(ground_state(single_particle_levels(p), "fermion", L // 2).energy)
         e0f, e0b = energies
         assert np.array(gap.E0_fermion).tobytes() == np.array(e0f).tobytes()
         assert np.array(gap.E0_hcb).tobytes() == np.array(e0b).tobytes()

@@ -13,13 +13,10 @@ import pytest
 
 from hnaufbau.aufbau import sort_complex_spectrum
 from hnaufbau.lattice import (
-    BoundaryError,
     ComplexLevel,
     HNParams,
     Levels,
     hopping_matrix,
-    obc_spectrum,
-    pbc_spectrum,
     single_particle_levels,
 )
 from hnaufbau.numerics import eigenvalues
@@ -79,6 +76,32 @@ def test_matrix_g_zero_is_symmetric():
     np.testing.assert_allclose(h, h.T.conj(), atol=1e-15)
 
 
+def per_bond_reference(p):
+    """The hopping matrix built one bond at a time, as a scalar loop."""
+    L = p.L
+    tg, tg_rev = p.t * math.exp(p.g), p.t * math.exp(-p.g)
+    h = np.zeros((L, L), dtype=np.complex128)
+    for j in range(L - 1):
+        h[j, j + 1] += tg
+        h[j + 1, j] += tg_rev
+    if p.boundary != "open":
+        phase = np.exp(-1j * p.phi)
+        h[L - 1, 0] += tg * phase
+        h[0, L - 1] += tg_rev * np.conj(phase)
+    return h
+
+
+@pytest.mark.parametrize("L", [2, 3, 7, 12])
+def test_hopping_matrix_bit_identical_to_per_bond_reference(L):
+    for g in (-3.0, 0.0, 0.5, 4.0):
+        for p in (
+            HNParams(L=L, g=g, boundary="periodic"),
+            HNParams(L=L, g=g, boundary="open"),
+            HNParams(L=L, g=g, boundary="twisted", twist=math.pi / 3),
+        ):
+            assert hopping_matrix(p).tobytes() == per_bond_reference(p).tobytes()
+
+
 # --------------------------------------------------------------- validation
 
 
@@ -99,13 +122,6 @@ def test_params_reject_nonpositive_t():
 def test_params_reject_unknown_boundary():
     with pytest.raises(ValueError):
         HNParams(L=4, boundary="moebius")
-
-
-def test_spectrum_boundary_mismatch():
-    with pytest.raises(BoundaryError):
-        pbc_spectrum(HNParams(L=4, boundary="open"))
-    with pytest.raises(BoundaryError):
-        obc_spectrum(HNParams(L=4, boundary="periodic"))
 
 
 def test_params_twist_requires_twisted_boundary():
@@ -131,7 +147,7 @@ def test_ring_dispersion_frozen_values():
     # e^g + e^-g = 2*cosh(0.5); the m=1 mode at k=pi/2 is purely
     # imaginary, -2i*sinh(0.5).
     p = HNParams(L=4, t=1.0, g=0.5, boundary="periodic")
-    levels = pbc_spectrum(p)
+    levels = single_particle_levels(p)
     by_m = {lv.label: lv for lv in levels}
     assert by_m[4].energy == pytest.approx(2.2552519304127614, abs=1e-12)
     assert by_m[1].energy.real == pytest.approx(0.0, abs=1e-12)
@@ -140,7 +156,7 @@ def test_ring_dispersion_frozen_values():
 
 def test_ring_momenta_and_labels():
     p = HNParams(L=6, boundary="periodic")
-    levels = pbc_spectrum(p)
+    levels = single_particle_levels(p)
     assert [lv.label for lv in levels] == [1, 2, 3, 4, 5, 6]
     for lv in levels:
         assert lv.momentum == pytest.approx(2 * math.pi * lv.label / 6, abs=1e-14)
@@ -150,19 +166,19 @@ def test_ring_levels_satisfy_eigenproblem():
     for boundary, twist in (("periodic", 0.0), ("twisted", 1.1)):
         p = HNParams(L=12, t=1.0, g=0.5, boundary=boundary, twist=twist)
         h = hopping_matrix(p)
-        for lv in pbc_spectrum(p):
+        for lv in single_particle_levels(p):
             assert level_residual(h, lv) < 1e-10
 
 
 def test_ring_energies_sum_to_trace():
     p = HNParams(L=10, t=1.0, g=0.7, boundary="periodic")
-    total = sum(lv.energy for lv in pbc_spectrum(p))
+    total = sum(lv.energy for lv in single_particle_levels(p))
     assert abs(total) < 1e-10  # the matrix is traceless
 
 
 def test_ring_orbitals_are_normalized_plane_waves():
     p = HNParams(L=8, t=1.0, g=0.5, boundary="periodic")
-    for lv in pbc_spectrum(p):
+    for lv in single_particle_levels(p):
         v = lv.orbital
         assert np.linalg.norm(v) == pytest.approx(1.0, abs=1e-12)
         assert np.allclose(np.abs(v), 1 / math.sqrt(8), atol=1e-12)
@@ -170,7 +186,7 @@ def test_ring_orbitals_are_normalized_plane_waves():
 
 def test_ring_g_zero_energies_real():
     p = HNParams(L=9, t=1.0, g=0.0, boundary="periodic")
-    for lv in pbc_spectrum(p):
+    for lv in single_particle_levels(p):
         assert abs(lv.energy.imag) < 1e-12
         k = lv.momentum
         assert lv.energy.real == pytest.approx(2 * math.cos(k), abs=1e-12)
@@ -178,7 +194,7 @@ def test_ring_g_zero_energies_real():
 
 def test_ring_spectrum_matches_eigensolver():
     p = HNParams(L=60, t=1.0, g=0.5, boundary="periodic")
-    analytic = np.array([lv.energy for lv in pbc_spectrum(p)])
+    analytic = np.array([lv.energy for lv in single_particle_levels(p)])
     eigs = eigenvalues(hopping_matrix(p))
     np.testing.assert_allclose(
         sort_complex_spectrum(eigs), sort_complex_spectrum(analytic), atol=1e-8
@@ -188,7 +204,7 @@ def test_ring_spectrum_matches_eigensolver():
 def test_twist_shifts_momentum_grid():
     phi = 0.7
     p = HNParams(L=8, t=1.0, g=0.5, boundary="twisted", twist=phi)
-    for lv in pbc_spectrum(p):
+    for lv in single_particle_levels(p):
         assert lv.momentum == pytest.approx(
             (2 * math.pi * lv.label + phi) / 8, abs=1e-14
         )
@@ -199,14 +215,14 @@ def test_twist_shifts_momentum_grid():
 
 def test_open_chain_l2_energies():
     p = HNParams(L=2, t=1.0, g=0.5, boundary="open")
-    energies = sorted(lv.energy.real for lv in obc_spectrum(p))
+    energies = sorted(lv.energy.real for lv in single_particle_levels(p))
     np.testing.assert_allclose(energies, [-1.0, 1.0], atol=1e-12)
 
 
 def test_open_chain_l3_energies():
     # 2*cos(m*pi/4) for m=1,2,3 -> {sqrt2, 0, -sqrt2}
     p = HNParams(L=3, t=1.0, g=1.5, boundary="open")
-    energies = sorted(lv.energy.real for lv in obc_spectrum(p))
+    energies = sorted(lv.energy.real for lv in single_particle_levels(p))
     np.testing.assert_allclose(
         energies, [-math.sqrt(2), 0.0, math.sqrt(2)], atol=1e-12
     )
@@ -215,17 +231,17 @@ def test_open_chain_l3_energies():
 def test_open_energies_real_and_g_independent():
     for g in (0.0, 0.5, 1.5):
         p = HNParams(L=10, t=1.0, g=g, boundary="open")
-        energies = np.array([lv.energy for lv in obc_spectrum(p)])
+        energies = np.array([lv.energy for lv in single_particle_levels(p)])
         assert np.all(energies.imag == 0)
         expected = 2 * np.cos(np.arange(1, 11) * math.pi / 11)
-        got = np.array([lv.energy.real for lv in obc_spectrum(p)])
+        got = np.array([lv.energy.real for lv in single_particle_levels(p)])
         np.testing.assert_allclose(sorted(got), sorted(expected), atol=1e-12)
 
 
 def test_open_orbital_amplitude_formula():
     # site-j amplitude of mode m is e^{-g j} sin(j k'_m), unnormalized
     p = HNParams(L=10, t=1.0, g=1.5, boundary="open")
-    lv = obc_spectrum(p)[0]
+    lv = single_particle_levels(p)[0]
     assert lv.label == 1
     k1 = math.pi / 11
     assert lv.momentum == pytest.approx(k1, abs=1e-14)
@@ -240,7 +256,7 @@ def test_open_orbital_amplitude_formula():
 def test_open_levels_satisfy_eigenproblem():
     p = HNParams(L=12, t=1.0, g=0.8, boundary="open")
     h = hopping_matrix(p)
-    for lv in obc_spectrum(p):
+    for lv in single_particle_levels(p):
         # unnormalized orbitals: scale the residual by the vector norm
         v = lv.orbital
         res = np.linalg.norm(h @ v - lv.energy * v) / np.linalg.norm(v)
@@ -250,7 +266,7 @@ def test_open_levels_satisfy_eigenproblem():
 def test_open_spectrum_matches_eigensolver_strong_asymmetry():
     # balancing has to cope with e^{+-gL} dynamic range
     p = HNParams(L=40, t=1.0, g=1.5, boundary="open")
-    analytic = np.array([lv.energy for lv in obc_spectrum(p)])
+    analytic = np.array([lv.energy for lv in single_particle_levels(p)])
     eigs = eigenvalues(hopping_matrix(p))
     np.testing.assert_allclose(
         sort_complex_spectrum(eigs), sort_complex_spectrum(analytic), atol=1e-8
@@ -261,14 +277,14 @@ def test_open_spectrum_matches_eigensolver_strong_asymmetry():
 
 
 def test_single_particle_levels_dispatch():
-    ring = HNParams(L=6, boundary="periodic")
-    chain = HNParams(L=6, boundary="open")
-    assert [lv.energy for lv in single_particle_levels(ring)] == [
-        lv.energy for lv in pbc_spectrum(ring)
-    ]
-    assert [lv.energy for lv in single_particle_levels(chain)] == [
-        lv.energy for lv in obc_spectrum(chain)
-    ]
+    # one builder: the boundary picks the momentum grid and the dispersion
+    m = np.arange(1, 7)
+    ring = single_particle_levels(HNParams(L=6, g=0.5, boundary="periodic"))
+    chain = single_particle_levels(HNParams(L=6, g=0.5, boundary="open"))
+    np.testing.assert_allclose(ring.momenta, 2 * math.pi * m / 6, atol=1e-14)
+    np.testing.assert_allclose(chain.momenta, math.pi * m / 7, atol=1e-14)
+    assert np.any(ring.energies.imag != 0)
+    assert np.all(chain.energies.imag == 0)
 
 
 def test_complex_level_is_frozen():
@@ -322,7 +338,7 @@ def test_levels_bit_identical_to_per_level_reference(L):
 
 def test_levels_views_and_lazy_orbitals():
     p = HNParams(L=5, g=0.5, boundary="periodic")
-    levels = pbc_spectrum(p)
+    levels = single_particle_levels(p)
     assert "orbitals" not in vars(levels)  # energies alone build no orbitals
     assert len(levels) == 5
     assert levels[-1].label == 5 and levels[np.int64(0)].label == 1

@@ -7,6 +7,8 @@ its tests pin that contract: known spectra, invariants, and rejected input.
 import ast
 import inspect
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -148,3 +150,17 @@ def test_package_exports_are_public():
     stray = [(mod, name) for mod, name in exports if name not in modules[mod].__all__]
     assert not stray
     assert all(getattr(hnaufbau, name) is getattr(modules[mod], name) for mod, name in exports)
+
+
+def test_readme_module_names_resolve():
+    # every backticked `<module>.<name>` in README.md names something that
+    # exists, so the docs cannot point at a deleted function
+    modules = {m.__name__.rsplit(".", 1)[1]: m for m in (
+        aufbau, cli, fock, hardcore, kernels, lattice, numerics, observables, verify
+    )}
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    refs = re.findall(r"`(\w+)\.(\w+)", readme)
+    named = [(mod, name) for mod, name in refs if mod in modules]
+    assert named
+    missing = [(mod, name) for mod, name in named if not hasattr(modules[mod], name)]
+    assert not missing

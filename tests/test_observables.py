@@ -23,7 +23,7 @@ from hnaufbau.fock import (
     eigenstate_from_config,
     get_basis,
 )
-from hnaufbau.lattice import HNParams, obc_spectrum, pbc_spectrum, single_particle_levels
+from hnaufbau.lattice import HNParams, single_particle_levels
 from hnaufbau.observables import (
     DistributionProfile,
     SingularMatrixError,
@@ -49,7 +49,7 @@ def chain(L, g=0.5):
 
 def test_density_single_particle_is_normalized_orbital():
     p = chain(6, g=1.0)
-    orb = obc_spectrum(p)[0].orbital
+    orb = single_particle_levels(p)[0].orbital
     v = construct_product_state([orb], "fermion")
     d = density_from_fock(v)
     expect = np.abs(orb) ** 2 / np.sum(np.abs(orb) ** 2)
@@ -60,7 +60,7 @@ def test_density_single_particle_is_normalized_orbital():
 
 def test_density_ring_eigenstates_uniform():
     p = ring(6)
-    spec = build_spectrum(pbc_spectrum(p), "fermion", 3)
+    spec = build_spectrum(single_particle_levels(p), "fermion", 3)
     for occ in spec.occupations[:6]:
         v = eigenstate_from_config(p, "fermion", occ)
         d = density_from_fock(v)
@@ -70,7 +70,7 @@ def test_density_ring_eigenstates_uniform():
 def test_density_sums_to_particle_number():
     p = chain(8, g=0.7)
     for stats, N in (("fermion", 3), ("boson", 3), ("hardcore", 4)):
-        spec = build_spectrum(obc_spectrum(p), stats, N)
+        spec = build_spectrum(single_particle_levels(p), stats, N)
         for occ in spec.occupations[:10]:
             v = eigenstate_from_config(p, stats, occ)
             d = density_from_fock(v)
@@ -84,7 +84,7 @@ def test_density_mirror_under_g_flip():
         specs = []
         for g in (0.8, -0.8):
             p = chain(7, g=g)
-            occ = build_spectrum(obc_spectrum(p), stats, 3).occupations[0]
+            occ = build_spectrum(single_particle_levels(p), stats, 3).occupations[0]
             v = eigenstate_from_config(p, stats, occ)
             specs.append(density_from_fock(v).values)
         np.testing.assert_allclose(specs[0], specs[1][::-1], atol=1e-10)
@@ -94,10 +94,10 @@ def test_density_boson_ground_frozen_edge_weight():
     # open chain, five bosons condensed in the leftmost-localized orbital:
     # the edge site holds |phi_1|^2 / sum |phi_j|^2 of the weight
     p = chain(10, g=1.5)
-    occ = build_spectrum(obc_spectrum(p), "boson", 5).occupations[0]
+    occ = build_spectrum(single_particle_levels(p), "boson", 5).occupations[0]
     v = eigenstate_from_config(p, "boson", occ)
     d = density_from_fock(v)
-    phi = obc_spectrum(p).orbitals[0]
+    phi = single_particle_levels(p).orbitals[0]
     expect = np.abs(phi[0]) ** 2 / np.sum(np.abs(phi) ** 2)
     assert d.values[0] / d.total == pytest.approx(expect, abs=1e-10)
     assert d.values[0] / d.total == pytest.approx(0.8315702527234174, abs=1e-10)
@@ -109,7 +109,7 @@ def test_density_boson_ground_frozen_edge_weight():
 def test_correlation_diagonal_equals_density():
     p = chain(6, g=0.5)
     for stats in ("fermion", "boson", "hardcore"):
-        occ = build_spectrum(obc_spectrum(p), stats, 3).occupations[1]
+        occ = build_spectrum(single_particle_levels(p), stats, 3).occupations[1]
         v = eigenstate_from_config(p, stats, occ)
         G = correlation_matrix(v)
         d = density_from_fock(v)
@@ -132,7 +132,7 @@ def test_correlation_single_particle_projector():
 def test_correlation_dual_route_fermion():
     # explicit Fock contraction vs non-orthogonal orbital projector
     p = chain(6, g=0.5)
-    levels = obc_spectrum(p)
+    levels = single_particle_levels(p)
     spec = build_spectrum(levels, "fermion", 3)
     for occ in spec.occupations[:8]:
         v = eigenstate_from_config(p, "fermion", occ)
@@ -163,7 +163,7 @@ def test_correlation_dual_route_property_over_g(boundary):
 
 
 def test_orbital_projector_rejects_dependent_orbitals():
-    orb = obc_spectrum(chain(6, g=0.5))[0].orbital
+    orb = single_particle_levels(chain(6, g=0.5))[0].orbital
     with pytest.raises(SingularMatrixError):
         density_matrix_from_orbitals([orb, 2.0 * orb])
 
@@ -181,7 +181,7 @@ def test_singular_matrix_error_is_the_package_export():
 def test_momentum_of_ring_eigenstates_equals_occupations():
     p = ring(6)
     for stats in ("fermion", "boson"):
-        spec = build_spectrum(pbc_spectrum(p), stats, 3)
+        spec = build_spectrum(single_particle_levels(p), stats, 3)
         for occ in spec.occupations[:8]:
             v = eigenstate_from_config(p, stats, occ)
             nk = momentum_distribution(correlation_matrix(v))
@@ -198,7 +198,7 @@ def test_momentum_grid_convention():
 def test_momentum_sum_rule():
     p = chain(8, g=1.0)
     for stats, N in (("fermion", 4), ("boson", 3)):
-        spec = build_spectrum(obc_spectrum(p), stats, N)
+        spec = build_spectrum(single_particle_levels(p), stats, N)
         for occ in spec.occupations[:10]:
             v = eigenstate_from_config(p, stats, occ)
             nk = momentum_distribution(correlation_matrix(v))
@@ -208,7 +208,7 @@ def test_momentum_sum_rule():
 
 def test_momentum_fermion_pauli_bound():
     p = chain(8, g=1.5)
-    spec = build_spectrum(obc_spectrum(p), "fermion", 4)
+    spec = build_spectrum(single_particle_levels(p), "fermion", 4)
     for occ in spec.occupations[:20]:
         v = eigenstate_from_config(p, "fermion", occ)
         nk = momentum_distribution(correlation_matrix(v))
@@ -217,7 +217,7 @@ def test_momentum_fermion_pauli_bound():
 
 def test_momentum_boson_ring_condensate_peak():
     p = ring(10)
-    occ = build_spectrum(pbc_spectrum(p), "boson", 5).occupations[0]
+    occ = build_spectrum(single_particle_levels(p), "boson", 5).occupations[0]
     v = eigenstate_from_config(p, "boson", occ)
     nk = momentum_distribution(correlation_matrix(v))
     peak = int(np.argmax(nk.values))
@@ -248,7 +248,7 @@ def test_skin_pure_exponential_slope():
 
 def test_skin_boson_ground_slope_matches_minus_two_g():
     p = chain(10, g=1.5)
-    occ = build_spectrum(obc_spectrum(p), "boson", 5).occupations[0]
+    occ = build_spectrum(single_particle_levels(p), "boson", 5).occupations[0]
     v = eigenstate_from_config(p, "boson", occ)
     m = skin_metrics(density_from_fock(v))
     assert m.log_slope == pytest.approx(-3.0, rel=0.15)
@@ -257,7 +257,7 @@ def test_skin_boson_ground_slope_matches_minus_two_g():
 
 def test_skin_fermion_chain_all_left_skewed():
     p = chain(10, g=1.5)
-    spec = build_spectrum(obc_spectrum(p), "fermion", 5)
+    spec = build_spectrum(single_particle_levels(p), "fermion", 5)
     fractions = []
     for occ in spec.occupations:
         v = eigenstate_from_config(p, "fermion", occ)
@@ -299,7 +299,7 @@ def test_hardcore_momentum_not_fermionic():
     # their momentum profile need not match the fermionic occupations, but
     # the sum rule still holds
     ring = HNParams(L=6, t=1.0, g=0.5, boundary="periodic")
-    occ = build_spectrum(pbc_spectrum(ring), "hardcore", 4).occupations[0]
+    occ = build_spectrum(single_particle_levels(ring), "hardcore", 4).occupations[0]
     v = eigenstate_from_config(ring, "hardcore", occ)
     nk = momentum_distribution(correlation_matrix(v))
     assert nk.total == pytest.approx(4.0, abs=1e-8)
