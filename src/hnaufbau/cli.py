@@ -46,8 +46,8 @@ from dataclasses import asdict
 import numpy as np
 
 from . import verify as verify_mod
-from .aufbau import STATISTICS, _capped_dim, build_spectrum, occupation_strings
-from .fock import MAX_FOCK_CELLS, eigenstate_from_config
+from .aufbau import STATISTICS, build_spectrum, occupation_strings
+from .fock import eigenstate_from_config, get_basis
 from .hardcore import delta_E_scan, im_delta_closed_form
 from .lattice import HNParams, hardcore_image, single_particle_levels
 from .observables import (
@@ -326,13 +326,13 @@ def read_table(path):
 
 
 def _spectrum_for(args, fock=False):
-    """The chain and its sector's spectrum; with fock, a sector too large
-    for a Fock basis is refused before its spectrum is built."""
+    """The chain and its sector's spectrum; with fock, the Fock basis comes
+    first, so a sector too large for one is refused before its spectrum."""
     boundary, twist = _parse_bc(args.bc)
     p = HNParams(L=args.L, t=args.t, g=args.g, boundary=boundary, twist=twist)
     levels = single_particle_levels(p)
     if fock:
-        _capped_dim(args.L, args.N, args.stats, MAX_FOCK_CELLS)
+        get_basis(args.stats, args.L, args.N)
     spec = build_spectrum(levels, args.stats, args.N, tie_tol=args.tol)
     return p, spec
 
@@ -371,25 +371,34 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+def _int_list(text, flag, dim=None):
+    """The integers of the comma list text of flag (--ranks, --lengths). A
+    UsageError names the first fault: a non-integer entry, an empty list,
+    then value by value one outside 0..dim-1 (given dim) or given twice."""
+    try:
+        values = [int(part) for part in text.split(",") if part.strip()]
+    except ValueError:
+        kinds = "integers" if dim is None else "'all', 'lowest8', or ints"
+        raise UsageError(f"{flag} must be {kinds}, got {text!r}") from None
+    if not values:
+        raise UsageError(f"{flag} selected nothing")
+    noun = flag[2:-1]  # rank, length
+    seen = set()
+    for value in values:
+        if dim is not None and not 0 <= value < dim:
+            raise UsageError(f"{noun} {value} outside 0..{dim - 1}")
+        if value in seen:
+            raise UsageError(f"{noun} {value} given twice in {flag}")
+        seen.add(value)
+    return values
+
+
 def _select_ranks(ranks_arg, dim):
     if ranks_arg == "all":
         return list(range(dim))
     if ranks_arg == "lowest8":
         return list(range(min(8, dim)))
-    try:
-        ranks = [int(part) for part in str(ranks_arg).split(",") if part.strip()]
-    except ValueError:
-        raise UsageError(f"--ranks must be 'all', 'lowest8', or ints, got {ranks_arg!r}") from None
-    if not ranks:
-        raise UsageError("--ranks selected nothing")
-    seen = set()
-    for r in ranks:
-        if not 0 <= r < dim:
-            raise UsageError(f"rank {r} outside 0..{dim - 1}")
-        if r in seen:
-            raise UsageError(f"rank {r} given twice in --ranks")
-        seen.add(r)
-    return ranks
+    return _int_list(ranks_arg, "--ranks", dim)
 
 
 def cmd_observables(args) -> int:
@@ -449,16 +458,7 @@ def _parse_lengths(spec_str):
         if step <= 0 or stop < start:
             raise UsageError(f"empty --lengths range {s!r}")
         return list(range(start, stop + 1, step))
-    try:
-        lengths = [int(x) for x in s.split(",") if x.strip()]
-    except ValueError:
-        raise UsageError(f"--lengths must be integers, got {s!r}") from None
-    if not lengths:
-        raise UsageError("--lengths selected nothing")
-    for i, L in enumerate(lengths):
-        if L in lengths[:i]:
-            raise UsageError(f"length {L} given twice in --lengths")
-    return lengths
+    return _int_list(s, "--lengths")
 
 
 def cmd_hcb_compare(args) -> int:

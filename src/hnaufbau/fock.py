@@ -21,9 +21,11 @@ operations.
 
 Product states are built by applying creation operators sequentially to the
 vacuum, one sector at a time; determinant antisymmetry and permanent
-symmetrization come out automatically. eigenstate_from_config takes a state
-as its occupation row and gathers its orbitals from the rows of
-Levels.orbitals with one np.repeat.
+symmetrization come out automatically; a hard-core product state is the
+Jordan-Wigner image of the fermion one, read in the hard-core basis (same
+rows). eigenstate_from_config and FockBasis.index_of take a state as its
+occupation row and raise SectorError for a row that is not one.
+residual(v, h, E) is the norm of H v - E v for a hopping matrix h.
 """
 
 from __future__ import annotations
@@ -35,14 +37,15 @@ import numpy as np
 
 from . import kernels
 from .aufbau import (
-    SectorError,
     SectorTooLargeError,
     _capped_dim,
     _check_occupations,
+    _check_sector,
     _occupation_rows,
+    _sector_levels,
     count_configs,
 )
-from .lattice import HNParams, hardcore_image, hopping_matrix, single_particle_levels
+from .lattice import HNParams, hopping_matrix, single_particle_levels
 
 __all__ = [
     "BasisMismatchError",
@@ -129,15 +132,14 @@ class FockBasis:
         return np.where(self.occupations == 0, self.lower_dim, lowered)
 
     def index_of(self, occ) -> int:
-        """Position of an occupation vector in the basis."""
-        occ = tuple(int(n) for n in occ)
-        if len(occ) != self.L or sum(occ) != self.N:
-            raise BasisMismatchError(f"occupation {occ} not in sector (L={self.L}, N={self.N})")
-        if min(occ) < 0:
-            raise BasisMismatchError(f"occupation {occ} has a negative entry")
-        if self.statistics != "boson" and max(occ) > 1:
-            raise BasisMismatchError(f"occupation {occ} exceeds the hard-core cap")
-        return int(kernels._colex_rank(np.array([occ]), self._counts)[0][0])
+        """Position of an occupation row in the basis: SectorError for a row
+        that is not a state, BasisMismatchError for one of another N."""
+        occ = _check_occupations(self.L, self.statistics, occ)
+        if occ.sum() != self.N:
+            raise BasisMismatchError(
+                f"occupation {tuple(occ.tolist())} not in sector (L={self.L}, N={self.N})"
+            )
+        return int(kernels._colex_rank(occ[None], self._counts)[0][0])
 
     def __repr__(self):
         return (
@@ -218,7 +220,8 @@ def build_dense_hamiltonian(p: HNParams, statistics, N) -> np.ndarray:
         s = np.flatnonzero(coef[:, j])
         t = up[down[s, j], i]
         s, t = s[t >= 0], t[t >= 0]
-        H[t, s] += coef[t, i] * (h[i, j] * coef[s, j])
+        with np.errstate(over="ignore", invalid="ignore"):  # inf/nan beyond float range
+            H[t, s] += coef[t, i] * (h[i, j] * coef[s, j])
     return H
 
 
@@ -226,12 +229,15 @@ def construct_product_state(orbitals, statistics, L=None) -> FockVector:
     """Apply creation operators sum_j orb[j] c_j^dag for each orbital in turn
     to the vacuum, then normalize.
 
+    A hard-core state is the Jordan-Wigner image of the fermion product, its
+    amplitudes read in the hard-core basis, not a symmetrized product.
+
     Orbitals may come in unnormalized (open-boundary closed forms are); each
     is scaled to unit norm first, which only changes the overall factor that
     normalization fixes anyway; an orbital whose norm overflows is first
-    divided by its largest real or imaginary part. Raises NullStateError
-    when the result vanishes, e.g. linearly dependent fermion orbitals or
-    more hard-core particles than an orbital's support can hold.
+    divided by its largest real or imaginary part. Raises SectorError when
+    the orbitals do not fit a sector of L modes, NullStateError when the
+    result vanishes, e.g. linearly dependent fermion or hard-core orbitals.
     """
     orbs = [np.asarray(o, dtype=np.complex128).ravel() for o in orbitals]
     if L is None:
@@ -244,8 +250,7 @@ def construct_product_state(orbitals, statistics, L=None) -> FockVector:
         if not np.all(np.isfinite(o.real)) or not np.all(np.isfinite(o.imag)):
             raise ValueError("orbital contains non-finite entries")
     N = len(orbs)
-    if statistics in ("fermion", "hardcore") and N > L:
-        raise SectorError(f"{statistics} requires N <= L, got N={N}")
+    _check_sector(L, N, statistics)
 
     normed = []
     with np.errstate(over="ignore"):
@@ -258,15 +263,17 @@ def construct_product_state(orbitals, statistics, L=None) -> FockVector:
                 raise NullStateError("zero orbital")
             normed.append(o / nn)
 
+    creation = "fermion" if statistics == "hardcore" else statistics
     vec = np.ones(1, dtype=np.complex128)
     for n, orb in enumerate(normed):
-        vec = _create(get_basis(statistics, L, n + 1), np.outer(vec, orb))
+        vec = _create(get_basis(creation, L, n + 1), np.outer(vec, orb))
     return FockVector(get_basis(statistics, L, N), vec).normalized()
 
 
-def residual(p: HNParams, v: FockVector, E) -> float:
-    """Euclidean norm of H v - E v."""
-    w = apply_hopping(v, hopping_matrix(p))
+def residual(v: FockVector, h: np.ndarray, E) -> float:
+    """Euclidean norm of H v - E v for H = sum_ij h[i, j] c_i^dag c_j, with h
+    an L x L hopping matrix such as lattice.hopping_matrix(p)."""
+    w = apply_hopping(v, h)
     return float(np.linalg.norm(w.amplitudes - complex(E) * v.amplitudes))
 
 
@@ -274,22 +281,14 @@ def eigenstate_from_config(p: HNParams, statistics, occupations) -> FockVector:
     """Product eigenstate of one occupation row (mode m occupied n_m times,
     at position m-1), using the analytic orbitals of the boundary at hand.
 
-    Hard-core states are the fermion states of the Jordan-Wigner image of p
-    (lattice.hardcore_image), whose levels the hard-core occupations index:
-    the image's fermion Hamiltonian equals the hard-core one of p entry by
-    entry in the shared occupation basis, so the fermion amplitudes ARE the
-    hard-core amplitudes; a symmetrized bosonic product would not be an
-    eigenstate. A row that is not a state of p raises SectorError, occupied
-    orbitals beyond float range OverflowError.
+    The row indexes the levels its sector fills (aufbau._sector_levels): for
+    hard-core bosons those of the Jordan-Wigner image of p, whose fermion
+    Hamiltonian is the hard-core one of p entry by entry. A row that is not
+    a state of p raises SectorError, orbitals beyond float range OverflowError.
     """
     occ = _check_occupations(p.L, statistics, occupations)
-    N = int(occ.sum())
-    hardcore = statistics == "hardcore"
-    levels = single_particle_levels(hardcore_image(p, N) if hardcore else p)
+    levels = _sector_levels(single_particle_levels(p), statistics, int(occ.sum()))
     orbitals = np.repeat(levels.orbitals, occ, axis=0)
     if not np.isfinite(orbitals).all():
         raise OverflowError(f"orbitals of the chain at g={p.g} leave float range")
-    if hardcore:
-        ferm = construct_product_state(orbitals, "fermion", L=p.L)
-        return FockVector(get_basis("hardcore", p.L, N), ferm.amplitudes)
     return construct_product_state(orbitals, statistics, L=p.L)

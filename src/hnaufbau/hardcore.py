@@ -67,8 +67,9 @@ class EnergyGap:
 
 
 def im_delta_closed_form(L, N, g, t=1.0) -> float:
-    """Filling-only closed form for Im(Delta E_fb)."""
+    """Filling-only closed form for Im(Delta E_fb), for t and g that HNParams accepts."""
     _check_sector(L, N, "hardcore", ring=True)
+    HNParams(L=L, t=t, g=g)
     eg, eg_rev = _exp_pm(g)
     return t * (-eg + eg_rev) * math.sin(math.pi * (1.0 - N / L))
 

@@ -195,8 +195,9 @@ def hopping_matrix(p: HNParams) -> np.ndarray:
     h[bond + 1, bond] = tg_rev
     if p.boundary != "open":
         phase = np.exp(-1j * p.phi)
-        h[L - 1, 0] += tg * phase
-        h[0, L - 1] += tg_rev * np.conj(phase)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf/nan beyond float range
+            h[L - 1, 0] += tg * phase
+            h[0, L - 1] += tg_rev * np.conj(phase)
     return h
 
 
@@ -217,5 +218,6 @@ def single_particle_levels(p: HNParams) -> Levels:
     else:
         k = (2.0 * math.pi * m + p.phi) / L
         eg, eg_rev = _exp_pm(p.g)
-        energies = p.t * eg * np.exp(-1j * k) + p.t * eg_rev * np.exp(1j * k)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf/nan beyond float range
+            energies = p.t * eg * np.exp(-1j * k) + p.t * eg_rev * np.exp(1j * k)
     return Levels(m, k, energies, p)

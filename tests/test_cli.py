@@ -36,7 +36,7 @@ from hnaufbau.aufbau import (
 )
 from hnaufbau.fock import build_dense_hamiltonian
 from hnaufbau.hardcore import im_delta_closed_form
-from hnaufbau.lattice import HNParams, single_particle_levels
+from hnaufbau.lattice import HNParams, hopping_matrix, single_particle_levels
 from hnaufbau.numerics import eigenvalues
 from hnaufbau.verify import TOLERANCES, run_checks
 
@@ -497,6 +497,33 @@ def test_overflowing_spectrum_warns_nothing():
     assert proc.stderr.splitlines() == ["computation failed: a many-body energy is not finite"]
 
 
+@pytest.mark.parametrize("argv,stderr", [
+    (["spectrum", "-L", "4", "-N", "2", "-t", "1e308", "--bc", "pbc"],
+     ["computation failed: real parts spread over inf, beyond float range"]),
+    (["verify", "-t", "1e308"], []),
+])
+def test_hopping_beyond_float_range_warns_nothing(tmp_path, argv, stderr):
+    # t e^g = inf: a table command prints its one line, verify fails rows
+    # and prints nothing on stderr; with warnings shown or raised as errors,
+    # which would turn a warning into a failed verify row, the output is
+    # the same
+    src = Path(cli.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+    outputs = set()
+    for mode in ("error", "always"):
+        out = tmp_path / f"{mode}.txt"
+        proc = subprocess.run(
+            [sys.executable, "-W", mode, "-m", "hnaufbau", *argv, "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == stderr
+        assert out.exists() == (argv[0] == "verify")
+        outputs.add(proc.stdout)
+    assert len(outputs) == 1
+
+
 @pytest.mark.parametrize("argv", [
     ["-L", "9", "-N", "2", "-g", "709", "-t", "1e200", "--bc", "pbc", "--stats", "hardcore"],
     ["-L", "2", "-N", "3", "-g", "-709", "-t", "2", "--bc", "twist=0.7", "--stats", "boson"],
@@ -635,7 +662,7 @@ def test_fock_sectors_past_int64_keys(tmp_path, command, L, N, stats, bc):
     p = HNParams(L=L, g=0.5, boundary="periodic" if bc == "pbc" else "open")
     spec = build_spectrum(single_particle_levels(p), stats, N)
     v = fock.eigenstate_from_config(p, stats, spec.occupations[0])
-    assert fock.residual(p, v, spec.energies[0]) < TOLERANCES["residual_obc"]
+    assert fock.residual(v, hopping_matrix(p), spec.energies[0]) < TOLERANCES["residual_obc"]
 
 
 @pytest.mark.parametrize("command,cap", [("spectrum", 1 << 30), ("observables", 1 << 28)])
@@ -675,8 +702,8 @@ def test_boson_sector_past_int16_exits_2_up_front(tmp_path, capsys, command):
 def test_fock_cell_cap_leaves_spectrum_alone(tmp_path, capsys, monkeypatch):
     # spectrum -L 100 -N 4 (392 million cells) needs no Fock basis and runs;
     # skin and observables refuse such a sector before building its spectrum
-    for module in (cli, fock):
-        monkeypatch.setattr(module, "MAX_FOCK_CELLS", 8 * 70 - 1)  # C(8, 4) x 8 cells
+    monkeypatch.setattr(fock, "MAX_FOCK_CELLS", 8 * 70 - 1)  # C(8, 4) x 8 cells
+    fock.get_basis.cache_clear()  # a basis built under the real cap would pass
     code, out = run_to_file(tmp_path, "spectrum.csv", ["spectrum", "-L", "8", "-N", "4"])
     assert code == 0
     assert cli.read_table(str(out))[0]["states"] == "70"

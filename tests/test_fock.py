@@ -84,16 +84,27 @@ def test_basis_rows_match_enumeration_order():
 
 
 def test_basis_lookup_rejects_foreign_occupation():
+    # a row that is not a state raises SectorError, as eigenstate_from_config
+    # does; a state of another particle number BasisMismatchError
     basis = get_basis("fermion", 4, 2)
     with pytest.raises(BasisMismatchError):
         basis.index_of((1, 1, 1, 0))  # wrong N
-    with pytest.raises(BasisMismatchError):
+    with pytest.raises(SectorError):
         basis.index_of((2, 0, 0, 0))  # over the cap
     bos = get_basis("boson", 3, 2)
-    with pytest.raises(BasisMismatchError):
+    with pytest.raises(SectorError):
         bos.index_of((1, 1))  # wrong length
-    with pytest.raises(BasisMismatchError):
+    with pytest.raises(SectorError):
         bos.index_of((3, -1, 0))  # negative entry, right sum
+
+
+@pytest.mark.parametrize("row", [
+    (1.5, 1.5, 0, 0), (1.0, 1.0, 0.0, 0.0), ("1", "1", "0", "0"), (True, True, False, False),
+])
+def test_basis_lookup_rejects_non_integer_rows(row):
+    # int() truncation once ranked (1.5, 1.5, 0, 0) as (1, 1, 0, 0)
+    with pytest.raises(SectorError, match="occupations must be integers"):
+        get_basis("fermion", 4, 2).index_of(row)
 
 
 def test_basis_sector_guards():
@@ -214,7 +225,7 @@ def test_apply_pauli_blocked_filled_band():
     v = FockVector(basis, np.array([1.0 + 0j]))
     w = apply_hopping(v, hopping_matrix(p))
     assert np.all(w.amplitudes == 0)
-    assert residual(p, v, 0.0) == 0.0
+    assert residual(v, hopping_matrix(p), 0.0) == 0.0
 
 
 def test_apply_boson_sqrt2_matrix_element():
@@ -407,6 +418,20 @@ def test_dense_hardcore_equals_fermion_entrywise():
     )
 
 
+@pytest.mark.parametrize("statistics,t,g", [
+    ("fermion", 1e300, 20.0), ("boson", 1e300, 20.0), ("hardcore", 1e300, 20.0),
+    ("boson", 1e308, 0.5),
+])
+def test_dense_hamiltonian_beyond_float_range_warns_nothing(statistics, t, g):
+    # t e^g = inf on every bond, or a finite bond times a boson sqrt(2):
+    # the entries are inf or nan, silently
+    p = HNParams(L=4, t=t, g=g, boundary="periodic")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        H = build_dense_hamiltonian(p, statistics, 2)
+    assert not np.isfinite(H).all()
+
+
 def test_dense_obc_hardcore_spectrum_matches_fermion():
     p = HNParams(L=6, t=1.0, g=0.5, boundary="open")
     eh = eigenvalues(build_dense_hamiltonian(p, "hardcore", 3))
@@ -501,6 +526,18 @@ def test_fermion_amplitudes_proportional_to_determinants(rng):
     np.testing.assert_allclose(v.amplitudes, scale * dets, atol=1e-12)
 
 
+def test_hardcore_product_state_is_the_jordan_wigner_image(rng):
+    # three hard-core particles: the fermion amplitudes in the shared
+    # occupation basis, signs included, not the symmetrized product
+    L = 5
+    orbs = [rng.standard_normal(L) + 1j * rng.standard_normal(L) for _ in range(3)]
+    hcb = construct_product_state(orbs, "hardcore")
+    ferm = construct_product_state(orbs, "fermion")
+    assert hcb.basis is get_basis("hardcore", L, 3)
+    assert (hcb.basis.occupations == ferm.basis.occupations).all()
+    assert hcb.amplitudes.tobytes() == ferm.amplitudes.tobytes()
+
+
 def permanent_sum(a):
     """Permutation-sum reference, no signs."""
     a = np.asarray(a, dtype=np.complex128)
@@ -556,7 +593,7 @@ def residual_scan(p, stats, N, tol, limit=None):
     worst = 0.0
     for occ, energy in zip(spec.occupations[:limit], spec.energies[:limit]):
         v = eigenstate_from_config(p, stats, occ)
-        worst = max(worst, residual(p, v, energy))
+        worst = max(worst, residual(v, hopping_matrix(p), energy))
     assert worst < tol, f"worst residual {worst:.3e} over {stats} {p.boundary}"
 
 
@@ -594,7 +631,7 @@ def test_residuals_hardcore_ring_via_parity_twist():
     spec = build_spectrum(single_particle_levels(ring), "hardcore", 4)
     for occ, energy in zip(spec.occupations[:8], spec.energies[:8]):
         v = eigenstate_from_config(ring, "hardcore", occ)
-        assert residual(ring, v, energy) < 1e-10
+        assert residual(v, hopping_matrix(ring), energy) < 1e-10
 
 
 def test_residual_detects_perturbation(rng):
@@ -603,7 +640,7 @@ def test_residual_detects_perturbation(rng):
     v = eigenstate_from_config(p, "fermion", spec.occupations[0])
     noisy = v.amplitudes + 1e-3 * rng.standard_normal(v.basis.dim)
     noisy /= np.linalg.norm(noisy)
-    r = residual(p, FockVector(v.basis, noisy), spec.energies[0])
+    r = residual(FockVector(v.basis, noisy), hopping_matrix(p), spec.energies[0])
     assert r > 1e-4
 
 

@@ -72,6 +72,16 @@ def test_parity_sector_validation():
         ring_e0(1, 1, 0.5, "hardcore")
 
 
+@pytest.mark.parametrize("t,g", [
+    (-1.0, 0.5), (0.0, 0.5), (math.inf, 0.5), (math.nan, 0.5), (1.0, math.nan), (1.0, math.inf),
+])
+def test_closed_form_keeps_the_chain_rules(t, g):
+    # HNParams refuses each of these chains; the closed form once returned
+    # 1.042 at t = -1, -0.0 at t = 0, -inf at t = inf and nan for nan
+    with pytest.raises(ValueError):
+        im_delta_closed_form(8, 4, g, t=t)
+
+
 def _chains(L, g):
     yield HNParams(L=L, t=1.0, g=g, boundary="periodic")
     yield HNParams(L=L, t=1.0, g=g, boundary="open")

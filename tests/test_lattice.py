@@ -7,6 +7,7 @@ parameter independence).
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -352,3 +353,19 @@ def test_levels_views_and_lazy_orbitals():
     bare = Levels(np.arange(1, 3), np.zeros(2), np.array([1.0, 2.0 + 0j]), None)
     with pytest.raises(ValueError):
         bare.orbitals
+
+
+@pytest.mark.parametrize("t,g,boundary,twist", [
+    (1e308, 0.5, "periodic", 0.0), (1e308, 0.5, "twisted", 0.3), (1e308, 0.5, "open", 0.0),
+    (1e300, 20.0, "periodic", 0.0),
+])
+def test_amplitudes_beyond_float_range_warn_nothing(t, g, boundary, twist):
+    # t e^|g| past float range gives inf or nan entries, which the callers
+    # refuse, and no numpy warning on the way
+    p = HNParams(L=4, t=t, g=g, boundary=boundary, twist=twist)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        energies = single_particle_levels(p).energies
+        h = hopping_matrix(p)
+    assert not np.isfinite(energies).all()
+    assert np.isfinite(h).all() == math.isfinite(t * math.exp(abs(g)))

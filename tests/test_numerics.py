@@ -8,6 +8,7 @@ import ast
 import inspect
 import math
 import re
+import shlex
 from pathlib import Path
 
 import numpy as np
@@ -164,3 +165,44 @@ def test_readme_module_names_resolve():
     assert named
     missing = [(mod, name) for mod, name in named if not hasattr(modules[mod], name)]
     assert not missing
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_commands(text):
+    """argv after the program name of every `hnaufbau ...` command in text,
+    on a line of a fenced block or in backticks, cut at a pipe or comment."""
+    fenced = re.findall(r"^```\w*\n(.*?)^```", text, flags=re.S | re.M)
+    lines = [line for block in fenced for line in block.splitlines()]
+    inline = re.findall(r"`(hnaufbau [^`]*)`", text)
+    commands = [cmd for cmd in lines + inline if cmd.startswith("hnaufbau ")]
+    return [shlex.split(re.split(r"[|#]", cmd)[0])[1:] for cmd in commands]
+
+
+def test_readme_commands_parse():
+    # a flag renamed or removed in the CLI fails here, not in a reader's shell
+    commands = _readme_commands(README.read_text())
+    assert len(commands) >= 10
+    parser = cli._build_parser()
+    unparsed = []
+    for argv in commands:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            unparsed.append(argv)
+    assert not unparsed
+
+
+def test_readme_cli_block_runs(tmp_path, capsys):
+    # the six commands of the CLI section exit 0, --out files in tmp_path
+    section = README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    block = re.search(r"^```sh\n(.*?)^```", section, flags=re.S | re.M).group(1)
+    commands = _readme_commands(f"```\n{block}```\n")
+    assert len(commands) == 6
+    for argv in commands:
+        if "--out" in argv:
+            at = argv.index("--out") + 1
+            argv[at] = str(tmp_path / argv[at])
+        assert cli.main(argv) == 0, argv
+    assert capsys.readouterr().err == ""

@@ -1,0 +1,137 @@
+"""Seeded whole-range contract sweep of the CLI.
+
+Draws argv for every subcommand across the range the parser accepts (L from
+2 to 9 and a few rings past 62 modes, N inside and outside the sector,
+|g| up to 720 with the float-range edges 709 and 710, t log-uniform up to
+1e308, every boundary, statistics and format, rank and length lists with
+out-of-range and repeated entries) and runs each through cli.main in this
+process. The contract: exit 0, 1 or 2 and nothing escaping main; no
+warning; a table command that fails writes one stderr line and leaves no
+--out or part file; verify writes nothing to stderr; an argv that exits 0
+gives the same bytes when run again. Full-rank selections are drawn only on
+sectors of at most 100 states, which keeps the sweep to seconds.
+"""
+
+import math
+import warnings
+
+import numpy as np
+
+from hnaufbau import cli, verify
+from hnaufbau.aufbau import STATISTICS
+
+SEED = 20261019
+DRAWS = 400
+
+
+def _g(rng):
+    kind = rng.integers(4)
+    if kind == 0:
+        return float(rng.choice([709.0, -709.0, 710.0, -710.0, 0.0, 0.5]))
+    if kind == 1:
+        return float(rng.uniform(-5.0, 5.0))
+    return float(rng.uniform(-720.0, 720.0))
+
+
+def _t(rng):
+    if rng.integers(3) == 0:
+        return float(10.0 ** rng.uniform(-1.0, 1.0))
+    return float(10.0 ** rng.uniform(-300.0, 308.0)) if rng.integers(6) else 1e308
+
+
+def _dim(L, N, statistics):
+    if N < 0 or (statistics != "boson" and N > L):
+        return 0
+    return math.comb(L + N - 1, N) if statistics == "boson" else math.comb(L, N)
+
+
+def _chain(rng, command):
+    if rng.integers(10):
+        L = int(rng.integers(2, 10))
+        N = int(rng.integers(-1, L + 3))
+    else:
+        L = int(rng.choice([63, 64, 70, 100]))
+        N = int(rng.integers(0, 3))
+    statistics = str(rng.choice(STATISTICS))
+    bc = str(rng.choice(["pbc", "obc", f"twist={rng.uniform(-7.0, 7.0)!r}"]))
+    if rng.integers(16) == 0:
+        bc = "twist=x"
+    argv = [command, "-L", str(L), "-N", str(N), "-g", repr(_g(rng)), "-t", repr(_t(rng)),
+            "--bc", bc, "--stats", statistics, "--format", str(rng.choice(["csv", "json"]))]
+    if rng.integers(8) == 0:
+        argv += ["--tol", repr(float(rng.choice([0.0, 1e-3, 1.0, -1.0])))]
+    if command != "spectrum":
+        dim = _dim(L, N, statistics)
+        kind = rng.integers(4)
+        if kind == 0 and dim <= 100:
+            argv += ["--ranks", "all"]
+        elif kind <= 1:
+            argv += ["--ranks", "lowest8"]
+        else:
+            ranks = rng.integers(-1, dim + 2, size=int(rng.integers(1, 4)))
+            argv.append("--ranks=" + ",".join(map(str, ranks)))  # "-1,3" is no flag value
+    return argv
+
+
+def _hcb_compare(rng):
+    if rng.integers(3):
+        lengths = ",".join(str(int(L)) for L in rng.integers(2, 11, size=rng.integers(1, 4)) * 4)
+    else:
+        start = int(rng.integers(2, 20))
+        lengths = f"{start}:{start + int(rng.integers(0, 40))}:{int(rng.integers(1, 9))}"
+    filling = float(rng.choice([0.5, 0.5, 0.25, 1 / 3, 0.75, 1.0, 0.0, 2.0]))
+    return ["hcb-compare", "--lengths", lengths, "--filling", repr(filling),
+            "-g", repr(_g(rng)), "-t", repr(_t(rng)), "--format", str(rng.choice(["csv", "json"]))]
+
+
+def _verify(rng):
+    suites = rng.choice(verify.SUITES, size=int(rng.integers(1, 3)), replace=False)
+    return ["verify", "--suite", ",".join(suites), "-g", repr(_g(rng)), "-t", repr(_t(rng))]
+
+
+def _argvs():
+    rng = np.random.default_rng(SEED)
+    draws = []
+    for _ in range(DRAWS):
+        kind = rng.integers(9)
+        if kind < 6:
+            draws.append(_chain(rng, str(rng.choice(["spectrum", "observables", "skin"]))))
+        elif kind < 8:
+            draws.append(_hcb_compare(rng))
+        else:
+            draws.append(_verify(rng))
+    return draws
+
+
+def _run(argv, out, capsys):
+    """(exit code, stdout, stderr, --out bytes or None, warnings raised)."""
+    full = argv if argv[0] == "verify" else [*argv, "--out", str(out)]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(full)
+    captured = capsys.readouterr()
+    data = out.read_bytes() if out.exists() else None
+    return code, captured.out, captured.err, data, [str(w.message) for w in caught]
+
+
+def test_contract_sweep(tmp_path, capsys):
+    out = tmp_path / "out.dat"
+    codes = set()
+    for argv in _argvs():
+        code, stdout, stderr, data, caught = _run(argv, out, capsys)
+        codes.add(code)
+        assert code in (0, 1, 2), argv
+        assert caught == [], argv
+        if argv[0] == "verify":
+            assert stderr == "", argv
+        elif code:
+            assert len(stderr.splitlines()) == 1, (argv, stderr)
+            assert list(tmp_path.iterdir()) == [], argv  # no --out, no part file
+        else:
+            assert stderr == "" and stdout == "" and data, argv
+            assert [path.name for path in tmp_path.iterdir()] == [out.name], argv
+        if code == 0:
+            assert _run(argv, out, capsys)[:4] == (code, stdout, stderr, data), argv
+        if out.exists():
+            out.unlink()
+    assert codes == {0, 1, 2}  # the draw reaches every outcome
