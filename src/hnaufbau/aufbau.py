@@ -7,7 +7,9 @@ level fills first, only the tie-break inside real-part-degenerate groups
 array of level positions in filling order, and no orbital is ever read here.
 Each sector is enumerated once as an occupation matrix (kernels), its
 energies are occupation-weighted sums of level energies over all rows at
-once, and build_spectrum returns the rank-ordered arrays as a Spectrum.
+once, and build_spectrum returns them as a Spectrum: the rows stay in the
+colex order they were enumerated in, and the rank order is an index into
+them, so the matrix is never copied.
 
 A many-body state is passed around as its occupation row: an int array of
 n_m per mode, mode m at position m-1. energy_of_config (and
@@ -69,8 +71,8 @@ __all__ = [
 STATISTICS = ("fermion", "boson", "hardcore")
 
 DEFAULT_MAX_STATES = 5_000_000
-# dim x L cells of the int16 occupation matrix: 2 GiB, about 6 GB at the
-# peak of a spectrum run
+# dim x L cells of the occupation matrix: 1 GiB of int8 (2 GiB of int16 for
+# bosons with N > 127), about 1.5 GB at the peak of a spectrum run
 MAX_OCCUPATION_CELLS = 1 << 30
 # largest particle number one int16 occupation cell holds
 MAX_OCCUPATION = int(np.iinfo(np.int16).max)
@@ -106,17 +108,20 @@ class ManyBodyLevel:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """A sector's many-body levels in rank order, held as arrays.
+    """A sector's many-body levels, held as arrays.
 
-    Row r of ``energies`` (complex128), ``occupations`` (dim x L, int16) and
-    ``groups`` (real-part degeneracy cluster ids, non-decreasing) belongs to
-    rank r. ``spectrum[r]`` builds the ManyBodyLevel of rank r (negative r
-    counts from the end).
+    ``rows`` is the sector's occupation matrix (dim x L) in colex order,
+    exactly as enumerated: int8, or int16 for bosons with N > 127. Entry r
+    of ``energies`` (complex128), ``colex`` (int64) and ``groups``
+    (real-part degeneracy cluster ids, non-decreasing) belongs to rank r,
+    and ``rows[colex[r]]`` is the occupation row of rank r. ``spectrum[r]``
+    builds the ManyBodyLevel of rank r (negative r counts from the end).
     """
 
     statistics: str
     energies: np.ndarray = field(repr=False)
-    occupations: np.ndarray = field(repr=False)
+    rows: np.ndarray = field(repr=False)
+    colex: np.ndarray = field(repr=False)
     groups: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
@@ -128,9 +133,10 @@ class Spectrum:
             rank += len(self)
         if not 0 <= rank < len(self):
             raise IndexError(f"rank {key} outside a spectrum of {len(self)} states")
+        occupations = tuple(self.rows[self.colex[rank]].tolist())
         return ManyBodyLevel(
             energy=complex(self.energies[rank]),
-            config=OccupationConfig(self.statistics, tuple(self.occupations[rank].tolist())),
+            config=OccupationConfig(self.statistics, occupations),
             rank=rank,
             degeneracy_group=int(self.groups[rank]),
         )
@@ -231,8 +237,9 @@ def _sector_levels(levels, statistics, N):
 
 
 def _occupation_rows(L, N, statistics):
-    """The sector's dim x L int16 occupation matrix, each state once, in colex
-    order (for fermion/hardcore, ascending as L-bit occupation words)."""
+    """The sector's dim x L occupation matrix (int8, or int16 for bosons with
+    N > 127), each state once, in colex order (for fermion/hardcore,
+    ascending as L-bit occupation words)."""
     if statistics == "boson":
         return kernels.boson_states(L, N)
     return kernels.fermion_occupations(L, N)
@@ -273,14 +280,13 @@ def build_spectrum(levels, statistics, N, tie_tol=None):
     _capped_dim(L, N, statistics)
     levels = _sector_levels(levels, statistics, N)
     perm = sort_levels(levels, tie_tol)
-    occupations = _occupation_rows(L, N, statistics)
+    rows = _occupation_rows(L, N, statistics)
     with np.errstate(over="ignore", invalid="ignore"):
-        energies = kernels.config_energies_boson(occupations, perm, levels.energies)
+        energies = kernels.config_energies_boson(rows, perm, levels.energies)
     if not np.isfinite(energies).all():
         raise OverflowError("a many-body energy is not finite")
-    order, groups = _cluster_sort(energies, tie_tol)
-    energies = energies[order]  # frees the unsorted energies before the rows gather
-    return Spectrum(statistics, energies, occupations[order], groups)
+    colex, groups = _cluster_sort(energies, tie_tol)
+    return Spectrum(statistics, energies[colex], rows, colex, groups)
 
 
 def _fill(levels, statistics, N):

@@ -10,12 +10,12 @@ with null where CSV writes nan. Every command hands the writer its table as
 columns. Every cell is str of its value, so floats keep full repr
 precision. The writer yields the text in pieces: the header block, then
 the rows CHUNK_ROWS (4096) at a time, joined in C, so one chunk's strings
-stay small. A numpy column is formatted once per distinct bit pattern
-over the whole column and gathered back with one index, so the repeated
-many-body energies of a spectrum cost one str each; a spectrum's
-occupation rows are formatted chunk by chunk, one occupation_string call
-per row on a bytes row, so a sector's strings are never all held at once;
-any other column is formatted value by value.
+stay small. A numpy column keeps only its sorted distinct bit patterns and
+one str of each, which every chunk looks its cells up in, so the repeated
+many-body energies of a spectrum cost one str each and no whole-column
+table is held; a spectrum's occupation column gathers its chunk's rows
+(rows[colex[lo:hi]]) and formats them, one occupation_string call per row
+on a bytes row; any other column is formatted value by value.
 JSON rows are the same cell texts (null for a non-finite float, json.dumps
 of a string) spliced into a json.dumps skeleton of the rest of the payload.
 An --out file appears whole or not at all: the pieces go to a sibling
@@ -26,7 +26,7 @@ the command quietly.
 Nothing time- or host-dependent is ever written, so identical inputs give
 byte-identical files. Everything runs serially; --workers, on observables
 only, is accepted for old command lines and has no effect. The commands
-read a state straight off the spectrum arrays (spec.occupations[r],
+read a state straight off the spectrum arrays (spec.rows[spec.colex[r]],
 spec.energies[r]); no per-state record is built.
 
 Exit codes: 0 success, 1 verification/computation failure, 2 usage error,
@@ -187,26 +187,33 @@ def _json_text(value):
 
 
 def _column_text(col, fmt=str):
-    """fmt of each value of the 1-D numpy column col, as an object array.
-    The column is keyed on its raw bits (a float column viewed as integers,
-    so -0.0 and 0.0, and NaN payloads, stay apart), each distinct key is
-    formatted once, and the texts are gathered back by the inverse index."""
+    """A function of (lo, hi) giving fmt of the values lo..hi-1 of the 1-D
+    numpy column col, as an object array. The column is keyed on its raw
+    bits (a float column viewed as integers, so -0.0 and 0.0, and NaN
+    payloads, stay apart); only the sorted distinct keys and one text each
+    are kept. A slice looks up its own distinct keys, in ascending order,
+    so a search over a large table stays mostly within cache."""
     keys = col.view(f"i{col.itemsize}") if col.dtype.kind == "f" else col
-    uniq, inverse = np.unique(keys, return_inverse=True)
+    uniq = np.sort(keys)  # np.unique's hash table is slower where few keys repeat
+    if uniq.size:
+        uniq = uniq[np.r_[True, uniq[1:] != uniq[:-1]]]
     texts = np.array(list(map(fmt, uniq.view(col.dtype).tolist())), dtype=object)
-    return texts[inverse]
+
+    def lookup(lo, hi):
+        found, inverse = np.unique(keys[lo:hi], return_inverse=True)
+        return texts[np.searchsorted(uniq, found)][inverse]
+
+    return lookup
 
 
 def _chunk_texts(col, fmt):
-    """A function of (lo, hi) giving fmt of the cells lo..hi-1 of col. A
-    1-D numpy column is formatted whole by _column_text and sliced; a 2-D
-    one holds one occupation row per cell and is formatted per slice by
-    occupation_strings; any other column value by value per slice."""
-    if isinstance(col, np.ndarray) and col.ndim == 1:
-        texts = _column_text(col, fmt)
-        return lambda lo, hi: texts[lo:hi]
+    """A function of (lo, hi) giving fmt of the cells lo..hi-1 of col: a
+    numpy column through _column_text, a function of (lo, hi) through the
+    values it returns, any other column value by value per slice."""
     if isinstance(col, np.ndarray):
-        return lambda lo, hi: map(fmt, occupation_strings(col[lo:hi]))
+        return _column_text(col, fmt)
+    if callable(col):
+        return lambda lo, hi: map(fmt, col(lo, hi))
     return lambda lo, hi: map(fmt, col[lo:hi])
 
 
@@ -245,11 +252,11 @@ def _pieces(fmt, header, columns, data, metrics):
 
 def _emit(args, header, columns, data, metrics=None):
     """Write the table as CSV or JSON. data holds one column per entry (a
-    list or a range of Python values, a 1-D numpy array, or a 2-D numpy
-    array of occupation rows, written by occupation_string), all of one
-    length; row r is the r-th value of each. metrics maps a rank key to
-    named values, written as '# metrics' lines or a JSON object. Undefined
-    is nan in CSV, null in JSON."""
+    list or a range of Python values, a 1-D numpy array, or, past the
+    first, a function of (lo, hi) giving the values of rows lo..hi-1), all
+    of one length; row r is the r-th value of each. metrics maps a rank
+    key to named values, written as '# metrics' lines or a JSON object.
+    Undefined is nan in CSV, null in JSON."""
     pieces = _pieces(args.format, header, columns, data, metrics)
     if args.out:
         _write(args.out, pieces)
@@ -303,7 +310,9 @@ def _print(pieces):
 
 def read_table(path):
     """Parse a CSV written by _emit: ('#' key=value header, columns, rows
-    as lists of strings). The inverse of the writer, for round-trip tests."""
+    as lists of strings). Each '# metrics rank=<r> k=v ...' line becomes
+    header["metrics"][r] = {k: v}, all as written. The inverse of the
+    writer, for round-trip tests."""
     header = {}
     columns = None
     rows = []
@@ -314,7 +323,11 @@ def read_table(path):
                 continue
             if line.startswith("#"):
                 body = line[1:].strip()
-                if "=" in body:
+                if body.startswith("metrics rank="):
+                    rank, *pairs = body[len("metrics rank="):].split(" ")
+                    header.setdefault("metrics", {})[rank] = dict(
+                        pair.split("=", 1) for pair in pairs)
+                elif "=" in body:
                     key, val = body.split("=", 1)
                     header[key.strip()] = val.strip()
                 continue
@@ -365,7 +378,7 @@ def cmd_spectrum(args) -> int:
         spec.energies.real,
         spec.energies.imag,
         spec.groups,
-        spec.occupations,
+        lambda lo, hi: occupation_strings(spec.rows[spec.colex[lo:hi]]),
     ]
     _emit(args, header, columns, data)
     return 0
@@ -410,7 +423,7 @@ def cmd_observables(args) -> int:
     data = rank_col, kind_col, index_col, grid_col, value_col = [[] for _ in columns]
     metrics = {}
     for rank in ranks:
-        v = eigenstate_from_config(p, args.stats, spec.occupations[rank])
+        v = eigenstate_from_config(p, args.stats, spec.rows[spec.colex[rank]])
         nj = density_from_fock(v)
         nk = momentum_distribution(correlation_matrix(v))
         for profile in (nj, nk):
@@ -430,7 +443,7 @@ def cmd_skin(args) -> int:
     ranks = _select_ranks(args.ranks, len(spec))
     header = _base_header(args, "skin", p)
     columns = ["rank", "energy_re", "energy_im", "left_fraction", "ipr", "log_slope"]
-    states = (eigenstate_from_config(p, args.stats, spec.occupations[r]) for r in ranks)
+    states = (eigenstate_from_config(p, args.stats, spec.rows[spec.colex[r]]) for r in ranks)
     mets = [skin_metrics(density_from_fock(v)) for v in states]
     energies = spec.energies[ranks]
     data = [

@@ -63,7 +63,7 @@ __all__ = [
 
 DENSE_DIM_CAP = 2500
 # dim x L cells of a basis: rank arithmetic, lowering tables and the bases
-# below take about 50 bytes a cell, against about 6 in a spectrum run, so
+# below take about 50 bytes a cell, against 2 to 6 in a spectrum run, so
 # the cap is a quarter of MAX_OCCUPATION_CELLS; fermions at L = 58, N = 5
 # (265,762,728 cells) fit
 MAX_FOCK_CELLS = 1 << 28
@@ -81,8 +81,9 @@ class NullStateError(ArithmeticError):
 class FockBasis:
     """Ordered N-particle basis for one statistics over L sites.
 
-    ``occupations`` is the dim x L int16 occupation matrix in colex order;
-    a state's index is its colex rank. The lowering table ``down``/``coef``
+    ``occupations`` is the dim x L occupation matrix in colex order, of the
+    spectrum's dtype (int8, or int16 for bosons with N > 127); a state's
+    index is its colex rank. The lowering table ``down``/``coef``
     (dim x L each) is built on first use and kept on the basis; ``down``
     points at ``lower_dim``, one past the last state of the N-1 sector,
     where n_j = 0.

@@ -2,7 +2,8 @@
 occupation rows (colex order) and of their compensated level sums.
 
 Plain interpreted NumPy; there is no compiled backend. Enumeration builds
-a sector's occupation matrix particle by particle in colex order,
+a sector's occupation matrix particle by particle in colex order, one byte
+a cell (int8) wherever the largest occupation fits and int16 otherwise,
 _colex_rank maps rows back to their colex positions, and configuration
 energies are one compensated sum per row, for every statistics, run over
 blocks of BLOCK_ROWS rows whose transposed occupations are copied once
@@ -30,7 +31,8 @@ BLOCK_ROWS = 1 << 13
 
 def _colex_rows(L, N, cap):
     """All rows of L occupation numbers summing to N, in colex order, for
-    cap = 1 (fermions) or cap >= N (bosons).
+    cap = 1 (fermions) or cap >= N (bosons). The cells are int8 while cap
+    fits one (every fermion sector, bosons up to N = 127), else int16.
 
     Built one particle at a time. In colex order the rows with every
     particle below mode c (bosons: at or below c) come first, so the
@@ -38,11 +40,12 @@ def _colex_rows(L, N, cap):
     (n-1)-particle rows plus one particle on c. The blocks follow c upward;
     fermions stop where the particles still to come fit above c.
     """
-    rows = np.zeros((1, L), np.int16)
+    dtype = np.int8 if cap <= np.iinfo(np.int8).max else np.int16
+    rows = np.zeros((1, L), dtype)
     for n in range(1, N + 1):
         span, tops = (0, range(n - 1, L - N + n)) if cap == 1 else (n - 1, range(L))
         sizes = [math.comb(c + span, n - 1) for c in tops]
-        new = np.empty((sum(sizes), L), np.int16)
+        new = np.empty((sum(sizes), L), dtype)
         r = 0
         for c, size in zip(tops, sizes):
             new[r : r + size] = rows[:size]
@@ -79,15 +82,15 @@ def _colex_rank(rows, w):
 
 
 def fermion_occupations(L, N):
-    """The C(L, N) rows (int16) of every 0/1 occupation of L modes with N
+    """The C(L, N) rows (int8) of every 0/1 occupation of L modes with N
     ones, in colex order, i.e. ascending as L-bit words. No bit words are
     formed, so any L works."""
     return _colex_rows(L, N, 1)
 
 
 def boson_states(L, N):
-    """The C(L+N-1, N) occupation vectors (int16) of L modes summing to N,
-    in colexicographic order."""
+    """The C(L+N-1, N) occupation vectors of L modes summing to N, in
+    colexicographic order: int8 up to N = 127, int16 above."""
     return _colex_rows(L, N, N)
 
 

@@ -248,8 +248,8 @@ def test_enumeration_vacuum_and_full():
     assert rows_of(3, 3, "fermion") == [(1, 1, 1)]
     for enumerate_sector in (kernels.fermion_occupations, kernels.boson_states):
         vacuum = enumerate_sector(5000, 0)
-        assert vacuum.dtype == np.int16
-        np.testing.assert_array_equal(vacuum, np.zeros((1, 5000), np.int16))
+        assert vacuum.dtype == np.int8  # every occupation fits one byte
+        np.testing.assert_array_equal(vacuum, np.zeros((1, 5000), np.int8))
 
 
 def test_single_fermion_rows_are_the_identity():
@@ -379,7 +379,7 @@ def test_spectrum_energy_consistency():
     for levels in (ring_levels(7), chain_levels(7, g=1.5)):
         for stats in ("fermion", "boson", "hardcore"):
             spec = build_spectrum(levels, stats, 3)
-            for occ, energy in zip(spec.occupations, spec.energies):
+            for occ, energy in zip(spec.rows[spec.colex], spec.energies):
                 assert energy_of_config(levels, stats, occ) == energy
 
 
@@ -388,13 +388,15 @@ def test_spectrum_arrays_and_level_views():
     assert isinstance(spec, Spectrum)
     assert len(spec) == 56
     assert spec.energies.dtype == np.complex128 and spec.energies.shape == (56,)
-    assert spec.occupations.dtype == np.int16 and spec.occupations.shape == (56, 6)
+    # the rows stay in colex order, one byte a cell; colex maps rank to row
+    assert spec.rows.dtype == np.int8 and spec.rows.shape == (56, 6)
+    assert spec.colex.dtype == np.int64 and sorted(spec.colex) == list(range(56))
     assert np.all(np.diff(spec.groups) >= 0)
     levels = list(spec)
     assert [lv.rank for lv in levels] == list(range(56))
     for lv in levels:
         assert lv.energy == complex(spec.energies[lv.rank])
-        assert lv.config.occupations == tuple(spec.occupations[lv.rank].tolist())
+        assert lv.config.occupations == tuple(spec.rows[spec.colex[lv.rank]].tolist())
         assert lv.config.statistics == "boson"
         assert lv.degeneracy_group == spec.groups[lv.rank]
     assert spec[-1] == levels[-1] and spec[-1].rank == 55
@@ -408,11 +410,75 @@ def test_spectrum_arrays_and_level_views():
         spec[-57]
 
 
+# (statistics, L, N, boundary, twist): up to dim 2e5, thin, near-full and
+# few-mode boson sectors, and bosons past the int8 occupation
+REPRESENTATION_SECTORS = [
+    ("fermion", 20, 10, "periodic", 0.0),
+    ("fermion", 300, 2, "open", 0.0),
+    ("fermion", 14, 12, "twisted", 0.7),
+    ("fermion", 9, 0, "periodic", 0.0),
+    ("hardcore", 16, 6, "periodic", 0.0),
+    ("hardcore", 13, 5, "open", 0.0),
+    ("hardcore", 11, 10, "twisted", 2.0),
+    ("boson", 13, 7, "open", 0.0),
+    ("boson", 40, 3, "twisted", 1.1),
+    ("boson", 3, 127, "periodic", 0.0),
+    ("boson", 2, 128, "twisted", 0.4),
+    ("boson", 3, 400, "open", 0.0),
+    ("boson", 2, 5, "open", 0.0),
+]
+
+
+@pytest.mark.parametrize("stats,L,N,boundary,twist", REPRESENTATION_SECTORS)
+def test_spectrum_holds_colex_rows_once(stats, L, N, boundary, twist):
+    levels = single_particle_levels(
+        HNParams(L=L, t=1.0, g=0.5, boundary=boundary, twist=twist))
+    spec = build_spectrum(levels, stats, N)
+    want = _occupation_rows(L, N, stats)
+    assert spec.rows.dtype == (np.int8 if stats != "boson" or N <= 127 else np.int16)
+    assert spec.rows.dtype == want.dtype and np.array_equal(spec.rows, want)
+    dim = len(want)
+    assert spec.colex.dtype == np.int64
+    assert np.array_equal(np.sort(spec.colex), np.arange(dim))
+    # reference rank order: chain the real parts within the default tie
+    # tolerance, then sort by (chain, Im, colex position) and gather the rows
+    sector = _sector_levels(levels, stats, N)
+    energies = kernels.config_energies_boson(want, sort_levels(sector), sector.energies)
+    by_re = np.argsort(energies.real, kind="stable")
+    chain = np.empty(dim, np.int64)
+    chain[by_re] = np.cumsum(np.diff(energies.real[by_re], prepend=-np.inf)
+                             > default_tie_tol(energies.real)) - 1
+    order = np.lexsort((np.arange(dim), energies.imag, chain))
+    assert np.array_equal(spec.rows[spec.colex], want[order])
+    assert spec.energies.tobytes() == energies[order].tobytes()
+    assert np.array_equal(spec.groups, chain[order])
+    ranks = np.random.default_rng(dim).integers(0, dim, size=25)
+    for r in [0, dim - 1, *ranks.tolist()]:
+        energy = energy_of_config(levels, stats, spec.rows[spec.colex[r]])
+        assert np.complex128(energy).tobytes() == spec.energies[r].tobytes()
+        assert spec[r].config.occupations == tuple(want[order[r]].tolist())
+
+
+def test_spectrum_memory_holds_one_byte_rows():
+    # ring L = 20, N = 10 (184,756 rows): the rows once, one byte a cell; a
+    # rank-ordered int16 copy or a whole-column text table would pass 16 MB
+    levels = ring_levels(20)
+    build_spectrum(levels, "fermion", 10)  # caches and first-call allocations
+    tracemalloc.start()
+    try:
+        spec = build_spectrum(levels, "fermion", 10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert spec.rows.nbytes == 184_756 * 20
+    assert peak < 16_000_000
+
+
 def test_enumeration_matches_spectrum_rows():
     for stats in ("fermion", "boson", "hardcore"):
         rows = set(rows_of(6, 3, stats))
         spec = build_spectrum(ring_levels(6), stats, 3)
-        assert rows == set(map(tuple, spec.occupations.tolist()))
+        assert rows == set(map(tuple, spec.rows[spec.colex].tolist()))
         assert spec.statistics == stats
 
 

@@ -204,7 +204,7 @@ def _row_by_row_body(spec):
     return [
         ",".join(map(str, [rank, e.real, e.imag, group, occupation_string(occ)]))
         for rank, (e, group, occ) in enumerate(
-            zip(spec.energies.tolist(), spec.groups.tolist(), spec.occupations.tolist())
+            zip(spec.energies.tolist(), spec.groups.tolist(), spec.rows[spec.colex].tolist())
         )
     ]
 
@@ -245,13 +245,19 @@ SPECIAL_FLOATS = [
 ]
 
 
+def _chunked_text(col, step=64):
+    # the texts of col as the writer looks them up, one slice of rows at a time
+    lookup = cli._column_text(col)
+    return [text for lo in range(0, len(col), step) for text in lookup(lo, lo + step)]
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(), max_size=12), st.lists(st.integers(0, 10**6), max_size=300))
 def test_float_column_text_matches_str(extra, picks):
     # every special value, then heavy repeats drawn from the same pool
     pool = SPECIAL_FLOATS + extra
     col = np.array(pool + [pool[i % len(pool)] for i in picks], dtype=np.float64)
-    assert list(cli._column_text(col)) == [str(x) for x in col.tolist()]
+    assert _chunked_text(col) == [str(x) for x in col.tolist()]
 
 
 @settings(max_examples=100, deadline=None)
@@ -261,7 +267,7 @@ def test_float_column_text_matches_str(extra, picks):
 )
 def test_int_column_text_matches_str(pool, picks):
     col = np.array(pool + [pool[i % len(pool)] for i in picks], dtype=np.int64)
-    assert list(cli._column_text(col)) == [str(x) for x in col.tolist()]
+    assert _chunked_text(col) == [str(x) for x in col.tolist()]
 
 
 @pytest.mark.parametrize("flags", [
@@ -297,8 +303,8 @@ def _unchunked(fmt, header, columns, data, metrics=None):
     row with str, JSON as one json.dumps of the payload."""
     cells = []
     for col in data:
-        if isinstance(col, np.ndarray) and col.ndim == 2:
-            cells.append([occupation_string(row) for row in col.tolist()])
+        if callable(col):
+            cells.append(list(col(0, len(data[0]))))
         else:
             cells.append(col.tolist() if isinstance(col, np.ndarray) else list(col))
     rows = [list(row) for row in zip(*cells)]
@@ -321,16 +327,17 @@ def _mixed_table(dim):
     floats (nan, inf, -0.0, ...) in both a numpy and a list column."""
     pool = np.array(SPECIAL_FLOATS)
     floats = pool[np.arange(dim) % pool.size]
-    occupations = (np.arange(dim * 4).reshape(dim, 4) * 7) % 3
+    rows = (np.arange(dim * 4).reshape(dim, 4) * 7) % 3
     if dim:
-        occupations[-1, 0] = 12  # a ';'-joined occupation string
+        rows[-1, 0] = 12  # a ';'-joined occupation string
+    colex = np.arange(dim)[::-1]  # rows gathered out of order, as a spectrum's are
     data = [
         range(dim),
         floats,
         floats[::-1].tolist(),
         np.arange(dim, dtype=np.int64) // 3,
         [f"s{r % 3}\u00e9" for r in range(dim)],
-        occupations,
+        lambda lo, hi: [occupation_string(row) for row in rows[colex[lo:hi]].tolist()],
     ]
     header = {"command": "test", "x": math.nan, "L": dim}
     metrics = {"0": {"left_fraction": 0.5, "log_slope": math.nan}, "1": {"ipr": -math.inf}}
@@ -647,6 +654,22 @@ def test_observables_csv_metrics_mirror_json(tmp_path):
     ]
 
 
+def test_read_table_keeps_every_rank_metrics(tmp_path):
+    # three ranks read back from CSV give the JSON metrics of the same run
+    argv = ["observables", "-L", "6", "-N", "3", "-g", "0.5", "--bc", "obc",
+            "--ranks", "4,0,7"]
+    code, csv_out = run_to_file(tmp_path, "obs.csv", argv)
+    assert code == 0
+    code, json_out = run_to_file(tmp_path, "obs.json", [*argv, "--format", "json"])
+    assert code == 0
+    header, columns, rows = cli.read_table(str(csv_out))
+    metrics = json.loads(json_out.read_text())["metrics"]
+    assert list(header["metrics"]) == ["4", "0", "7"]
+    assert {rank: {name: float(text) for name, text in met.items()}
+            for rank, met in header["metrics"].items()} == metrics
+    assert header["ranks"] == "4;0;7" and columns[0] == "rank" and len(rows) == 3 * 2 * 6
+
+
 @pytest.mark.parametrize("command,L,N,stats,bc", [
     ("skin", 40, 3, "boson", "pbc"),
     ("observables", 25, 5, "boson", "obc"),
@@ -661,8 +684,26 @@ def test_fock_sectors_past_int64_keys(tmp_path, command, L, N, stats, bc):
     assert len(cli.read_table(str(out))[2]) == (8 if command == "skin" else 8 * 2 * L)
     p = HNParams(L=L, g=0.5, boundary="periodic" if bc == "pbc" else "open")
     spec = build_spectrum(single_particle_levels(p), stats, N)
-    v = fock.eigenstate_from_config(p, stats, spec.occupations[0])
+    v = fock.eigenstate_from_config(p, stats, spec.rows[spec.colex[0]])
     assert fock.residual(v, hopping_matrix(p), spec.energies[0]) < TOLERANCES["residual_obc"]
+
+
+def test_spectrum_command_memory_holds_one_byte_rows(tmp_path):
+    # ring L = 20, N = 10: the writer holds no whole-column table and no
+    # rank-ordered copy of the rows, so the command peaks where
+    # build_spectrum does, below 16 MB
+    out = tmp_path / "big.csv"
+    argv = ["spectrum", "-L", "20", "-N", "10", "--out", str(out)]
+    assert run_cli(["spectrum", "-L", "4", "-N", "2", "--out", str(out)]) == 0
+    tracemalloc.start()
+    try:
+        code = run_cli(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 16_000_000
+    assert out.read_bytes().count(b"\n") == 9 + 184_756  # header lines, then the rows
 
 
 @pytest.mark.parametrize("command,cap", [("spectrum", 1 << 30), ("observables", 1 << 28)])

@@ -61,7 +61,7 @@ def test_density_single_particle_is_normalized_orbital():
 def test_density_ring_eigenstates_uniform():
     p = ring(6)
     spec = build_spectrum(single_particle_levels(p), "fermion", 3)
-    for occ in spec.occupations[:6]:
+    for occ in spec.rows[spec.colex[:6]]:
         v = eigenstate_from_config(p, "fermion", occ)
         d = density_from_fock(v)
         np.testing.assert_allclose(d.values, np.full(6, 0.5), atol=1e-10)
@@ -71,7 +71,7 @@ def test_density_sums_to_particle_number():
     p = chain(8, g=0.7)
     for stats, N in (("fermion", 3), ("boson", 3), ("hardcore", 4)):
         spec = build_spectrum(single_particle_levels(p), stats, N)
-        for occ in spec.occupations[:10]:
+        for occ in spec.rows[spec.colex[:10]]:
             v = eigenstate_from_config(p, stats, occ)
             d = density_from_fock(v)
             assert d.total == pytest.approx(N, abs=1e-8)
@@ -84,7 +84,8 @@ def test_density_mirror_under_g_flip():
         specs = []
         for g in (0.8, -0.8):
             p = chain(7, g=g)
-            occ = build_spectrum(single_particle_levels(p), stats, 3).occupations[0]
+            spec = build_spectrum(single_particle_levels(p), stats, 3)
+            occ = spec.rows[spec.colex[0]]
             v = eigenstate_from_config(p, stats, occ)
             specs.append(density_from_fock(v).values)
         np.testing.assert_allclose(specs[0], specs[1][::-1], atol=1e-10)
@@ -94,7 +95,8 @@ def test_density_boson_ground_frozen_edge_weight():
     # open chain, five bosons condensed in the leftmost-localized orbital:
     # the edge site holds |phi_1|^2 / sum |phi_j|^2 of the weight
     p = chain(10, g=1.5)
-    occ = build_spectrum(single_particle_levels(p), "boson", 5).occupations[0]
+    spec = build_spectrum(single_particle_levels(p), "boson", 5)
+    occ = spec.rows[spec.colex[0]]
     v = eigenstate_from_config(p, "boson", occ)
     d = density_from_fock(v)
     phi = single_particle_levels(p).orbitals[0]
@@ -109,7 +111,8 @@ def test_density_boson_ground_frozen_edge_weight():
 def test_correlation_diagonal_equals_density():
     p = chain(6, g=0.5)
     for stats in ("fermion", "boson", "hardcore"):
-        occ = build_spectrum(single_particle_levels(p), stats, 3).occupations[1]
+        spec = build_spectrum(single_particle_levels(p), stats, 3)
+        occ = spec.rows[spec.colex[1]]
         v = eigenstate_from_config(p, stats, occ)
         G = correlation_matrix(v)
         d = density_from_fock(v)
@@ -134,7 +137,7 @@ def test_correlation_dual_route_fermion():
     p = chain(6, g=0.5)
     levels = single_particle_levels(p)
     spec = build_spectrum(levels, "fermion", 3)
-    for occ in spec.occupations[:8]:
+    for occ in spec.rows[spec.colex[:8]]:
         v = eigenstate_from_config(p, "fermion", occ)
         G_fock = correlation_matrix(v)
         G_orb = density_matrix_from_orbitals(levels.orbitals[occ > 0])
@@ -150,7 +153,8 @@ def test_correlation_dual_route_property_over_g(boundary):
     for g in np.linspace(0.0, 6.0, 25):
         p = HNParams(L=6, t=1.0, g=float(g), boundary=boundary)
         levels = single_particle_levels(p)
-        for rank, occ in enumerate(build_spectrum(levels, "fermion", 3).occupations):
+        spec = build_spectrum(levels, "fermion", 3)
+        for rank, occ in enumerate(spec.rows[spec.colex]):
             try:
                 v = eigenstate_from_config(p, "fermion", occ)
             except NullStateError:
@@ -182,7 +186,7 @@ def test_momentum_of_ring_eigenstates_equals_occupations():
     p = ring(6)
     for stats in ("fermion", "boson"):
         spec = build_spectrum(single_particle_levels(p), stats, 3)
-        for occ in spec.occupations[:8]:
+        for occ in spec.rows[spec.colex[:8]]:
             v = eigenstate_from_config(p, stats, occ)
             nk = momentum_distribution(correlation_matrix(v))
             np.testing.assert_allclose(nk.values, occ.astype(float), atol=1e-10)
@@ -199,7 +203,7 @@ def test_momentum_sum_rule():
     p = chain(8, g=1.0)
     for stats, N in (("fermion", 4), ("boson", 3)):
         spec = build_spectrum(single_particle_levels(p), stats, N)
-        for occ in spec.occupations[:10]:
+        for occ in spec.rows[spec.colex[:10]]:
             v = eigenstate_from_config(p, stats, occ)
             nk = momentum_distribution(correlation_matrix(v))
             assert nk.total == pytest.approx(N, abs=1e-8)
@@ -209,7 +213,7 @@ def test_momentum_sum_rule():
 def test_momentum_fermion_pauli_bound():
     p = chain(8, g=1.5)
     spec = build_spectrum(single_particle_levels(p), "fermion", 4)
-    for occ in spec.occupations[:20]:
+    for occ in spec.rows[spec.colex[:20]]:
         v = eigenstate_from_config(p, "fermion", occ)
         nk = momentum_distribution(correlation_matrix(v))
         assert np.all(nk.values <= 1.0 + 1e-8)
@@ -217,7 +221,8 @@ def test_momentum_fermion_pauli_bound():
 
 def test_momentum_boson_ring_condensate_peak():
     p = ring(10)
-    occ = build_spectrum(single_particle_levels(p), "boson", 5).occupations[0]
+    spec = build_spectrum(single_particle_levels(p), "boson", 5)
+    occ = spec.rows[spec.colex[0]]
     v = eigenstate_from_config(p, "boson", occ)
     nk = momentum_distribution(correlation_matrix(v))
     peak = int(np.argmax(nk.values))
@@ -248,7 +253,8 @@ def test_skin_pure_exponential_slope():
 
 def test_skin_boson_ground_slope_matches_minus_two_g():
     p = chain(10, g=1.5)
-    occ = build_spectrum(single_particle_levels(p), "boson", 5).occupations[0]
+    spec = build_spectrum(single_particle_levels(p), "boson", 5)
+    occ = spec.rows[spec.colex[0]]
     v = eigenstate_from_config(p, "boson", occ)
     m = skin_metrics(density_from_fock(v))
     assert m.log_slope == pytest.approx(-3.0, rel=0.15)
@@ -259,7 +265,7 @@ def test_skin_fermion_chain_all_left_skewed():
     p = chain(10, g=1.5)
     spec = build_spectrum(single_particle_levels(p), "fermion", 5)
     fractions = []
-    for occ in spec.occupations:
+    for occ in spec.rows[spec.colex]:
         v = eigenstate_from_config(p, "fermion", occ)
         fractions.append(skin_metrics(density_from_fock(v)).left_fraction)
     assert min(fractions) > 0.5
@@ -299,7 +305,8 @@ def test_hardcore_momentum_not_fermionic():
     # their momentum profile need not match the fermionic occupations, but
     # the sum rule still holds
     ring = HNParams(L=6, t=1.0, g=0.5, boundary="periodic")
-    occ = build_spectrum(single_particle_levels(ring), "hardcore", 4).occupations[0]
+    spec = build_spectrum(single_particle_levels(ring), "hardcore", 4)
+    occ = spec.rows[spec.colex[0]]
     v = eigenstate_from_config(ring, "hardcore", occ)
     nk = momentum_distribution(correlation_matrix(v))
     assert nk.total == pytest.approx(4.0, abs=1e-8)
