@@ -8,8 +8,10 @@ array of level positions in filling order, and no orbital is ever read here.
 Each sector is enumerated once as an occupation matrix (kernels), its
 energies are occupation-weighted sums of level energies over all rows at
 once, and build_spectrum returns them as a Spectrum: the rows stay in the
-colex order they were enumerated in, and the rank order is an index into
-them, so the matrix is never copied.
+colex order they were enumerated in (fermion and hard-core rows packed
+eight cells to a byte once their energies are summed), and the rank order
+is an int32 index into them, so the matrix is never copied in rank order.
+Spectrum.occupations unpacks the rows of the ranks asked for.
 
 A many-body state is passed around as its occupation row: an int array of
 n_m per mode, mode m at position m-1. energy_of_config (and
@@ -71,8 +73,9 @@ __all__ = [
 STATISTICS = ("fermion", "boson", "hardcore")
 
 DEFAULT_MAX_STATES = 5_000_000
-# dim x L cells of the occupation matrix: 1 GiB of int8 (2 GiB of int16 for
-# bosons with N > 127), about 1.5 GB at the peak of a spectrum run
+# dim x L cells of the occupation matrix as enumerated: 1 GiB of int8 (2 GiB
+# of int16 for bosons with N > 127) while the energies are summed; a
+# spectrum then keeps fermion and hard-core rows at one bit a cell
 MAX_OCCUPATION_CELLS = 1 << 30
 # largest particle number one int16 occupation cell holds
 MAX_OCCUPATION = int(np.iinfo(np.int16).max)
@@ -110,15 +113,19 @@ class ManyBodyLevel:
 class Spectrum:
     """A sector's many-body levels, held as arrays.
 
-    ``rows`` is the sector's occupation matrix (dim x L) in colex order,
-    exactly as enumerated: int8, or int16 for bosons with N > 127. Entry r
-    of ``energies`` (complex128), ``colex`` (int64) and ``groups``
-    (real-part degeneracy cluster ids, non-decreasing) belongs to rank r,
-    and ``rows[colex[r]]`` is the occupation row of rank r. ``spectrum[r]``
-    builds the ManyBodyLevel of rank r (negative r counts from the end).
+    ``rows`` is the sector's occupation matrix of L modes in colex order,
+    exactly as enumerated: for fermions and hard-core bosons np.packbits of
+    the 0/1 rows (dim x ceil(L/8) uint8, one bit a cell), for bosons int8,
+    or int16 with N > 127. Entry r of ``energies`` (complex128), ``colex``
+    (int32) and ``groups`` (int32 real-part degeneracy cluster ids,
+    non-decreasing) belongs to rank r, and ``colex[r]`` is the row of rank
+    r. ``occupations(ranks)`` gives the occupation rows of ranks, the one
+    reader of ``rows``; ``spectrum[r]`` builds the ManyBodyLevel of rank r
+    (negative r counts from the end).
     """
 
     statistics: str
+    L: int
     energies: np.ndarray = field(repr=False)
     rows: np.ndarray = field(repr=False)
     colex: np.ndarray = field(repr=False)
@@ -133,13 +140,21 @@ class Spectrum:
             rank += len(self)
         if not 0 <= rank < len(self):
             raise IndexError(f"rank {key} outside a spectrum of {len(self)} states")
-        occupations = tuple(self.rows[self.colex[rank]].tolist())
         return ManyBodyLevel(
             energy=complex(self.energies[rank]),
-            config=OccupationConfig(self.statistics, occupations),
+            config=OccupationConfig(self.statistics, tuple(self.occupations(rank).tolist())),
             rank=rank,
             degeneracy_group=int(self.groups[rank]),
         )
+
+    def occupations(self, ranks) -> np.ndarray:
+        """The occupation rows of ranks (an int, a slice or an index array of
+        ranks), with the cells as enumerated: int8, or int16 for bosons with
+        N > 127."""
+        rows = self.rows[self.colex[ranks]]
+        if self.statistics == "boson":
+            return rows
+        return np.unpackbits(rows, axis=-1, count=self.L).view(np.int8)
 
 
 def default_tie_tol(real_parts) -> float:
@@ -157,7 +172,8 @@ def default_tie_tol(real_parts) -> float:
 def _cluster_sort(values, tie_tol=None):
     """Order complex values by Re, chain runs with adjacent gaps <= tie_tol
     into clusters, sort each cluster by Im, then position. Returns (order,
-    cluster_ids). tie_tol defaults to default_tie_tol of the real parts,
+    cluster_ids), both int32 (a sector holds at most DEFAULT_MAX_STATES <
+    2^31 values). tie_tol defaults to default_tie_tol of the real parts,
     whose spread check runs either way; an explicit one must be finite and
     >= 0."""
     re, im = values.real, values.imag
@@ -166,11 +182,12 @@ def _cluster_sort(values, tie_tol=None):
     if not (tie_tol >= 0.0 and math.isfinite(tie_tol)):
         raise ValueError(f"tie_tol must be finite and >= 0, got {tie_tol}")
     order1 = np.argsort(re, kind="stable")
-    cid = np.zeros(re.size, dtype=np.int64)
+    cid = np.zeros(re.size, dtype=np.int32)
     if re.size > 1:
         # cluster id of each value, scattered back to its position
-        cid[order1[1:]] = np.cumsum(np.diff(re[order1]) > tie_tol)
-    final = np.lexsort((im, cid))
+        cid[order1[1:]] = np.cumsum(np.diff(re[order1]) > tie_tol, dtype=np.int32)
+    del order1
+    final = np.lexsort((im, cid)).astype(np.int32)
     return final, cid[final]
 
 
@@ -181,7 +198,7 @@ def sort_levels(levels, tie_tol=None) -> np.ndarray:
     """
     if len(levels) == 0:
         raise ValueError("sort_levels requires a non-empty level list")
-    return _cluster_sort(levels.energies, tie_tol)[0]
+    return _cluster_sort(levels.energies, tie_tol)[0].astype(np.int64)
 
 
 def _check_sector(L, N, statistics, ring=False):
@@ -285,8 +302,10 @@ def build_spectrum(levels, statistics, N, tie_tol=None):
         energies = kernels.config_energies_boson(rows, perm, levels.energies)
     if not np.isfinite(energies).all():
         raise OverflowError("a many-body energy is not finite")
+    if statistics != "boson":
+        rows = np.packbits(rows, axis=1)  # 0/1 cells, one bit each
     colex, groups = _cluster_sort(energies, tie_tol)
-    return Spectrum(statistics, energies[colex], rows, colex, groups)
+    return Spectrum(statistics, L, energies[colex], rows, colex, groups)
 
 
 def _fill(levels, statistics, N):

@@ -13,9 +13,9 @@ the rows CHUNK_ROWS (4096) at a time, joined in C, so one chunk's strings
 stay small. A numpy column keeps only its sorted distinct bit patterns and
 one str of each, which every chunk looks its cells up in, so the repeated
 many-body energies of a spectrum cost one str each and no whole-column
-table is held; a spectrum's occupation column gathers its chunk's rows
-(rows[colex[lo:hi]]) and formats them, one occupation_string call per row
-on a bytes row; any other column is formatted value by value.
+table is held; a spectrum's occupation column unpacks its chunk's rows
+(spec.occupations(slice(lo, hi))) and formats them, one occupation_string
+call per row on a bytes row; any other column is formatted value by value.
 JSON rows are the same cell texts (null for a non-finite float, json.dumps
 of a string) spliced into a json.dumps skeleton of the rest of the payload.
 An --out file appears whole or not at all: the pieces go to a sibling
@@ -26,7 +26,7 @@ the command quietly.
 Nothing time- or host-dependent is ever written, so identical inputs give
 byte-identical files. Everything runs serially; --workers, on observables
 only, is accepted for old command lines and has no effect. The commands
-read a state straight off the spectrum arrays (spec.rows[spec.colex[r]],
+read a state straight off the spectrum arrays (spec.occupations(r),
 spec.energies[r]); no per-state record is built.
 
 Exit codes: 0 success, 1 verification/computation failure, 2 usage error,
@@ -378,7 +378,7 @@ def cmd_spectrum(args) -> int:
         spec.energies.real,
         spec.energies.imag,
         spec.groups,
-        lambda lo, hi: occupation_strings(spec.rows[spec.colex[lo:hi]]),
+        lambda lo, hi: occupation_strings(spec.occupations(slice(lo, hi))),
     ]
     _emit(args, header, columns, data)
     return 0
@@ -423,7 +423,7 @@ def cmd_observables(args) -> int:
     data = rank_col, kind_col, index_col, grid_col, value_col = [[] for _ in columns]
     metrics = {}
     for rank in ranks:
-        v = eigenstate_from_config(p, args.stats, spec.rows[spec.colex[rank]])
+        v = eigenstate_from_config(p, args.stats, spec.occupations(rank))
         nj = density_from_fock(v)
         nk = momentum_distribution(correlation_matrix(v))
         for profile in (nj, nk):
@@ -443,7 +443,7 @@ def cmd_skin(args) -> int:
     ranks = _select_ranks(args.ranks, len(spec))
     header = _base_header(args, "skin", p)
     columns = ["rank", "energy_re", "energy_im", "left_fraction", "ipr", "log_slope"]
-    states = (eigenstate_from_config(p, args.stats, spec.rows[spec.colex[r]]) for r in ranks)
+    states = (eigenstate_from_config(p, args.stats, spec.occupations(r)) for r in ranks)
     mets = [skin_metrics(density_from_fock(v)) for v in states]
     energies = spec.energies[ranks]
     data = [

@@ -218,6 +218,7 @@ def single_particle_levels(p: HNParams) -> Levels:
     else:
         k = (2.0 * math.pi * m + p.phi) / L
         eg, eg_rev = _exp_pm(p.g)
+        phase = np.exp(1j * k)  # e^{-ik} is its conjugate, bit for bit
         with np.errstate(over="ignore", invalid="ignore"):  # inf/nan beyond float range
-            energies = p.t * eg * np.exp(-1j * k) + p.t * eg_rev * np.exp(1j * k)
+            energies = p.t * eg * np.conj(phase) + p.t * eg_rev * phase
     return Levels(m, k, energies, p)

@@ -213,7 +213,7 @@ def _suite_residuals(results, g, t, bond_transform):
             if bond_transform is not None:
                 h = bond_transform(h)
             worst = float(np.max([
-                residual(eigenstate_from_config(p, stats, spec.rows[spec.colex[r]]), h,
+                residual(eigenstate_from_config(p, stats, spec.occupations(r)), h,
                          spec.energies[r])
                 for r in ranks
             ]))
@@ -233,7 +233,7 @@ def _suite_sumrules(results, g, t, bond_transform):
             ok = True
             detail = "sum rules hold"
             for r in (0, 1, len(spec) - 1):
-                v = eigenstate_from_config(p, stats, spec.rows[spec.colex[r]])
+                v = eigenstate_from_config(p, stats, spec.occupations(r))
                 nj = observables.density_from_fock(v)
                 nk = observables.momentum_distribution(observables.correlation_matrix(v))
                 if abs(nj.total - 3) > tol or abs(nk.total - 3) > tol:
@@ -253,7 +253,7 @@ def _suite_sumrules(results, g, t, bond_transform):
     p = HNParams(L=6, t=t, g=g, boundary="open")
     levels = single_particle_levels(p)
     spec = build_spectrum(levels, "fermion", 3)
-    occ = spec.rows[spec.colex[0]]
+    occ = spec.occupations(0)
     g1 = observables.correlation_matrix(eigenstate_from_config(p, "fermion", occ))
     g2 = observables.density_matrix_from_orbitals(levels.orbitals[occ > 0])
     diff = float(np.max(np.abs(g1 - g2)))
@@ -265,7 +265,7 @@ def _suite_sumrules(results, g, t, bond_transform):
     # ring eigenstates resolve their own occupations in momentum space
     p = HNParams(L=8, t=t, g=g, boundary="periodic")
     spec = build_spectrum(single_particle_levels(p), "fermion", 3)
-    occ = spec.rows[spec.colex[0]]
+    occ = spec.occupations(0)
     v = eigenstate_from_config(p, "fermion", occ)
     nk = observables.momentum_distribution(observables.correlation_matrix(v))
     diff = float(np.max(np.abs(nk.values - occ)))

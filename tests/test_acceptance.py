@@ -100,7 +100,7 @@ def test_acceptance_4_eigenstate_residuals():
             levels = single_particle_levels(p)
             for stats in ("fermion", "boson"):
                 spec = build_spectrum(levels, stats, 4)
-                for occ, energy in zip(spec.rows[spec.colex], spec.energies):
+                for occ, energy in zip(spec.occupations(slice(None)), spec.energies):
                     v = eigenstate_from_config(p, stats, occ)
                     worst = max(worst, residual(v, hopping_matrix(p), energy))
         assert worst < 1e-9, f"worst residual {worst:.3e}"
@@ -145,7 +145,7 @@ def test_acceptance_8_skin_effect():
 
         def profiles(stats, N, limit=None):
             spec = build_spectrum(levels, stats, N)
-            for occ in spec.rows[spec.colex[:limit]]:
+            for occ in spec.occupations(slice(limit)):
                 v = eigenstate_from_config(p, stats, occ)
                 nj = density_from_fock(v)
                 nk = momentum_distribution(correlation_matrix(v))

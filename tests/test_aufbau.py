@@ -379,7 +379,7 @@ def test_spectrum_energy_consistency():
     for levels in (ring_levels(7), chain_levels(7, g=1.5)):
         for stats in ("fermion", "boson", "hardcore"):
             spec = build_spectrum(levels, stats, 3)
-            for occ, energy in zip(spec.rows[spec.colex], spec.energies):
+            for occ, energy in zip(spec.occupations(slice(None)), spec.energies):
                 assert energy_of_config(levels, stats, occ) == energy
 
 
@@ -388,15 +388,16 @@ def test_spectrum_arrays_and_level_views():
     assert isinstance(spec, Spectrum)
     assert len(spec) == 56
     assert spec.energies.dtype == np.complex128 and spec.energies.shape == (56,)
-    # the rows stay in colex order, one byte a cell; colex maps rank to row
+    # boson rows stay in colex order, one byte a cell; colex maps rank to row
     assert spec.rows.dtype == np.int8 and spec.rows.shape == (56, 6)
-    assert spec.colex.dtype == np.int64 and sorted(spec.colex) == list(range(56))
+    assert spec.colex.dtype == np.int32 and sorted(spec.colex) == list(range(56))
+    assert spec.groups.dtype == np.int32
     assert np.all(np.diff(spec.groups) >= 0)
     levels = list(spec)
     assert [lv.rank for lv in levels] == list(range(56))
     for lv in levels:
         assert lv.energy == complex(spec.energies[lv.rank])
-        assert lv.config.occupations == tuple(spec.rows[spec.colex[lv.rank]].tolist())
+        assert lv.config.occupations == tuple(spec.occupations(lv.rank).tolist())
         assert lv.config.statistics == "boson"
         assert lv.degeneracy_group == spec.groups[lv.rank]
     assert spec[-1] == levels[-1] and spec[-1].rank == 55
@@ -435,10 +436,13 @@ def test_spectrum_holds_colex_rows_once(stats, L, N, boundary, twist):
         HNParams(L=L, t=1.0, g=0.5, boundary=boundary, twist=twist))
     spec = build_spectrum(levels, stats, N)
     want = _occupation_rows(L, N, stats)
-    assert spec.rows.dtype == (np.int8 if stats != "boson" or N <= 127 else np.int16)
-    assert spec.rows.dtype == want.dtype and np.array_equal(spec.rows, want)
+    assert want.dtype == (np.int8 if stats != "boson" or N <= 127 else np.int16)
+    if stats == "boson":
+        assert spec.rows.dtype == want.dtype and np.array_equal(spec.rows, want)
+    else:  # 0/1 rows packed eight cells to a byte
+        assert spec.rows.dtype == np.uint8 and np.array_equal(spec.rows, np.packbits(want, 1))
     dim = len(want)
-    assert spec.colex.dtype == np.int64
+    assert spec.colex.dtype == np.int32
     assert np.array_equal(np.sort(spec.colex), np.arange(dim))
     # reference rank order: chain the real parts within the default tie
     # tolerance, then sort by (chain, Im, colex position) and gather the rows
@@ -449,19 +453,41 @@ def test_spectrum_holds_colex_rows_once(stats, L, N, boundary, twist):
     chain[by_re] = np.cumsum(np.diff(energies.real[by_re], prepend=-np.inf)
                              > default_tie_tol(energies.real)) - 1
     order = np.lexsort((np.arange(dim), energies.imag, chain))
-    assert np.array_equal(spec.rows[spec.colex], want[order])
+    assert spec.occupations(slice(None)).dtype == want.dtype
+    assert np.array_equal(spec.occupations(slice(None)), want[order])
     assert spec.energies.tobytes() == energies[order].tobytes()
     assert np.array_equal(spec.groups, chain[order])
     ranks = np.random.default_rng(dim).integers(0, dim, size=25)
     for r in [0, dim - 1, *ranks.tolist()]:
-        energy = energy_of_config(levels, stats, spec.rows[spec.colex[r]])
+        energy = energy_of_config(levels, stats, spec.occupations(r))
         assert np.complex128(energy).tobytes() == spec.energies[r].tobytes()
         assert spec[r].config.occupations == tuple(want[order[r]].tolist())
 
 
-def test_spectrum_memory_holds_one_byte_rows():
-    # ring L = 20, N = 10 (184,756 rows): the rows once, one byte a cell; a
-    # rank-ordered int16 copy or a whole-column text table would pass 16 MB
+@pytest.mark.parametrize("L", [*range(1, 10), 16, 17])
+@pytest.mark.parametrize("stats", ["fermion", "boson", "hardcore"])
+def test_occupations_accessor_matches_enumeration(stats, L):
+    # every sector of the L up to dim 2e5, N = 0 and full ones included; on a
+    # ring an even hard-core N fills the twisted image; bosons past int8
+    levels = ring_levels(L) if L > 1 else fake_levels([0.5 - 0.25j])
+    if stats == "boson":
+        counts = [n for n in (*range(10), 127, 128) if count_configs(L, n, stats) <= 200_000]
+    else:
+        counts = range(L + 1)
+    for N in counts:
+        spec = build_spectrum(levels, stats, N)
+        want = _occupation_rows(L, N, stats)
+        dim = len(want)
+        got = spec.occupations(np.arange(dim))
+        assert got.dtype == want.dtype and np.array_equal(got, want[spec.colex])
+        assert spec.colex.dtype == spec.groups.dtype == np.int32
+        if stats != "boson":
+            assert spec.rows.nbytes == dim * math.ceil(L / 8)
+
+
+def test_spectrum_memory_holds_one_bit_rows():
+    # ring L = 20, N = 10 (184,756 rows): the rows once, one bit a cell, and
+    # int32 rank indices; one-byte rows or int64 indices would pass 10 MB
     levels = ring_levels(20)
     build_spectrum(levels, "fermion", 10)  # caches and first-call allocations
     tracemalloc.start()
@@ -470,15 +496,15 @@ def test_spectrum_memory_holds_one_byte_rows():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert spec.rows.nbytes == 184_756 * 20
-    assert peak < 16_000_000
+    assert spec.rows.nbytes == 184_756 * 3
+    assert peak < 10_000_000
 
 
 def test_enumeration_matches_spectrum_rows():
     for stats in ("fermion", "boson", "hardcore"):
         rows = set(rows_of(6, 3, stats))
         spec = build_spectrum(ring_levels(6), stats, 3)
-        assert rows == set(map(tuple, spec.rows[spec.colex].tolist()))
+        assert rows == set(map(tuple, spec.occupations(slice(None)).tolist()))
         assert spec.statistics == stats
 
 

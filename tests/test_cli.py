@@ -189,6 +189,14 @@ GOLDEN_SPECTRA = [
     # digit rows ("910") and ';' rows ("10;0;0") in one file
     (["-L", "3", "-N", "10", "--stats", "boson"],
      "b0aabdc113dabaaf1e8b55b293af39b1118ee78c1e9934f75b5a3e47898088ef"),
+    # the two benchmark sectors
+    (["-L", "20", "-N", "10", "-g", "0.5", "--bc", "pbc", "--stats", "fermion"],
+     "0f44a7f4ce7b8aefc8d49c50cc73cba4ebe5f79321d931eacf121c5e05a2bbf8"),
+    (["-L", "13", "-N", "7", "-g", "0.5", "--bc", "obc", "--stats", "boson"],
+     "14e2fbc85bdfa74957ed11135c5065cb87609fd9e68c80d00f1eb46baf68dfbf"),
+    # a packed row of three bytes, the last one partial
+    (["-L", "17", "-N", "3", "--bc", "obc"],
+     "07acc93ab72a40c228161e854a10ba1e8c75d55feec4fdf05cb7bdaac5af070e"),
 ]
 
 
@@ -204,7 +212,7 @@ def _row_by_row_body(spec):
     return [
         ",".join(map(str, [rank, e.real, e.imag, group, occupation_string(occ)]))
         for rank, (e, group, occ) in enumerate(
-            zip(spec.energies.tolist(), spec.groups.tolist(), spec.rows[spec.colex].tolist())
+            zip(spec.energies.tolist(), spec.groups.tolist(), spec.occupations(slice(None)).tolist())
         )
     ]
 
@@ -684,14 +692,14 @@ def test_fock_sectors_past_int64_keys(tmp_path, command, L, N, stats, bc):
     assert len(cli.read_table(str(out))[2]) == (8 if command == "skin" else 8 * 2 * L)
     p = HNParams(L=L, g=0.5, boundary="periodic" if bc == "pbc" else "open")
     spec = build_spectrum(single_particle_levels(p), stats, N)
-    v = fock.eigenstate_from_config(p, stats, spec.rows[spec.colex[0]])
+    v = fock.eigenstate_from_config(p, stats, spec.occupations(0))
     assert fock.residual(v, hopping_matrix(p), spec.energies[0]) < TOLERANCES["residual_obc"]
 
 
-def test_spectrum_command_memory_holds_one_byte_rows(tmp_path):
+def test_spectrum_command_memory_holds_one_bit_rows(tmp_path):
     # ring L = 20, N = 10: the writer holds no whole-column table and no
     # rank-ordered copy of the rows, so the command peaks where
-    # build_spectrum does, below 16 MB
+    # build_spectrum does, with its rows at one bit a cell, below 10 MB
     out = tmp_path / "big.csv"
     argv = ["spectrum", "-L", "20", "-N", "10", "--out", str(out)]
     assert run_cli(["spectrum", "-L", "4", "-N", "2", "--out", str(out)]) == 0
@@ -702,7 +710,7 @@ def test_spectrum_command_memory_holds_one_byte_rows(tmp_path):
     finally:
         tracemalloc.stop()
     assert code == 0
-    assert peak < 16_000_000
+    assert peak < 10_000_000
     assert out.read_bytes().count(b"\n") == 9 + 184_756  # header lines, then the rows
 
 

@@ -80,7 +80,7 @@ def test_basis_rows_match_enumeration_order():
         assert got == listed
         # the spectrum's rows are the same sector, ranked by energy instead
         spec = build_spectrum(single_particle_levels(HNParams(L=6, g=0.5)), stats, 3)
-        assert sorted(map(tuple, spec.rows[spec.colex].tolist()), key=lambda r: r[::-1]) == got
+        assert sorted(map(tuple, spec.occupations(slice(None)).tolist()), key=lambda r: r[::-1]) == got
 
 
 def test_basis_lookup_rejects_foreign_occupation():
@@ -591,7 +591,7 @@ def residual_scan(p, stats, N, tol, limit=None):
     levels = single_particle_levels(p)
     spec = build_spectrum(levels, stats, N)
     worst = 0.0
-    for occ, energy in zip(spec.rows[spec.colex[:limit]], spec.energies[:limit]):
+    for occ, energy in zip(spec.occupations(slice(limit)), spec.energies[:limit]):
         v = eigenstate_from_config(p, stats, occ)
         worst = max(worst, residual(v, hopping_matrix(p), energy))
     assert worst < tol, f"worst residual {worst:.3e} over {stats} {p.boundary}"
@@ -629,7 +629,7 @@ def test_residuals_hardcore_ring_via_parity_twist():
     residual_scan(ring, "hardcore", 3, 1e-10)
 
     spec = build_spectrum(single_particle_levels(ring), "hardcore", 4)
-    for occ, energy in zip(spec.rows[spec.colex[:8]], spec.energies[:8]):
+    for occ, energy in zip(spec.occupations(range(8)), spec.energies[:8]):
         v = eigenstate_from_config(ring, "hardcore", occ)
         assert residual(v, hopping_matrix(ring), energy) < 1e-10
 
@@ -637,7 +637,7 @@ def test_residuals_hardcore_ring_via_parity_twist():
 def test_residual_detects_perturbation(rng):
     p = HNParams(L=6, t=1.0, g=0.5, boundary="periodic")
     spec = build_spectrum(single_particle_levels(p), "fermion", 3)
-    v = eigenstate_from_config(p, "fermion", spec.rows[spec.colex[0]])
+    v = eigenstate_from_config(p, "fermion", spec.occupations(0))
     noisy = v.amplitudes + 1e-3 * rng.standard_normal(v.basis.dim)
     noisy /= np.linalg.norm(noisy)
     r = residual(FockVector(v.basis, noisy), hopping_matrix(p), spec.energies[0])

@@ -105,7 +105,7 @@ def test_hardcore_spectrum_of_physical_chain_matches_dense_oracle():
                     diff = np.max(np.abs(
                         sort_complex_spectrum(spec.energies) - sort_complex_spectrum(dense)
                     ))
-                    v = eigenstate_from_config(p, "hardcore", spec.rows[spec.colex[0]])
+                    v = eigenstate_from_config(p, "hardcore", spec.occupations(0))
                     w = apply_hopping(v, hopping_matrix(p))
                     res = np.linalg.norm(w.amplitudes - spec.energies[0] * v.amplitudes)
                     if not (diff < TOLERANCES["spectrum_multiset"]

@@ -61,7 +61,7 @@ def test_density_single_particle_is_normalized_orbital():
 def test_density_ring_eigenstates_uniform():
     p = ring(6)
     spec = build_spectrum(single_particle_levels(p), "fermion", 3)
-    for occ in spec.rows[spec.colex[:6]]:
+    for occ in spec.occupations(range(6)):
         v = eigenstate_from_config(p, "fermion", occ)
         d = density_from_fock(v)
         np.testing.assert_allclose(d.values, np.full(6, 0.5), atol=1e-10)
@@ -71,7 +71,7 @@ def test_density_sums_to_particle_number():
     p = chain(8, g=0.7)
     for stats, N in (("fermion", 3), ("boson", 3), ("hardcore", 4)):
         spec = build_spectrum(single_particle_levels(p), stats, N)
-        for occ in spec.rows[spec.colex[:10]]:
+        for occ in spec.occupations(range(10)):
             v = eigenstate_from_config(p, stats, occ)
             d = density_from_fock(v)
             assert d.total == pytest.approx(N, abs=1e-8)
@@ -85,7 +85,7 @@ def test_density_mirror_under_g_flip():
         for g in (0.8, -0.8):
             p = chain(7, g=g)
             spec = build_spectrum(single_particle_levels(p), stats, 3)
-            occ = spec.rows[spec.colex[0]]
+            occ = spec.occupations(0)
             v = eigenstate_from_config(p, stats, occ)
             specs.append(density_from_fock(v).values)
         np.testing.assert_allclose(specs[0], specs[1][::-1], atol=1e-10)
@@ -96,7 +96,7 @@ def test_density_boson_ground_frozen_edge_weight():
     # the edge site holds |phi_1|^2 / sum |phi_j|^2 of the weight
     p = chain(10, g=1.5)
     spec = build_spectrum(single_particle_levels(p), "boson", 5)
-    occ = spec.rows[spec.colex[0]]
+    occ = spec.occupations(0)
     v = eigenstate_from_config(p, "boson", occ)
     d = density_from_fock(v)
     phi = single_particle_levels(p).orbitals[0]
@@ -112,7 +112,7 @@ def test_correlation_diagonal_equals_density():
     p = chain(6, g=0.5)
     for stats in ("fermion", "boson", "hardcore"):
         spec = build_spectrum(single_particle_levels(p), stats, 3)
-        occ = spec.rows[spec.colex[1]]
+        occ = spec.occupations(1)
         v = eigenstate_from_config(p, stats, occ)
         G = correlation_matrix(v)
         d = density_from_fock(v)
@@ -137,7 +137,7 @@ def test_correlation_dual_route_fermion():
     p = chain(6, g=0.5)
     levels = single_particle_levels(p)
     spec = build_spectrum(levels, "fermion", 3)
-    for occ in spec.rows[spec.colex[:8]]:
+    for occ in spec.occupations(range(8)):
         v = eigenstate_from_config(p, "fermion", occ)
         G_fock = correlation_matrix(v)
         G_orb = density_matrix_from_orbitals(levels.orbitals[occ > 0])
@@ -154,7 +154,7 @@ def test_correlation_dual_route_property_over_g(boundary):
         p = HNParams(L=6, t=1.0, g=float(g), boundary=boundary)
         levels = single_particle_levels(p)
         spec = build_spectrum(levels, "fermion", 3)
-        for rank, occ in enumerate(spec.rows[spec.colex]):
+        for rank, occ in enumerate(spec.occupations(slice(None))):
             try:
                 v = eigenstate_from_config(p, "fermion", occ)
             except NullStateError:
@@ -186,7 +186,7 @@ def test_momentum_of_ring_eigenstates_equals_occupations():
     p = ring(6)
     for stats in ("fermion", "boson"):
         spec = build_spectrum(single_particle_levels(p), stats, 3)
-        for occ in spec.rows[spec.colex[:8]]:
+        for occ in spec.occupations(range(8)):
             v = eigenstate_from_config(p, stats, occ)
             nk = momentum_distribution(correlation_matrix(v))
             np.testing.assert_allclose(nk.values, occ.astype(float), atol=1e-10)
@@ -203,7 +203,7 @@ def test_momentum_sum_rule():
     p = chain(8, g=1.0)
     for stats, N in (("fermion", 4), ("boson", 3)):
         spec = build_spectrum(single_particle_levels(p), stats, N)
-        for occ in spec.rows[spec.colex[:10]]:
+        for occ in spec.occupations(range(10)):
             v = eigenstate_from_config(p, stats, occ)
             nk = momentum_distribution(correlation_matrix(v))
             assert nk.total == pytest.approx(N, abs=1e-8)
@@ -213,7 +213,7 @@ def test_momentum_sum_rule():
 def test_momentum_fermion_pauli_bound():
     p = chain(8, g=1.5)
     spec = build_spectrum(single_particle_levels(p), "fermion", 4)
-    for occ in spec.rows[spec.colex[:20]]:
+    for occ in spec.occupations(range(20)):
         v = eigenstate_from_config(p, "fermion", occ)
         nk = momentum_distribution(correlation_matrix(v))
         assert np.all(nk.values <= 1.0 + 1e-8)
@@ -222,7 +222,7 @@ def test_momentum_fermion_pauli_bound():
 def test_momentum_boson_ring_condensate_peak():
     p = ring(10)
     spec = build_spectrum(single_particle_levels(p), "boson", 5)
-    occ = spec.rows[spec.colex[0]]
+    occ = spec.occupations(0)
     v = eigenstate_from_config(p, "boson", occ)
     nk = momentum_distribution(correlation_matrix(v))
     peak = int(np.argmax(nk.values))
@@ -254,7 +254,7 @@ def test_skin_pure_exponential_slope():
 def test_skin_boson_ground_slope_matches_minus_two_g():
     p = chain(10, g=1.5)
     spec = build_spectrum(single_particle_levels(p), "boson", 5)
-    occ = spec.rows[spec.colex[0]]
+    occ = spec.occupations(0)
     v = eigenstate_from_config(p, "boson", occ)
     m = skin_metrics(density_from_fock(v))
     assert m.log_slope == pytest.approx(-3.0, rel=0.15)
@@ -265,7 +265,7 @@ def test_skin_fermion_chain_all_left_skewed():
     p = chain(10, g=1.5)
     spec = build_spectrum(single_particle_levels(p), "fermion", 5)
     fractions = []
-    for occ in spec.rows[spec.colex]:
+    for occ in spec.occupations(slice(None)):
         v = eigenstate_from_config(p, "fermion", occ)
         fractions.append(skin_metrics(density_from_fock(v)).left_fraction)
     assert min(fractions) > 0.5
@@ -306,7 +306,7 @@ def test_hardcore_momentum_not_fermionic():
     # the sum rule still holds
     ring = HNParams(L=6, t=1.0, g=0.5, boundary="periodic")
     spec = build_spectrum(single_particle_levels(ring), "hardcore", 4)
-    occ = spec.rows[spec.colex[0]]
+    occ = spec.occupations(0)
     v = eigenstate_from_config(ring, "hardcore", occ)
     nk = momentum_distribution(correlation_matrix(v))
     assert nk.total == pytest.approx(4.0, abs=1e-8)
