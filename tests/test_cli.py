@@ -38,7 +38,7 @@ from hnaufbau.fock import build_dense_hamiltonian
 from hnaufbau.hardcore import im_delta_closed_form
 from hnaufbau.lattice import HNParams, hopping_matrix, single_particle_levels
 from hnaufbau.numerics import eigenvalues
-from hnaufbau.verify import TOLERANCES, run_checks
+from hnaufbau.verify import TOLERANCES, CheckResult, run_checks
 
 
 def run_cli(argv):
@@ -1291,28 +1291,9 @@ def test_verify_overflowing_orbitals_warn_nothing(suites):
         assert not rows[f"level-residual-{boundary}"].passed
 
 
-def test_verify_counting_checks_the_built_basis(monkeypatch):
-    # a basis that lost a state must fail basis-dims, even though its
-    # nominal dim (count_configs) is unchanged
-    rows_of = fock._occupation_rows
-    monkeypatch.setattr(fock, "_occupation_rows", lambda L, N, stats: rows_of(L, N, stats)[1:])
-    fock.get_basis.cache_clear()
-    try:
-        rows = {r.name: r for r in run_checks(suites=["counting"])}
-    finally:
-        fock.get_basis.cache_clear()
-    for stats in ("fermion", "boson", "hardcore"):
-        row = rows[f"basis-dims-{stats}"]
-        assert not row.passed
-        assert row.detail.startswith("basis dim mismatch at L=")
-
-
-@pytest.mark.parametrize("fault", [
-    lambda rows: rows[[1, 0, *range(2, len(rows))]] if len(rows) > 1 else rows,
-    lambda rows: np.vstack([rows[:1], rows[:-1]]),
-], ids=["swapped", "repeated"])
-def test_verify_counting_checks_strict_colex_order(monkeypatch, fault):
-    # the right number of rows, but out of colex order or with a state twice
+def _basis_dims_rows(monkeypatch, fault):
+    """The basis-dims rows of a counting run whose Fock bases are built from
+    fault(rows) in place of the enumerated rows."""
     rows_of = fock._occupation_rows
     monkeypatch.setattr(fock, "_occupation_rows", lambda L, N, stats: fault(rows_of(L, N, stats)))
     fock.get_basis.cache_clear()
@@ -1320,8 +1301,58 @@ def test_verify_counting_checks_strict_colex_order(monkeypatch, fault):
         rows = {r.name: r for r in run_checks(suites=["counting"])}
     finally:
         fock.get_basis.cache_clear()
-    for stats in ("fermion", "boson", "hardcore"):
-        assert not rows[f"basis-dims-{stats}"].passed
+    return [rows[f"basis-dims-{stats}"] for stats in ("fermion", "boson", "hardcore")]
+
+
+def test_verify_counting_checks_the_built_basis(monkeypatch):
+    # a basis that lost a state must fail basis-dims, even though its
+    # nominal dim (count_configs) is unchanged; the detail names the first
+    # failing sector, the one-state L = 2, N = 0
+    for row in _basis_dims_rows(monkeypatch, lambda rows: rows[1:]):
+        assert not row.passed
+        assert row.detail == "basis dim mismatch at L=2 N=0: 0 rows, dim 1"
+
+
+@pytest.mark.parametrize("fault", [
+    lambda rows: rows[[1, 0, *range(2, len(rows))]] if len(rows) > 1 else rows,
+    lambda rows: np.vstack([rows[:1], rows[:-1]]),
+], ids=["swapped", "repeated"])
+def test_verify_counting_checks_strict_colex_order(monkeypatch, fault):
+    # the right number of rows, but out of colex order or with a state twice;
+    # the first sector with two states is the first to fail
+    for row in _basis_dims_rows(monkeypatch, fault):
+        assert not row.passed
+        assert row.detail == "basis rows out of strict colex order at L=2 N=1"
+
+
+def test_verify_counting_checks_row_sums(monkeypatch):
+    # doubled rows keep their count and colex order but leave the sector
+    for row in _basis_dims_rows(monkeypatch, lambda rows: rows * 2):
+        assert not row.passed
+        assert row.detail == "basis row sums differ from N at L=2 N=1"
+
+
+def test_verify_runner_labels_rows_and_keeps_them_past_a_crash(monkeypatch):
+    # a suite that yields one row and raises keeps that row, gets one failing
+    # no-exception row after it, and the later selected suites still run;
+    # the overflow inside the suite's iteration warns nothing
+    def crashing(g, t, bond_transform):
+        yield "first", np.isinf(np.float64(1e308) * 10), "overflow to inf"
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(cli.verify_mod._SUITE_FNS, "counting", crashing)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        results = run_checks(suites=["residuals", "counting"])
+    assert caught == []
+    assert results[:2] == [
+        CheckResult("counting", "first", True, "overflow to inf"),
+        CheckResult("counting", "no-exception", False, "RuntimeError: boom"),
+    ]
+    assert type(results[0].passed) is bool
+    # the results follow SUITES order, not the order of suites=
+    assert [r.suite for r in results[2:]] == ["residuals"] * 4
+    assert all(r.passed for r in results[2:])
 
 
 @pytest.mark.parametrize("g", [0.25, 0.5, 1.1, 2.0, 4.0])

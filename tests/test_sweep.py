@@ -8,10 +8,16 @@ out-of-range and repeated entries) and runs each through cli.main in this
 process. The contract: exit 0, 1 or 2 and nothing escaping main; no
 warning; a table command that fails writes one stderr line and leaves no
 --out or part file; verify writes nothing to stderr; an argv that exits 0
-gives the same bytes when run again. Full-rank selections are drawn only on
-sectors of at most 100 states, which keeps the sweep to seconds.
+gives the same bytes when run again. A verify table labels every row
+<suite>/<row> with a drawn suite, in run order, and closes with a count that
+matches its rows and its exit code; a table that exits 0 reads back, CSV
+through cli.read_table and JSON through json.loads, with one cell per column
+in every row and, for a spectrum, as many rows as its states header. Full-rank
+selections are drawn only on sectors of at most 100 states, which keeps the
+sweep to seconds.
 """
 
+import json
 import math
 import warnings
 
@@ -114,6 +120,32 @@ def _run(argv, out, capsys):
     return code, captured.out, captured.err, data, [str(w.message) for w in caught]
 
 
+def _check_verify_table(argv, code, stdout):
+    drawn = argv[argv.index("--suite") + 1].split(",")
+    *lines, last = stdout.splitlines()
+    rows = [line.split()[:2] for line in lines if not line.startswith("#")]
+    suites = []
+    for status, label in rows:
+        suite, _, name = label.partition("/")
+        assert status in ("PASS", "FAIL") and suite in drawn and name, (argv, label)
+        suites.append(suite)
+    assert suites == sorted(suites, key=verify.SUITES.index), argv
+    passed = sum(status == "PASS" for status, _ in rows)
+    assert last == f"# {passed}/{len(rows)} checks passed", argv
+    assert (code == 0) == (passed == len(rows)), argv
+
+
+def _check_table_file(argv, path):
+    if argv[argv.index("--format") + 1] == "json":
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        header, columns, rows = payload["params"], payload["columns"], payload["rows"]
+    else:
+        header, columns, rows = cli.read_table(path)
+    assert all(len(row) == len(columns) for row in rows), argv
+    if argv[0] == "spectrum":
+        assert int(header["states"]) == len(rows), argv
+
+
 def test_contract_sweep(tmp_path, capsys):
     out = tmp_path / "out.dat"
     codes = set()
@@ -124,12 +156,14 @@ def test_contract_sweep(tmp_path, capsys):
         assert caught == [], argv
         if argv[0] == "verify":
             assert stderr == "", argv
+            _check_verify_table(argv, code, stdout)
         elif code:
             assert len(stderr.splitlines()) == 1, (argv, stderr)
             assert list(tmp_path.iterdir()) == [], argv  # no --out, no part file
         else:
             assert stderr == "" and stdout == "" and data, argv
             assert [path.name for path in tmp_path.iterdir()] == [out.name], argv
+            _check_table_file(argv, out)
         if code == 0:
             assert _run(argv, out, capsys)[:4] == (code, stdout, stderr, data), argv
         if out.exists():
