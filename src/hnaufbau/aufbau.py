@@ -20,11 +20,12 @@ _check_occupations. The records ManyBodyLevel and OccupationConfig exist
 only as what spectrum[r] and ground_state return; no function here takes
 one.
 
-Ties are resolved with a tolerance, not exact comparison: levels (or
-many-body energies) whose real parts differ by at most tie_tol are chained
-into one degeneracy cluster and ordered within the cluster. Without this,
-float noise of order 1e-16 in cos(pi/2) vs cos(3pi/2) would flip which of
-two complex-conjugate partners counts as the ground state.
+Ties are resolved with a tolerance, not exact comparison: values whose real
+parts differ by at most a tie tolerance are chained into one degeneracy
+cluster and ordered within it, so float noise of order 1e-16 in cos(pi/2) vs
+cos(3pi/2) cannot flip which of two complex-conjugate partners counts as the
+ground state. Levels always fill in sort_levels order (default tolerance), so
+build_spectrum's tie_tol groups many-body energies and never changes one.
 
 Hard-core bosons fill as fermions, but on the Jordan-Wigner image of their
 chain (lattice.hardcore_image): a "hardcore" sector of Levels that carry
@@ -33,10 +34,10 @@ chain. Levels built from bare energies have no chain to map and fill
 hard-core sectors exactly like fermions. Hard-core occupations therefore
 index the modes of the image chain.
 
-Energy sums run in sorted-mode order with compensated (Kahan) summation so
-that a spectrum row and the direct ground-state fill agree bit for bit. The
-fill sums its N filled modes only, which gives the same bits because the
-summation skips empty modes.
+A configuration's energy has one rule, kernels.config_energies_boson: a
+compensated (Kahan) sum in filling order over the occupied modes, adding e
+for n = 1 and n * e above. It sums every spectrum row and energy_of_config's
+one row; the ground-state fill runs its recursion over the filled terms.
 """
 
 from __future__ import annotations
@@ -174,13 +175,10 @@ def _cluster_sort(values, tie_tol=None):
     into clusters, sort each cluster by Im, then position. Returns (order,
     cluster_ids), both int32 (a sector holds at most DEFAULT_MAX_STATES <
     2^31 values). tie_tol defaults to default_tie_tol of the real parts,
-    whose spread check runs either way; an explicit one must be finite and
-    >= 0."""
+    whose spread check runs either way."""
     re, im = values.real, values.imag
     spread_tol = default_tie_tol(re)  # raises on a spread beyond float range
     tie_tol = spread_tol if tie_tol is None else float(tie_tol)
-    if not (tie_tol >= 0.0 and math.isfinite(tie_tol)):
-        raise ValueError(f"tie_tol must be finite and >= 0, got {tie_tol}")
     order1 = np.argsort(re, kind="stable")
     cid = np.zeros(re.size, dtype=np.int32)
     if re.size > 1:
@@ -191,14 +189,14 @@ def _cluster_sort(values, tie_tol=None):
     return final, cid[final]
 
 
-def sort_levels(levels, tie_tol=None) -> np.ndarray:
+def sort_levels(levels) -> np.ndarray:
     """Positions of Levels in filling order, as int64: by Re energy, and
-    levels whose real parts chain within tie_tol by Im ascending, then
-    position. Default tie_tol is default_tie_tol over the real parts.
+    levels whose real parts chain within default_tie_tol of the real parts
+    by Im ascending, then position.
     """
     if len(levels) == 0:
         raise ValueError("sort_levels requires a non-empty level list")
-    return _cluster_sort(levels.energies, tie_tol)[0].astype(np.int64)
+    return _cluster_sort(levels.energies)[0].astype(np.int64)
 
 
 def _check_sector(L, N, statistics, ring=False):
@@ -262,20 +260,13 @@ def _occupation_rows(L, N, statistics):
     return kernels.fermion_occupations(L, N)
 
 
-def _kahan_energy(energies, counts):
-    """Compensated sum of n * e over the pairs of energies and counts, in the
-    order given, skipping n == 0.
-
-    Called with the level energies in filling order, it mirrors the spectrum
-    kernels operation for operation, so a value computed here is
-    bit-identical to the corresponding spectrum row.
-    """
+def _kahan_energy(terms):
+    """Compensated sum of the terms in the order given: the recursion of
+    kernels.config_energies_boson, so the fill's terms in filling order give
+    the bits of its spectrum row."""
     acc = 0.0 + 0.0j
     comp = 0.0 + 0.0j
-    for e, n in zip(energies, counts):
-        if n == 0:
-            continue
-        term = e if n == 1 else n * e
+    for term in terms:
         y = term - comp
         t = acc + y
         comp = (t - acc) - y
@@ -291,12 +282,15 @@ def build_spectrum(levels, statistics, N, tie_tol=None):
     and then by the row's position in the sector's colex order. The ground
     state is rank 0. Sectors above DEFAULT_MAX_STATES states or
     MAX_OCCUPATION_CELLS occupation cells raise SectorTooLargeError before
-    any allocation; an energy beyond float range raises OverflowError.
+    any allocation, a tie_tol not finite and >= 0 ValueError, and an energy
+    beyond float range OverflowError. No energy depends on tie_tol.
     """
+    if tie_tol is not None and not 0.0 <= float(tie_tol) < math.inf:
+        raise ValueError(f"tie_tol must be finite and >= 0, got {float(tie_tol)}")
     L = len(levels)
     _capped_dim(L, N, statistics)
     levels = _sector_levels(levels, statistics, N)
-    perm = sort_levels(levels, tie_tol)
+    perm = sort_levels(levels)
     rows = _occupation_rows(L, N, statistics)
     with np.errstate(over="ignore", invalid="ignore"):
         energies = kernels.config_energies_boson(rows, perm, levels.energies)
@@ -310,7 +304,8 @@ def build_spectrum(levels, statistics, N, tie_tol=None):
 
 def _fill(levels, statistics, N):
     """The ground_state fill as (energy, filled positions in filling order,
-    occupation of each); only the filled modes enter the compensated sum."""
+    occupation of each); only the filled terms (e, or N * e for N > 1
+    bosons) enter the compensated sum."""
     _check_sector(len(levels), N, statistics)
     levels = _sector_levels(levels, statistics, N)
     positions = sort_levels(levels)
@@ -318,7 +313,8 @@ def _fill(levels, statistics, N):
         filled, counts = positions[: min(N, 1)], [N] * min(N, 1)
     else:
         filled, counts = positions[:N], [1] * N
-    energy = _kahan_energy(levels.energies[filled].tolist(), counts)
+    terms = levels.energies[filled].tolist()
+    energy = _kahan_energy([N * terms[0]] if statistics == "boson" and N > 1 else terms)
     if not cmath.isfinite(energy):
         raise OverflowError(f"ground energy {energy} is not finite")
     return energy, filled, counts
@@ -359,13 +355,15 @@ def _check_occupations(L, statistics, occupations) -> np.ndarray:
 
 
 def energy_of_config(levels, statistics, occupations) -> complex:
-    """Energy of one occupation row, summed exactly as build_spectrum does.
-    A row that is not a state of the levels raises SectorError, an energy
-    beyond float range OverflowError."""
+    """Energy of one occupation row, by the kernel that sums every spectrum
+    row, so it has the row's bits in build_spectrum. A row that is not a
+    state of the levels raises SectorError, an energy beyond float range
+    OverflowError."""
     occ = _check_occupations(len(levels), statistics, occupations)
     levels = _sector_levels(levels, statistics, int(occ.sum()))
-    perm = sort_levels(levels)
-    energy = _kahan_energy(levels.energies[perm].tolist(), occ[perm].tolist())
+    with np.errstate(over="ignore", invalid="ignore"):
+        energies = kernels.config_energies_boson(occ[None], sort_levels(levels), levels.energies)
+    energy = complex(energies[0])
     if not cmath.isfinite(energy):
         raise OverflowError(f"configuration energy {energy} is not finite")
     return energy

@@ -191,19 +191,13 @@ def _column_text(col, fmt=str):
     numpy column col, as an object array. The column is keyed on its raw
     bits (a float column viewed as integers, so -0.0 and 0.0, and NaN
     payloads, stay apart); only the sorted distinct keys and one text each
-    are kept. A slice looks up its own distinct keys, in ascending order,
-    so a search over a large table stays mostly within cache."""
+    are kept, and a slice finds its texts by one search of its keys."""
     keys = col.view(f"i{col.itemsize}") if col.dtype.kind == "f" else col
     uniq = np.sort(keys)  # np.unique's hash table is slower where few keys repeat
     if uniq.size:
         uniq = uniq[np.r_[True, uniq[1:] != uniq[:-1]]]
     texts = np.array(list(map(fmt, uniq.view(col.dtype).tolist())), dtype=object)
-
-    def lookup(lo, hi):
-        found, inverse = np.unique(keys[lo:hi], return_inverse=True)
-        return texts[np.searchsorted(uniq, found)][inverse]
-
-    return lookup
+    return lambda lo, hi: texts[np.searchsorted(uniq, keys[lo:hi])]
 
 
 def _chunk_texts(col, fmt):

@@ -20,7 +20,7 @@ from hnaufbau.aufbau import (
     DEFAULT_MAX_STATES,
     _capped_dim,
     _check_occupations,
-    _kahan_energy,
+    _cluster_sort,
     _occupation_rows,
     _sector_levels,
     ManyBodyLevel,
@@ -68,9 +68,9 @@ def fake_levels(energies):
 # ------------------------------------------------------------- sort_levels
 
 
-def filling_labels(levels, tie_tol=None):
+def filling_labels(levels):
     """Mode labels in filling order."""
-    return levels.labels[sort_levels(levels, tie_tol)].tolist()
+    return levels.labels[sort_levels(levels)].tolist()
 
 
 def test_sort_open_chain_l3():
@@ -97,10 +97,12 @@ def test_sort_noise_within_tie_tol_does_not_split():
 
 
 def test_sort_tie_tol_zero_splits_everything():
-    # within the default tie_tol the pair orders by Im, at 0 by Re
+    # within the default tie_tol the pair orders by Im, at 0 by Re; the
+    # filling order always chains within the default, so tie_tol reaches
+    # only the cluster sort of many-body energies
     levels = fake_levels([1e-12 - 1.0j, 0.0 + 1.0j, 2.0])
     assert filling_labels(levels) == [1, 2, 3]
-    assert filling_labels(levels, tie_tol=0.0) == [2, 1, 3]
+    assert levels.labels[_cluster_sort(levels.energies, 0.0)[0]].tolist() == [2, 1, 3]
 
 
 def test_sort_rejects_empty():
@@ -109,10 +111,11 @@ def test_sort_rejects_empty():
 
 
 def test_sort_rejects_bad_tie_tol():
+    # checked before the sector is enumerated
     with pytest.raises(ValueError):
-        sort_levels(fake_levels([1.0]), tie_tol=-1.0)
+        build_spectrum(fake_levels([1.0]), "fermion", 1, tie_tol=-1.0)
     with pytest.raises(ValueError):
-        sort_levels(fake_levels([1.0]), tie_tol=float("nan"))
+        build_spectrum(fake_levels([1.0]), "fermion", 1, tie_tol=float("nan"))
 
 
 @pytest.mark.parametrize("tie_tol", [None, 1e-3])
@@ -121,7 +124,7 @@ def test_spread_beyond_float_range_raises_whatever_tie_tol(tie_tol):
     # (levels) or 3e308 apart (two-particle energies of levels 1.6e308
     # apart) raise instead of overflowing in the gaps
     with pytest.raises(OverflowError, match="beyond float range"):
-        sort_levels(fake_levels([-1e308, 1e308]), tie_tol)
+        _cluster_sort(fake_levels([-1e308, 1e308]).energies, tie_tol)
     levels = fake_levels([-8e307, -7e307, 7e307, 8e307])
     with pytest.raises(OverflowError, match="beyond float range"):
         build_spectrum(levels, "fermion", 2, tie_tol=tie_tol)
@@ -375,12 +378,30 @@ def test_spectrum_real_when_reciprocal():
 
 def test_spectrum_energy_consistency():
     # each level's energy re-derives from its config, bit for bit, through
-    # the scalar compensated loop
+    # energy_of_config's single-row sum
     for levels in (ring_levels(7), chain_levels(7, g=1.5)):
         for stats in ("fermion", "boson", "hardcore"):
             spec = build_spectrum(levels, stats, 3)
             for occ, energy in zip(spec.occupations(slice(None)), spec.energies):
                 assert energy_of_config(levels, stats, occ) == energy
+
+
+@pytest.mark.parametrize("boundary", ["periodic", "open"])
+@pytest.mark.parametrize("t", [1.0, 2.5])
+@pytest.mark.parametrize("g", [0.0, 0.5, 1.5, -2.0])
+def test_fermion_particle_hole_duality(boundary, t, g):
+    # the complement of a configuration holds the remaining levels, and all
+    # levels sum to 0 on a phi = 0 ring and on an open chain, so sector N is
+    # minus sector L - N. Both sides come from the same levels: this checks
+    # that each sector is enumerated completely and summed right, not the
+    # levels themselves
+    for L in range(2, 13):
+        levels = single_particle_levels(HNParams(L=L, t=t, g=g, boundary=boundary))
+        for N in range(L + 1):
+            a = sort_complex_spectrum(build_spectrum(levels, "fermion", N).energies)
+            b = sort_complex_spectrum(-build_spectrum(levels, "fermion", L - N).energies)
+            assert a.shape == b.shape
+            assert np.max(np.abs(a - b)) <= 1e-12 * (1 + np.max(np.abs(a))), (L, N)
 
 
 def test_spectrum_arrays_and_level_views():
@@ -561,6 +582,37 @@ def test_ground_state_matches_rank0_exactly():
             assert gs.config.occupations == spec[0].config.occupations
 
 
+def tie_tol_sectors(max_dim=2000):
+    """(statistics, L, N) of every sector of L = 2..10 up to max_dim states;
+    bosons up to N = 20, which leaves out only the L = 2 and 3 sectors of
+    more particles."""
+    for L in range(2, 11):
+        for stats in ("fermion", "boson", "hardcore"):
+            for N in range(21 if stats == "boson" else L + 1):
+                if count_configs(L, N, stats) <= max_dim:
+                    yield stats, L, N
+
+
+@pytest.mark.parametrize("boundary,twist", [("periodic", 0.0), ("open", 0.0), ("twisted", 0.7)])
+@pytest.mark.parametrize("g", [0.5, 1.5])
+def test_tie_tol_never_changes_an_energy(boundary, twist, g):
+    # tie_tol groups and orders the ranks only: each row's energy, matched
+    # through colex, keeps the bits of the default-tolerance spectrum, and
+    # a rank 0 that holds the filled row has ground_state's bits
+    for stats, L, N in tie_tol_sectors():
+        levels = single_particle_levels(
+            HNParams(L=L, t=1.0, g=g, boundary=boundary, twist=twist))
+        gs = ground_state(levels, stats, N)
+        want = None
+        for tie_tol in (None, 0.0, 1e-3, 1.0):
+            spec = build_spectrum(levels, stats, N, tie_tol)
+            by_row = spec.energies[np.argsort(spec.colex)].tobytes()
+            want = by_row if want is None else want
+            assert by_row == want, (stats, L, N, tie_tol)
+            if tuple(spec.occupations(0).tolist()) == gs.config.occupations:
+                assert spec.energies[0].tobytes() == np.complex128(gs.energy).tobytes()
+
+
 def test_ground_state_vacuum():
     gs = ground_state(ring_levels(5), "fermion", 0)
     assert gs.energy == 0
@@ -654,6 +706,23 @@ def test_occupation_strings_mixed_rows_and_bad_input():
         occupation_strings([[1, -1]])
 
 
+def scalar_energy(energies, counts):
+    """Reference: the compensated sum of n * e over the pairs of energies and
+    counts, in the order given, skipping n == 0 and adding e itself for
+    n == 1, one Python complex at a time."""
+    acc = 0.0 + 0.0j
+    comp = 0.0 + 0.0j
+    for e, n in zip(energies, counts):
+        if n == 0:
+            continue
+        term = e if n == 1 else n * e
+        y = term - comp
+        t = acc + y
+        comp = (t - acc) - y
+        acc = t
+    return acc
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     stats=st.sampled_from(["fermion", "boson", "hardcore"]),
@@ -676,7 +745,7 @@ def test_energy_kernel_bits_match_scalar_kahan(stats, bc, L, N, g):
     occ = _occupation_rows(L, N, stats)
     got = kernels.config_energies_boson(occ, perm, levels.energies)
     eps = levels.energies[perm].tolist()
-    want = np.array([_kahan_energy(eps, row) for row in occ[:, perm].tolist()], np.complex128)
+    want = np.array([scalar_energy(eps, row) for row in occ[:, perm].tolist()], np.complex128)
     assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
     if stats == "boson" and N > 1:
         assert (occ > 1).any()
@@ -694,7 +763,7 @@ def test_blocked_energy_kernel_matches_scalar_kahan(monkeypatch, stats, L, N, g)
     perm = sort_levels(levels)
     occ = _occupation_rows(L, N, stats)
     eps = levels.energies[perm].tolist()
-    want = np.array([_kahan_energy(eps, row) for row in occ[:, perm].tolist()], np.complex128)
+    want = np.array([scalar_energy(eps, row) for row in occ[:, perm].tolist()], np.complex128)
     dim = len(occ)
     for block in (1, 2, dim - 1, dim, dim + 1):
         monkeypatch.setattr(kernels, "BLOCK_ROWS", block)

@@ -25,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hnaufbau import cli, fock
+from hnaufbau import aufbau, cli, fock
 from hnaufbau.aufbau import (
     build_spectrum,
     energy_of_config,
@@ -555,6 +555,32 @@ def test_tol_keeps_the_level_spread_check(tmp_path, capsys, argv):
             "computation failed: real parts spread over inf, beyond float range"
         ]
         assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_bad_tol_exits_2_before_enumeration(tmp_path, capsys, monkeypatch, tol):
+    # 3.9 million states would take seconds to enumerate: the tolerance is
+    # refused first
+    def enumerate_sector(*args):
+        raise AssertionError("sector enumerated")
+
+    monkeypatch.setattr(aufbau, "_occupation_rows", enumerate_sector)
+    code, out = run_to_file(tmp_path, "s.csv", ["spectrum", "-L", "100", "-N", "4", "--tol", tol])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: tie_tol must be finite and >= 0, got ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tol", ["0", "1"])
+def test_tol_never_changes_an_energy_text(tmp_path, tol):
+    # --tol regroups and reorders the ranks; every occupation keeps the
+    # energy text of the run without it
+    texts = []
+    for extra in ([], ["--tol", tol]):
+        code, out = run_to_file(tmp_path, "s.csv", ["spectrum", "-L", "12", "-N", "6", *extra])
+        assert code == 0
+        texts.append({row[4]: row[1:3] for row in cli.read_table(out)[2]})
+    assert len(texts[0]) == 924 and texts[1] == texts[0]
 
 
 def test_overflowing_orbitals_exit_1_with_one_line():

@@ -170,6 +170,41 @@ def test_readme_module_names_resolve():
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
+def _resolve(dotted, modules):
+    """The object a dotted name names in the package or one of its modules."""
+    head, *rest = dotted.split(".")
+    owner = next((m for m in (hnaufbau, *modules) if hasattr(m, head)), None)
+    assert owner is not None, dotted
+    obj = getattr(owner, head)
+    for part in rest:
+        obj = getattr(obj, part)
+    return obj
+
+
+def test_readme_library_calls_match_signatures():
+    # a Library bullet that opens with a call of plain parameters, each with
+    # an optional =default, lists the callable's parameters in order, with
+    # the same defaults
+    modules = (aufbau, cli, fock, hardcore, kernels, lattice, numerics, observables, verify)
+    section = README.read_text().split("\n## Library\n", 1)[1].split("\n## ", 1)[0]
+    calls = re.findall(r"^- `([\w.]+)\(([^`]*)\)`", section, flags=re.M)
+    checked = 0
+    for name, arglist in calls:
+        args = [arg.strip() for arg in arglist.split(",")] if arglist.strip() else []
+        if not all(re.fullmatch(r"\w+(=\S+)?", arg) for arg in args):
+            continue
+        signature = inspect.signature(_resolve(name, modules))
+        params = [(p.name, p.default) for p in signature.parameters.values() if p.name != "self"]
+        written = [
+            (arg, inspect.Parameter.empty) if "=" not in arg
+            else (arg.split("=")[0], ast.literal_eval(arg.split("=", 1)[1]))
+            for arg in args
+        ]
+        assert written == params, name
+        checked += 1
+    assert checked >= 4
+
+
 def _readme_commands(text):
     """argv after the program name of every `hnaufbau ...` command in text,
     on a line of a fenced block or in backticks, cut at a pipe or comment."""

@@ -12,7 +12,9 @@ gives the same bytes when run again. A verify table labels every row
 <suite>/<row> with a drawn suite, in run order, and closes with a count that
 matches its rows and its exit code; a table that exits 0 reads back, CSV
 through cli.read_table and JSON through json.loads, with one cell per column
-in every row and, for a spectrum, as many rows as its states header. Full-rank
+in every row and, for a spectrum, as many rows as its states header. A
+spectrum that sets --tol and exits 0 is run again without it, and both
+files give every occupation the same energy text. Full-rank
 selections are drawn only on sectors of at most 100 states, which keeps the
 sweep to seconds.
 """
@@ -146,9 +148,19 @@ def _check_table_file(argv, path):
         assert int(header["states"]) == len(rows), argv
 
 
+def _energy_texts(argv, path):
+    """occupation -> (energy_re, energy_im) text of a spectrum file."""
+    if argv[argv.index("--format") + 1] == "json":
+        rows = json.loads(path.read_text(encoding="utf-8"), parse_float=str)["rows"]
+    else:
+        rows = cli.read_table(path)[2]
+    return {row[4]: (row[1], row[2]) for row in rows}
+
+
 def test_contract_sweep(tmp_path, capsys):
     out = tmp_path / "out.dat"
     codes = set()
+    tol_runs = 0
     for argv in _argvs():
         code, stdout, stderr, data, caught = _run(argv, out, capsys)
         codes.add(code)
@@ -166,6 +178,14 @@ def test_contract_sweep(tmp_path, capsys):
             _check_table_file(argv, out)
         if code == 0:
             assert _run(argv, out, capsys)[:4] == (code, stdout, stderr, data), argv
+        if code == 0 and argv[0] == "spectrum" and "--tol" in argv:
+            at = argv.index("--tol")
+            plain = argv[:at] + argv[at + 2:]
+            texts = _energy_texts(argv, out)
+            assert _run(plain, out, capsys)[0] == 0, plain
+            assert _energy_texts(plain, out) == texts, argv
+            tol_runs += 1
         if out.exists():
             out.unlink()
     assert codes == {0, 1, 2}  # the draw reaches every outcome
+    assert tol_runs
