@@ -71,7 +71,8 @@ def _comma_list(text):
 @functools.cache
 def _build_parser():
     """The parser, built once per process. Each option's flag is --<dest>,
-    or -<dest> for one letter."""
+    or -<dest> for one letter; each subcommand's parser sets its handler
+    as the default run."""
     run = argparse.ArgumentParser(add_help=False)
     run.add_argument("-t", type=float, default=1.0)
     run.add_argument("-g", type=float, default=0.5)
@@ -92,14 +93,19 @@ def _build_parser():
         description="Many-body spectra of the nonreciprocal chain by the generalized Aufbau rule",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("spectrum", parents=[chain], help="full many-body spectrum")
+    p_spec = sub.add_parser("spectrum", parents=[chain], help="full many-body spectrum")
+    p_spec.set_defaults(run=cmd_spectrum)
     p_obs = sub.add_parser("observables", parents=[ranks], help="n_j/n_k profiles per eigenstate")
+    p_obs.set_defaults(run=cmd_observables)
     p_obs.add_argument("--workers", type=int, default=1, help="accepted, no effect")
-    sub.add_parser("skin", parents=[ranks], help="localization metrics per eigenstate")
+    p_skin = sub.add_parser("skin", parents=[ranks], help="localization metrics per eigenstate")
+    p_skin.set_defaults(run=cmd_skin)
     p_hcb = sub.add_parser("hcb-compare", parents=[table], help="fermion vs hard-core gap scan")
+    p_hcb.set_defaults(run=cmd_hcb_compare)
     p_hcb.add_argument("--lengths", default="160:480:16", help="comma list or start:stop:step")
     p_hcb.add_argument("--filling", type=float, default=0.5)
     p_ver = sub.add_parser("verify", parents=[run], help="run invariant suites")
+    p_ver.set_defaults(run=cmd_verify)
     p_ver.add_argument(
         "--suite", action="extend", type=_comma_list, default=None,
         help=f"comma list of suites, repeatable; from {', '.join(verify_mod.SUITES)}",
@@ -507,19 +513,10 @@ def cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
-_COMMANDS = {
-    "spectrum": cmd_spectrum,
-    "observables": cmd_observables,
-    "skin": cmd_skin,
-    "hcb-compare": cmd_hcb_compare,
-    "verify": cmd_verify,
-}
-
-
 def main(argv=None) -> int:
     try:
         args = _parse_args(argv)
-        return _COMMANDS[args.command](args)
+        return args.run(args)
     except SystemExit as exc:
         return int(exc.code or 0)
     except ValueError as exc:

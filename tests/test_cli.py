@@ -1381,6 +1381,36 @@ def test_verify_runner_labels_rows_and_keeps_them_past_a_crash(monkeypatch):
     assert all(r.passed for r in results[2:])
 
 
+CLOSEDFORM_ROWS = [
+    "im-gap-matches-filling-formula",
+    "hardcore-ground-real",
+    "re-gap-strictly-decreasing",
+    "reciprocal-limit-gap-real",
+]
+
+
+@pytest.mark.parametrize("g,t", [(0.5, 1e4), (20.0, 1.0)])
+def test_verify_closedform_reports_a_non_real_hardcore_energy(g, t):
+    # where |Im E0_hcb| reaches 1e-10 the suite still yields its four rows,
+    # each with a value, instead of one no-exception row from the scan
+    results = run_checks(g=g, t=t, suites=["closedform"])
+    assert [r.name for r in results] == CLOSEDFORM_ROWS
+
+
+def test_verify_closedform_catches_an_imaginary_hardcore_fill(monkeypatch):
+    fill = aufbau._fill
+
+    def faulty(levels, statistics, N):
+        energy, filled, counts = fill(levels, statistics, N)
+        return energy + (1e-9j if statistics == "hardcore" else 0), filled, counts
+
+    monkeypatch.setattr(aufbau, "_fill", faulty)
+    rows = {r.name: r for r in run_checks(suites=["closedform"])}
+    assert list(rows) == CLOSEDFORM_ROWS
+    assert not rows["hardcore-ground-real"].passed
+    assert rows["hardcore-ground-real"].detail.startswith("max |Im E0_hcb| = 1.000e-09")
+
+
 @pytest.mark.parametrize("g", [0.25, 0.5, 1.1, 2.0, 4.0])
 def test_verify_every_row_passes(g):
     failed = [r.name for r in run_checks(g=g) if not r.passed]

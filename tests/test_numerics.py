@@ -130,27 +130,29 @@ def test_eigenvalues_trace_property(seed, n):
     ids=lambda m: m.__name__,
 )
 def test_public_names_resolve(module):
-    # perfbench's tracer wraps every name in these lists; the package itself
-    # has no __all__, and its explicit imports fail at import time if stale
+    # perfbench's tracer wraps every name in these lists, and the package
+    # exports seven of them (test_package_exports_are_public)
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing
 
 
+# the modules whose __all__ the package exports, in its order
+PACKAGE_MODULES = (aufbau, fock, hardcore, lattice, numerics, observables, verify)
+
+
 def test_package_exports_are_public():
-    # every name the package re-exports sits in its module's __all__, so a
-    # name deleted from a module cannot linger in one of the three lists
-    tree = ast.parse(inspect.getsource(hnaufbau))
-    exports = [
-        (node.module, alias.name)
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom) and node.level == 1
-        for alias in node.names
-    ]
-    assert exports
-    modules = {mod: getattr(hnaufbau, mod) for mod, _ in exports}
-    stray = [(mod, name) for mod, name in exports if name not in modules[mod].__all__]
-    assert not stray
-    assert all(getattr(hnaufbau, name) is getattr(modules[mod], name) for mod, name in exports)
+    # the package's names are its seven modules' __all__ joined in order,
+    # each the module's own object, so no hand-kept list can drift from them
+    joined = [name for module in PACKAGE_MODULES for name in module.__all__]
+    assert hnaufbau.__all__ == joined
+    assert len(set(joined)) == len(joined)
+    for module in PACKAGE_MODULES:
+        assert all(getattr(hnaufbau, name) is getattr(module, name) for name in module.__all__)
+    star = {}
+    exec("from hnaufbau import *", star)
+    assert set(star) - {"__builtins__"} == set(joined)
+    # kernels does no input checks and cli is the front end: neither is exported
+    assert not [name for name in (*kernels.__all__, *cli.__all__) if hasattr(hnaufbau, name)]
 
 
 def test_readme_module_names_resolve():
@@ -171,11 +173,15 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def _resolve(dotted, modules):
-    """The object a dotted name names in the package or one of its modules."""
+    """The object a README name names: `<module>.<name>` through its module,
+    any other name on the package alone, as `from hnaufbau import` sees it."""
     head, *rest = dotted.split(".")
-    owner = next((m for m in (hnaufbau, *modules) if hasattr(m, head)), None)
-    assert owner is not None, dotted
-    obj = getattr(owner, head)
+    by_name = {m.__name__.rsplit(".", 1)[1]: m for m in modules}
+    if head in by_name and rest:
+        obj = by_name[head]
+    else:
+        assert head in hnaufbau.__all__, dotted
+        obj = getattr(hnaufbau, head)
     for part in rest:
         obj = getattr(obj, part)
     return obj

@@ -14,7 +14,9 @@ matches its rows and its exit code; a table that exits 0 reads back, CSV
 through cli.read_table and JSON through json.loads, with one cell per column
 in every row and, for a spectrum, as many rows as its states header. A
 spectrum that sets --tol and exits 0 is run again without it, and both
-files give every occupation the same energy text. Full-rank
+files give every occupation the same energy text; TOL_DRAWS more spectrum
+draws set --tol on sectors of a few hundred states, so that comparison
+sees enough rows for a tolerance-dependent filling order to show. Full-rank
 selections are drawn only on sectors of at most 100 states, which keeps the
 sweep to seconds.
 """
@@ -30,6 +32,7 @@ from hnaufbau.aufbau import STATISTICS
 
 SEED = 20261019
 DRAWS = 400
+TOL_DRAWS = 16
 
 
 def _g(rng):
@@ -81,6 +84,20 @@ def _chain(rng, command):
     return argv
 
 
+def _tol_spectrum(rng):
+    """A spectrum with --tol on a sector of a few hundred states (L = 10..12
+    near half filling, or N = 3 bosons), where a tolerance that moved the
+    filling order would change energies in their last bits."""
+    L = int(rng.integers(10, 13))
+    statistics = str(rng.choice(STATISTICS))
+    N = 3 if statistics == "boson" else L // 2 + int(rng.integers(-1, 2))
+    bc = str(rng.choice(["pbc", "obc", f"twist={rng.uniform(-7.0, 7.0)!r}"]))
+    return ["spectrum", "-L", str(L), "-N", str(N), "-g", repr(float(rng.uniform(-3.0, 3.0))),
+            "-t", repr(float(10.0 ** rng.uniform(-1.0, 1.0))), "--bc", bc, "--stats", statistics,
+            "--format", str(rng.choice(["csv", "json"])),
+            "--tol", repr(float(rng.choice([0.0, 1e-3, 1.0, 10.0])))]
+
+
 def _hcb_compare(rng):
     if rng.integers(3):
         lengths = ",".join(str(int(L)) for L in rng.integers(2, 11, size=rng.integers(1, 4)) * 4)
@@ -108,7 +125,7 @@ def _argvs():
             draws.append(_hcb_compare(rng))
         else:
             draws.append(_verify(rng))
-    return draws
+    return draws + [_tol_spectrum(rng) for _ in range(TOL_DRAWS)]
 
 
 def _run(argv, out, capsys):
@@ -160,7 +177,7 @@ def _energy_texts(argv, path):
 def test_contract_sweep(tmp_path, capsys):
     out = tmp_path / "out.dat"
     codes = set()
-    tol_runs = 0
+    tol_runs = wide_tol_runs = 0
     for argv in _argvs():
         code, stdout, stderr, data, caught = _run(argv, out, capsys)
         codes.add(code)
@@ -185,7 +202,8 @@ def test_contract_sweep(tmp_path, capsys):
             assert _run(plain, out, capsys)[0] == 0, plain
             assert _energy_texts(plain, out) == texts, argv
             tol_runs += 1
+            wide_tol_runs += len(texts) >= 200
         if out.exists():
             out.unlink()
     assert codes == {0, 1, 2}  # the draw reaches every outcome
-    assert tol_runs
+    assert tol_runs and wide_tol_runs >= 6
