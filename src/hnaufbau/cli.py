@@ -15,7 +15,10 @@ one str of each, which every chunk looks its cells up in, so the repeated
 many-body energies of a spectrum cost one str each and no whole-column
 table is held; a spectrum's occupation column unpacks its chunk's rows
 (spec.occupations(slice(lo, hi))) and formats them, one occupation_string
-call per row on a bytes row; any other column is formatted value by value.
+call per row on a bytes row; the rank column, range(n), is built per block
+of 1000 ranks q*1000.. as str(q) plus one of the three-digit texts
+"000".."999" (a table made per table written, not at import), one
+concatenation a rank; any other column is formatted value by value.
 JSON rows are the same cell texts (null for a non-finite float, json.dumps
 of a string) spliced into a json.dumps skeleton of the rest of the payload.
 An --out file appears whole or not at all: the pieces go to a sibling
@@ -206,12 +209,36 @@ def _column_text(col, fmt=str):
     return lambda lo, hi: texts[np.searchsorted(uniq, keys[lo:hi])]
 
 
+def _rank_texts(n):
+    """A function of (lo, hi) giving str of the values lo..hi-1 of range(n),
+    built per block of 1000 values q*1000.. as str(q) + one of the texts
+    "000".."999", with one str call per value only in the block q = 0."""
+    low3 = [f"{r:03d}" for r in range(1000)]
+
+    def texts(lo, hi):
+        hi = min(hi, n)
+        out = []
+        for q in range(lo // 1000, (hi + 999) // 1000):
+            a, b = max(lo - q * 1000, 0), min(hi - q * 1000, 1000)
+            if q:
+                head = str(q)
+                out += [head + tail for tail in low3[a:b]]
+            else:
+                out += map(str, range(a, b))
+        return out
+
+    return texts
+
+
 def _chunk_texts(col, fmt):
     """A function of (lo, hi) giving fmt of the cells lo..hi-1 of col: a
-    numpy column through _column_text, a function of (lo, hi) through the
+    numpy column through _column_text, a range(n) through _rank_texts (str
+    and _json_text agree on an int), a function of (lo, hi) through the
     values it returns, any other column value by value per slice."""
     if isinstance(col, np.ndarray):
         return _column_text(col, fmt)
+    if type(col) is range and col.start == 0 and col.step == 1:
+        return _rank_texts(len(col))
     if callable(col):
         return lambda lo, hi: map(fmt, col(lo, hi))
     return lambda lo, hi: map(fmt, col[lo:hi])

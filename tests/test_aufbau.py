@@ -147,6 +147,64 @@ def test_sort_real_parts_nondecreasing_property(seed, n):
         assert b >= a - tie_tol
 
 
+def lexsort_cluster_order(values, tie_tol):
+    """Reference for _cluster_sort: clusters chained over the Re-sorted
+    values, then np.lexsort by (cluster id, Im, position)."""
+    re = values.real
+    by_re = np.argsort(re, kind="stable")
+    cid = np.zeros(re.size, dtype=np.int64)
+    cid[by_re[1:]] = np.cumsum(np.diff(re[by_re]) > tie_tol)
+    order = np.lexsort((values.imag, cid))
+    return order, cid[order]
+
+
+def cluster_sort_inputs(seed):
+    """Seeded complex arrays whose ties every stage of _cluster_sort meets:
+    exact duplicates, +-0.0 imaginary parts, Re noise below the default tie
+    tolerance, all-equal values, and n = 1 and 2."""
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(-3, 4, 6) + 1j * rng.choice([0.0, -0.0, 1.0, -1.0, 0.5], 6)
+    dupes = rng.choice(pool, 200)
+    signed_zeros = rng.integers(-2, 3, 200) + 1j * rng.choice([0.0, -0.0], 200)
+    noisy = dupes + rng.choice([0.0, 1e-15, -1e-15, 1e-3], 200)
+    return [
+        dupes,
+        signed_zeros,
+        noisy,
+        rng.standard_normal(200) + 1j * rng.standard_normal(200),
+        np.full(50, 2.0 - 1.0j),
+        np.array([0.0 + 0.0j]),
+        np.array([1.0 - 0.0j, 1.0 + 0.0j]),
+        np.array([1.0 + 1.0j, 1.0 - 1.0j]),
+        np.array([], dtype=np.complex128),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("tie_tol", [0.0, None, 1.0])
+def test_cluster_sort_matches_lexsort_reference(seed, tie_tol):
+    for values in cluster_sort_inputs(seed):
+        tol = default_tie_tol(values.real) if tie_tol is None else tie_tol
+        order, groups = _cluster_sort(values, tie_tol)
+        want_order, want_groups = lexsort_cluster_order(values, tol)
+        assert order.dtype == groups.dtype == np.int32
+        assert order.tolist() == want_order.tolist()
+        assert groups.tolist() == want_groups.tolist()
+
+
+def test_cluster_sort_past_65536_clusters_matches_lexsort_reference():
+    # 70,000 shuffled distinct real parts, each twice with a different Im:
+    # the cluster ids pass 2^16, so the high 16-bit digit needs its own pass
+    rng = np.random.default_rng(7)
+    re = rng.permutation(np.repeat(np.arange(70_000, dtype=np.float64), 2))
+    values = re + 1j * rng.choice([1.0, -1.0, 0.0, -0.0], re.size)
+    order, groups = _cluster_sort(values, 0.0)
+    want_order, want_groups = lexsort_cluster_order(values, 0.0)
+    assert groups[-1] == 69_999
+    assert order.tolist() == want_order.tolist()
+    assert groups.tolist() == want_groups.tolist()
+
+
 # ------------------------------------------------------- config enumeration
 
 
@@ -665,6 +723,9 @@ def test_occupation_string_of_plain_rows():
     # a bytes row, the writer's, holds one number per byte
     assert occupation_string(bytes([0, 10, 255])) == "0;10;255"
     assert occupation_string(bytes([1, 0, 9])) == "109"
+    for row in (b"", b"\x0a", b"\xff\x00"):
+        assert occupation_string(row) == occupation_string(list(row))
+    assert [occupation_string(row) for row in (b"", b"\x0a", b"\xff\x00")] == ["", "10", "255;0"]
     # lists and arrays are still checked for negatives
     for row in ([1, -1, 0], np.array([12, -1]), (-300,)):
         with pytest.raises(ValueError, match="non-negative"):

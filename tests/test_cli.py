@@ -278,6 +278,32 @@ def test_int_column_text_matches_str(pool, picks):
     assert _chunked_text(col) == [str(x) for x in col.tolist()]
 
 
+@pytest.mark.parametrize("cell", [str, cli._json_text])
+def test_rank_texts_match_str(cell):
+    # the block-built texts of range(n), chunk by chunk as the writer asks
+    # for them and over slices across every digit-count edge
+    n = 100_010
+    ranks = cli._chunk_texts(range(n), cell)
+    chunks = [ranks(lo, lo + cli.CHUNK_ROWS) for lo in range(0, n, cli.CHUNK_ROWS)]
+    assert [text for chunk in chunks for text in chunk] == list(map(str, range(n)))
+    edges = [*range(0, n, cli.CHUNK_ROWS), 1000, 10_000, 100_000, n]
+    for edge in edges:
+        for lo, hi in ((edge - 3, edge + 3), (edge - 1, edge), (edge, edge + 1)):
+            lo = max(lo, 0)
+            assert list(ranks(lo, hi)) == list(map(cell, range(lo, min(hi, n))))
+    assert list(ranks(999, 1001)) == ["999", "1000"]
+    assert list(ranks(99_999, 100_001)) == ["99999", "100000"]
+
+
+def test_other_ranges_keep_per_value_texts(monkeypatch):
+    # a range that does not start at 0 or steps by more than 1 is formatted
+    # value by value with the cell function it is given
+    monkeypatch.setattr(cli, "_rank_texts", None)
+    for col in (range(1, 3000), range(0, 3000, 2), range(2999, -1, -1), range(5, 5)):
+        texts = cli._chunk_texts(col, lambda v: f"<{v}>")
+        assert list(texts(998, 1003)) == [f"<{v}>" for v in col[998:1003]]
+
+
 @pytest.mark.parametrize("flags", [
     ["-L", "5", "-N", "3", "-g", "1.5", "--bc", "obc", "--stats", "boson"],
     ["-L", "8", "-N", "4", "-g", "0.5", "--bc", "pbc", "--stats", "hardcore"],
