@@ -190,12 +190,14 @@ def _cluster_sort(values, tie_tol=None):
     tie_tol = spread_tol if tie_tol is None else float(tie_tol)
     order = np.argsort(re, kind="stable")
     cid = np.zeros(re.size, dtype=np.int32)
+    max_id = 0
     if re.size > 1:
         # cluster id of each value, scattered back to its position
-        cid[order[1:]] = np.cumsum(np.diff(re[order]) > tie_tol, dtype=np.int32)
+        ids = np.cumsum(np.diff(re[order]) > tie_tol, dtype=np.int32)
+        cid[order[1:]], max_id = ids, int(ids[-1])
     # held as int32, so each pass's gathered copy takes 4 bytes a value
     order = np.argsort(im, kind="stable").astype(np.int32)
-    for shift in range(0, int(cid.max(initial=0)).bit_length(), 16):
+    for shift in range(0, max_id.bit_length(), 16):
         digits = (cid[order] >> shift).astype(np.uint16)
         order = order[np.argsort(digits, kind="stable")]
     return order, cid[order]

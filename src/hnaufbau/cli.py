@@ -32,8 +32,8 @@ only, is accepted for old command lines and has no effect. The commands
 read a state straight off the spectrum arrays (spec.occupations(r),
 spec.energies[r]); no per-state record is built.
 
-Exit codes: 0 success, 1 verification/computation failure, 2 usage error,
-which includes an --out that cannot be written.
+Exit codes: 0 success, 1 verification/computation failure or out of memory,
+2 usage error, which includes an --out that cannot be written.
 """
 
 from __future__ import annotations
@@ -504,7 +504,15 @@ def _parse_lengths(spec_str):
 def cmd_hcb_compare(args) -> int:
     lengths = _parse_lengths(args.lengths)
     g, t, filling = float(args.g), float(args.t), float(args.filling)
-    gaps = delta_E_scan(sorted(lengths), filling, g, t)
+    tol = verify_mod.TOLERANCES["closed_form"]
+    gaps = []
+    for L in sorted(lengths):  # the first failing length decides the message
+        (gap,) = delta_E_scan([L], filling, g, t)
+        if abs(gap.E0_hcb.imag) >= tol:
+            raise ArithmeticError(
+                f"hard-core ground energy has Im = {gap.E0_hcb.imag:.3e}, expected |Im| < {tol}"
+            )
+        gaps.append(gap)
     header = {
         "command": "hcb-compare",
         "g": g,
@@ -549,7 +557,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except ArithmeticError as exc:
+    except (ArithmeticError, MemoryError) as exc:
         print(f"computation failed: {exc}", file=sys.stderr)
         return 1
 

@@ -19,7 +19,9 @@ has an imaginary part fixed by filling alone,
 
 while the real part decays with chain length. Both are scanned here; the
 dense Fock oracle validates the Jordan-Wigner image at small sizes, signs and
-all.
+all. The scan returns its energies as computed; the hard-core one is real
+only in exact arithmetic, and its reporters (hcb-compare, verify's
+closed-form suite) judge it against verify.TOLERANCES["closed_form"].
 """
 
 from __future__ import annotations
@@ -41,14 +43,11 @@ __all__ = [
     "obc_equivalence_check",
 ]
 
-HCB_IM_TOL = 1e-10
-
-
 @dataclass(frozen=True)
 class EnergyGap:
     """Ground-state energies of the two statistics at one size, plus their
-    difference. The hard-core value must come out real; a non-real one is a
-    computation failure and raises ArithmeticError."""
+    difference, as the fill computed them; E0_hcb may carry a rounding
+    imaginary part, which the reporter judges."""
 
     L: int
     N: int
@@ -57,13 +56,6 @@ class EnergyGap:
     E0_fermion: complex
     E0_hcb: complex
     delta: complex
-
-    def __post_init__(self):
-        if abs(self.E0_hcb.imag) >= HCB_IM_TOL:
-            raise ArithmeticError(
-                f"hard-core ground energy has Im = {self.E0_hcb.imag:.3e}, "
-                f"expected |Im| < {HCB_IM_TOL}"
-            )
 
 
 def im_delta_closed_form(L, N, g, t=1.0) -> float:
@@ -79,7 +71,9 @@ def delta_E_scan(L_list, filling=0.5, g=0.5, t=1.0):
 
     Each L must give an even integer N = filling * L; even parity is the
     ring sector where the two statistics genuinely differ. Cost is
-    O(L log L) per point.
+    O(L log L) per point. Raises SectorError on a bad length or filling and
+    OverflowError on an energy beyond float range; a non-real hard-core
+    energy comes back as computed.
     """
     if not math.isfinite(filling):
         raise SectorError(f"filling must be finite, got {filling}")

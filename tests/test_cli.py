@@ -25,7 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hnaufbau import aufbau, cli, fock
+from hnaufbau import aufbau, cli, fock, hardcore, verify
 from hnaufbau.aufbau import (
     build_spectrum,
     energy_of_config,
@@ -38,6 +38,7 @@ from hnaufbau.fock import build_dense_hamiltonian
 from hnaufbau.hardcore import im_delta_closed_form
 from hnaufbau.lattice import HNParams, hopping_matrix, single_particle_levels
 from hnaufbau.numerics import eigenvalues
+from hnaufbau.observables import DistributionProfile
 from hnaufbau.verify import TOLERANCES, CheckResult, run_checks
 
 
@@ -450,6 +451,40 @@ def test_late_chunk_failure_leaves_no_file(tmp_path, monkeypatch, fmt):
     assert len(written) >= 8 and any(name.endswith(".part") for name in written[-1])
     assert sorted(p.name for p in tmp_path.iterdir()) == ["kept.out"]
     assert kept.read_bytes() == b"old bytes\n"
+
+
+def test_memory_error_is_a_computation_failure(tmp_path, monkeypatch, capsys):
+    # an array numpy cannot allocate exits 1 with one line, not a traceback
+    def no_memory(L, N, statistics):
+        raise MemoryError("Unable to allocate 1 GiB")
+
+    monkeypatch.setattr(aufbau, "_occupation_rows", no_memory)
+    code, _ = run_to_file(tmp_path, "spec.csv", ["spectrum", "-L", "8", "-N", "4"])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "computation failed: Unable to allocate 1 GiB"
+    ]
+    assert not list(tmp_path.iterdir())
+
+
+def test_memory_error_in_a_later_chunk_leaves_no_file(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "CHUNK_ROWS", 8)
+    calls = []
+    real_strings = cli.occupation_strings
+
+    def failing_strings(rows):
+        calls.append(len(rows))
+        if len(calls) == 3:
+            raise MemoryError("Unable to allocate 1 GiB")
+        return real_strings(rows)
+
+    monkeypatch.setattr(cli, "occupation_strings", failing_strings)
+    code, _ = run_to_file(tmp_path, "spec.csv", ["spectrum", "-L", "8", "-N", "4"])
+    assert code == 1 and len(calls) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "computation failed: Unable to allocate 1 GiB"
+    ]
+    assert not list(tmp_path.iterdir())
 
 
 def test_written_file_mode_matches_plain_open(tmp_path):
@@ -1225,7 +1260,19 @@ def test_hcb_compare_exit_1_on_complex_hcb_energy(capsys):
     # rounding at e^20 scale; that is a computation failure, not bad usage
     argv = ["hcb-compare", "--lengths", "400:408:4", "-g", "20"]
     assert run_cli(argv) == 1
-    assert "computation failed" in capsys.readouterr().err
+    assert capsys.readouterr().err.splitlines() == [
+        "computation failed: hard-core ground energy has Im = 5.186e-06, expected |Im| < 1e-10"
+    ]
+
+
+def test_hcb_compare_judges_each_length_before_filling_the_next(capsys):
+    # length 8 fails the Im bound before length 400 is filled, whose energy
+    # would overflow: the first failing length decides the message
+    argv = ["hcb-compare", "--lengths", "8,400", "-g", "705"]
+    assert run_cli(argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "computation failed: hard-core ground energy has Im = -6.237e+290, expected |Im| < 1e-10"
+    ]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
@@ -1424,17 +1471,77 @@ def test_verify_closedform_reports_a_non_real_hardcore_energy(g, t):
 
 
 def test_verify_closedform_catches_an_imaginary_hardcore_fill(monkeypatch):
-    fill = aufbau._fill
+    fill = hardcore._fill
 
     def faulty(levels, statistics, N):
         energy, filled, counts = fill(levels, statistics, N)
         return energy + (1e-9j if statistics == "hardcore" else 0), filled, counts
 
-    monkeypatch.setattr(aufbau, "_fill", faulty)
+    monkeypatch.setattr(hardcore, "_fill", faulty)
     rows = {r.name: r for r in run_checks(suites=["closedform"])}
     assert list(rows) == CLOSEDFORM_ROWS
     assert not rows["hardcore-ground-real"].passed
     assert rows["hardcore-ground-real"].detail.startswith("max |Im E0_hcb| = 1.000e-09")
+
+
+SUMRULE_SECTORS = [
+    f"{stats}-{bc}-L8-N3" for stats in ("fermion", "boson") for bc in ("periodic", "open")
+]
+
+
+def _sumrules_with_profile(monkeypatch, alter):
+    """The sumrules rows by name, every n_k profile passed through alter
+    (values -> values) on its way from verify.observables."""
+    real = verify.observables.momentum_distribution
+
+    def altered(G):
+        nk = real(G)
+        values = alter(nk.values.copy())
+        return DistributionProfile(nk.kind, nk.grid, values, float(values.sum()))
+
+    monkeypatch.setattr(verify.observables, "momentum_distribution", altered)
+    return {r.name: r for r in run_checks(suites=["sumrules"])}
+
+
+def test_verify_sumrules_catches_a_scaled_momentum_profile(monkeypatch):
+    rows = _sumrules_with_profile(monkeypatch, lambda values: values * (1 + 1e-6))
+    assert list(rows)[:4] == SUMRULE_SECTORS
+    assert list(rows)[4:] == ["correlation-dual-route", "ring-momentum-occupations"]
+    for name in SUMRULE_SECTORS:
+        assert not rows[name].passed
+        assert rows[name].detail.startswith("rank 0: sum n_j = ")
+        assert ", sum n_k = 3.00000" in rows[name].detail
+
+
+def test_verify_sumrules_catches_a_fermion_above_the_pauli_bound(monkeypatch):
+    def peak(values):
+        # the top weight rises to 1 + 1e-6, the next one pays for it
+        top, second = np.argsort(values)[::-1][:2]
+        shift = 1 + 1e-6 - values[top]
+        values[top] += shift
+        values[second] -= shift
+        return values
+
+    rows = _sumrules_with_profile(monkeypatch, peak)
+    assert list(rows)[:4] == SUMRULE_SECTORS
+    detail = rows["fermion-periodic-L8-N3"].detail
+    assert not rows["fermion-periodic-L8-N3"].passed
+    assert detail.startswith("rank 0: n_k = 1.000001") and detail.endswith("above the Pauli bound")
+    assert rows["boson-periodic-L8-N3"].passed
+
+
+def test_verify_sumrules_negative_momentum_weight_ends_the_suite(monkeypatch):
+    # the profile itself refuses weight below its floor, so the suite stops
+    # with one no-exception row instead of a negative-weight row
+    def dip(values):
+        values[np.argmin(values)] = -1e-9
+        return values
+
+    rows = _sumrules_with_profile(monkeypatch, dip)
+    assert list(rows) == ["no-exception"]
+    assert rows["no-exception"].detail == (
+        "ValueError: profile has weight -1.000e-09 below the floor -1e-10"
+    )
 
 
 @pytest.mark.parametrize("g", [0.25, 0.5, 1.1, 2.0, 4.0])
