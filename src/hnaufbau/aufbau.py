@@ -34,10 +34,10 @@ chain. Levels built from bare energies have no chain to map and fill
 hard-core sectors exactly like fermions. Hard-core occupations therefore
 index the modes of the image chain.
 
-A configuration's energy has one rule, kernels.config_energies_boson: a
-compensated (Kahan) sum in filling order over the occupied modes, adding e
-for n = 1 and n * e above. It sums every spectrum row and energy_of_config's
-one row; the ground-state fill runs its recursion over the filled terms.
+A configuration's energy has one rule: a compensated (Kahan) sum in filling
+order over the occupied modes, adding e for n = 1 and n * e above.
+_config_energy sums one configuration (energy_of_config, the ground fill),
+kernels.config_energies_boson every row of a sector at once.
 """
 
 from __future__ import annotations
@@ -198,7 +198,7 @@ def _cluster_sort(values, tie_tol=None):
     # held as int32, so each pass's gathered copy takes 4 bytes a value
     order = np.argsort(im, kind="stable").astype(np.int32)
     for shift in range(0, max_id.bit_length(), 16):
-        digits = (cid[order] >> shift).astype(np.uint16)
+        digits = (cid[order] >> shift if shift else cid[order]).astype(np.uint16)
         order = order[np.argsort(digits, kind="stable")]
     return order, cid[order]
 
@@ -274,12 +274,14 @@ def _occupation_rows(L, N, statistics):
     return kernels.fermion_occupations(L, N)
 
 
-def _kahan_energy(terms):
-    """Compensated sum of the terms in the order given: the recursion of
-    kernels.config_energies_boson, so the fill's terms in filling order give
-    the bits of its spectrum row."""
-    acc = 0.0 + 0.0j
-    comp = 0.0 + 0.0j
+def _config_energy(levels, filled, counts):
+    """Energy of counts[i] particles on level filled[i] (int arrays, in
+    sort_levels order): kernels.config_energies_boson's recursion on one
+    configuration, so it has the bits of the configuration's spectrum row."""
+    terms = levels.energies[filled].tolist()
+    for i in np.flatnonzero(counts > 1).tolist():
+        terms[i] *= complex(counts[i])  # n + 0j, the kernel's product
+    acc = comp = 0j
     for term in terms:
         y = term - comp
         t = acc + y
@@ -318,17 +320,13 @@ def build_spectrum(levels, statistics, N, tie_tol=None):
 
 def _fill(levels, statistics, N):
     """The ground_state fill as (energy, filled positions in filling order,
-    occupation of each); only the filled terms (e, or N * e for N > 1
-    bosons) enter the compensated sum."""
+    occupation of each)."""
     _check_sector(len(levels), N, statistics)
     levels = _sector_levels(levels, statistics, N)
     positions = sort_levels(levels)
-    if statistics == "boson":
-        filled, counts = positions[: min(N, 1)], [N] * min(N, 1)
-    else:
-        filled, counts = positions[:N], [1] * N
-    terms = levels.energies[filled].tolist()
-    energy = _kahan_energy([N * terms[0]] if statistics == "boson" and N > 1 else terms)
+    filled = positions[: min(N, 1) if statistics == "boson" else N]
+    counts = np.full(filled.size, N if statistics == "boson" else 1)
+    energy = _config_energy(levels, filled, counts)
     if not cmath.isfinite(energy):
         raise OverflowError(f"ground energy {energy} is not finite")
     return energy, filled, counts
@@ -369,15 +367,14 @@ def _check_occupations(L, statistics, occupations) -> np.ndarray:
 
 
 def energy_of_config(levels, statistics, occupations) -> complex:
-    """Energy of one occupation row, by the kernel that sums every spectrum
-    row, so it has the row's bits in build_spectrum. A row that is not a
-    state of the levels raises SectorError, an energy beyond float range
-    OverflowError."""
+    """Energy of one occupation row, summed by the ground fill's rule, so it
+    has the row's bits in build_spectrum. A row that is not a state of the
+    levels raises SectorError, an energy beyond float range OverflowError."""
     occ = _check_occupations(len(levels), statistics, occupations)
     levels = _sector_levels(levels, statistics, int(occ.sum()))
-    with np.errstate(over="ignore", invalid="ignore"):
-        energies = kernels.config_energies_boson(occ[None], sort_levels(levels), levels.energies)
-    energy = complex(energies[0])
+    positions = sort_levels(levels)
+    filled = positions[occ[positions] > 0]
+    energy = _config_energy(levels, filled, occ[filled])
     if not cmath.isfinite(energy):
         raise OverflowError(f"configuration energy {energy} is not finite")
     return energy

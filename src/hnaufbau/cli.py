@@ -51,7 +51,7 @@ import numpy as np
 from . import verify as verify_mod
 from .aufbau import STATISTICS, build_spectrum, occupation_strings
 from .fock import eigenstate_from_config, get_basis
-from .hardcore import delta_E_scan, im_delta_closed_form
+from .hardcore import _scan_size, delta_E_scan, im_delta_closed_form
 from .lattice import HNParams, hardcore_image, single_particle_levels
 from .observables import (
     correlation_matrix,
@@ -502,11 +502,13 @@ def _parse_lengths(spec_str):
 
 
 def cmd_hcb_compare(args) -> int:
-    lengths = _parse_lengths(args.lengths)
+    lengths = sorted(_parse_lengths(args.lengths))
     g, t, filling = float(args.g), float(args.t), float(args.filling)
     tol = verify_mod.TOLERANCES["closed_form"]
+    for L in lengths:  # every length is checked before the first is filled
+        _scan_size(L, filling)
     gaps = []
-    for L in sorted(lengths):  # the first failing length decides the message
+    for L in lengths:  # the first failing length decides the message
         (gap,) = delta_E_scan([L], filling, g, t)
         if abs(gap.E0_hcb.imag) >= tol:
             raise ArithmeticError(
@@ -518,7 +520,7 @@ def cmd_hcb_compare(args) -> int:
         "g": g,
         "t": t,
         "filling": filling,
-        "lengths": ";".join(str(L) for L in sorted(lengths)),
+        "lengths": ";".join(str(L) for L in lengths),
     }
     columns = [
         "L", "N", "delta_re", "delta_im", "closed_form_im",

@@ -19,9 +19,10 @@ has an imaginary part fixed by filling alone,
 
 while the real part decays with chain length. Both are scanned here; the
 dense Fock oracle validates the Jordan-Wigner image at small sizes, signs and
-all. The scan returns its energies as computed; the hard-core one is real
-only in exact arithmetic, and its reporters (hcb-compare, verify's
-closed-form suite) judge it against verify.TOLERANCES["closed_form"].
+all. The scan checks every length before it fills the first, and returns
+its energies as computed; the hard-core one is real only in exact
+arithmetic, and its reporters (hcb-compare, verify's closed-form suite)
+judge it against verify.TOLERANCES["closed_form"].
 """
 
 from __future__ import annotations
@@ -66,40 +67,40 @@ def im_delta_closed_form(L, N, g, t=1.0) -> float:
     return t * (-eg + eg_rev) * math.sin(math.pi * (1.0 - N / L))
 
 
+def _scan_size(L, filling):
+    """N = filling * L at scan length L. Raises SectorError unless filling
+    is finite and L is an integer >= 2 whose N is an even integer of a ring
+    sector; even parity is the ring sector where the two statistics
+    genuinely differ."""
+    if not math.isfinite(filling):
+        raise SectorError(f"filling must be finite, got {filling}")
+    if not isinstance(L, (int, np.integer)) or isinstance(L, bool) or L < 2:
+        raise SectorError(f"scan lengths must be integers >= 2, got {L!r}")
+    n_real = filling * L
+    N = int(round(n_real))
+    if abs(n_real - N) > 1e-9:
+        raise SectorError(f"filling {filling} gives non-integer N = {n_real} at L={L}")
+    if N % 2 != 0:
+        raise SectorError(
+            f"scan requires even N (got N={N} at L={L}); use L = 0 mod 4 at half filling")
+    _check_sector(L, N, "hardcore", ring=True)
+    return N
+
+
 def delta_E_scan(L_list, filling=0.5, g=0.5, t=1.0):
     """EnergyGap per chain length, at fixed filling (default one half).
 
-    Each L must give an even integer N = filling * L; even parity is the
-    ring sector where the two statistics genuinely differ. Cost is
-    O(L log L) per point. Raises SectorError on a bad length or filling and
-    OverflowError on an energy beyond float range; a non-real hard-core
-    energy comes back as computed.
+    _scan_size checks every length, in the order given, before the first
+    is filled: a bad length or filling raises SectorError. Cost is
+    O(L log L) per point. Raises OverflowError on an energy beyond float
+    range; a non-real hard-core energy comes back as computed.
     """
-    if not math.isfinite(filling):
-        raise SectorError(f"filling must be finite, got {filling}")
     gaps = []
-    for L in L_list:
-        if not isinstance(L, (int, np.integer)) or isinstance(L, bool) or L < 2:
-            raise SectorError(f"scan lengths must be integers >= 2, got {L!r}")
-        n_real = filling * L
-        N = int(round(n_real))
-        if abs(n_real - N) > 1e-9:
-            raise SectorError(
-                f"filling {filling} gives non-integer N = {n_real} at L={L}"
-            )
-        if N % 2 != 0:
-            raise SectorError(
-                f"scan requires even N (got N={N} at L={L}); use L = 0 mod 4 at half filling"
-            )
-        _check_sector(L, N, "hardcore", ring=True)
+    for L, N in [(L, _scan_size(L, filling)) for L in L_list]:
         levels = single_particle_levels(HNParams(L=int(L), t=t, g=g))
         e0f, e0b = (_fill(levels, stats, N)[0] for stats in ("fermion", "hardcore"))
-        gaps.append(
-            EnergyGap(
-                L=int(L), N=N, g=float(g), t=float(t),
-                E0_fermion=e0f, E0_hcb=e0b, delta=e0f - e0b,
-            )
-        )
+        gaps.append(EnergyGap(L=int(L), N=N, g=float(g), t=float(t),
+                              E0_fermion=e0f, E0_hcb=e0b, delta=e0f - e0b))
     return gaps
 
 

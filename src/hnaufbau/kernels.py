@@ -4,14 +4,13 @@ occupation rows (colex order) and of their compensated level sums.
 Plain interpreted NumPy; there is no compiled backend. Enumeration builds
 a sector's occupation matrix particle by particle in colex order, one byte
 a cell (int8) wherever the largest occupation fits and int16 otherwise,
-_colex_rank maps rows back to their colex positions, and configuration
-energies are one compensated sum per row, for every statistics, run over
-blocks of BLOCK_ROWS rows whose transposed occupations are copied once
-into cache-sized buffers; that sum is the package's one occupation-to-energy
-rule, for whole sectors and single rows (aufbau.energy_of_config) alike.
-The Fock-space operators do not live here: they are gathers and scatters
-over each basis's lowering table, whose indices are colex ranks (see
-``fock.FockBasis``).
+_colex_rank maps rows back to their colex positions, and a whole sector's
+configuration energies are one compensated sum per row, for every
+statistics, over blocks of BLOCK_ROWS rows whose transposed occupations
+are copied once into cache-sized buffers (aufbau._config_energy runs the
+same recursion on one configuration). The Fock-space operators do not
+live here: they are gathers and scatters over each basis's lowering
+table, whose indices are colex ranks (see ``fock.FockBasis``).
 
 Kernels never raise; input checks live in the calling modules.
 """
@@ -102,8 +101,8 @@ def config_energies_boson(occupations, perm, eps):
     any occupations, so this serves every statistics.
 
     A row adds eps[m] itself where n_m = 1, n_m * eps[m] where n_m > 1, and
-    skips the update where n_m = 0, so the ground-state fill's scalar sum of
-    its filled terms (``aufbau._kahan_energy``) has the same bits. The rows
+    skips the update where n_m = 0, so the scalar sum of one configuration's
+    occupied terms (``aufbau._config_energy``) has the same bits. The rows
     go BLOCK_ROWS at a time: each block's occupations are copied transposed
     once, so each mode's column is contiguous, its sums accumulate in place
     in the output, and every step writes into buffers allocated once at

@@ -434,14 +434,39 @@ def test_spectrum_real_when_reciprocal():
             assert abs(lv.energy.imag) < 1e-10
 
 
+# (statistics, L, N, boundary, twist, g): every statistics on a ring, an
+# open chain and a twist (even hard-core N fills the twisted image), the
+# few-mode boson L = 4, N = 30 and bosons in int16 cells (N > 127)
+ENERGY_SECTORS = [
+    (stats, 7, 3, boundary, twist, g)
+    for stats in ("fermion", "boson", "hardcore")
+    for boundary, twist, g in (("periodic", 0.0, 0.5), ("open", 0.0, 1.5), ("twisted", 0.7, -2.0))
+] + [
+    ("fermion", 10, 5, "periodic", 0.0, 0.5),
+    ("hardcore", 10, 4, "periodic", 0.0, 0.5),
+    ("hardcore", 9, 4, "open", 0.0, 0.5),
+    ("boson", 6, 4, "twisted", 1.1, 0.5),
+    ("boson", 4, 30, "periodic", 0.0, 0.5),
+    ("boson", 4, 30, "open", 0.0, 1.5),
+    ("boson", 3, 130, "twisted", 0.4, 0.5),
+    ("boson", 2, 300, "open", 0.0, -2.0),
+]
+
+
 def test_spectrum_energy_consistency():
-    # each level's energy re-derives from its config, bit for bit, through
-    # energy_of_config's single-row sum
-    for levels in (ring_levels(7), chain_levels(7, g=1.5)):
-        for stats in ("fermion", "boson", "hardcore"):
-            spec = build_spectrum(levels, stats, 3)
-            for occ, energy in zip(spec.occupations(slice(None)), spec.energies):
-                assert energy_of_config(levels, stats, occ) == energy
+    # every row's energy re-derives from its occupations, bit for bit,
+    # through energy_of_config's one-configuration sum, and ground_state
+    # holds rank 0's row and bits
+    for stats, L, N, boundary, twist, g in ENERGY_SECTORS:
+        levels = single_particle_levels(
+            HNParams(L=L, t=1.0, g=g, boundary=boundary, twist=twist))
+        spec = build_spectrum(levels, stats, N)
+        rows = spec.occupations(slice(None))
+        energies = np.array([energy_of_config(levels, stats, occ) for occ in rows])
+        assert energies.tobytes() == spec.energies.tobytes(), (stats, L, N, boundary)
+        gs = ground_state(levels, stats, N)
+        assert np.complex128(gs.energy).tobytes() == spec.energies[0].tobytes()
+        assert gs.config.occupations == tuple(rows[0].tolist())
 
 
 @pytest.mark.parametrize("boundary", ["periodic", "open"])
@@ -506,6 +531,8 @@ REPRESENTATION_SECTORS = [
     ("boson", 2, 128, "twisted", 0.4),
     ("boson", 3, 400, "open", 0.0),
     ("boson", 2, 5, "open", 0.0),
+    ("boson", 4, 30, "periodic", 0.0),
+    ("hardcore", 12, 6, "twisted", 0.7),
 ]
 
 
@@ -541,6 +568,8 @@ def test_spectrum_holds_colex_rows_once(stats, L, N, boundary, twist):
         energy = energy_of_config(levels, stats, spec.occupations(r))
         assert np.complex128(energy).tobytes() == spec.energies[r].tobytes()
         assert spec[r].config.occupations == tuple(want[order[r]].tolist())
+    gs = ground_state(levels, stats, N)
+    assert np.complex128(gs.energy).tobytes() == spec.energies[0].tobytes()
 
 
 @pytest.mark.parametrize("L", [*range(1, 10), 16, 17])

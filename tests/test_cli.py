@@ -1275,6 +1275,17 @@ def test_hcb_compare_judges_each_length_before_filling_the_next(capsys):
     ]
 
 
+def test_hcb_compare_checks_every_length_before_the_first_fill(tmp_path, capsys):
+    # length 10 has odd N: a usage error before length 8, whose g = 705
+    # energy fails the Im bound, is filled; no file or part file is left
+    code, out = run_to_file(tmp_path, "gaps.csv", ["hcb-compare", "--lengths", "8,10", "-g", "705"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "error: scan requires even N (got N=5 at L=10); use L = 0 mod 4 at half filling"
+    ]
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @pytest.mark.parametrize("argv", [
     ["spectrum", "-L", "6", "-N", "3", "-g", "709", "--bc", "pbc", "--stats", "boson"],

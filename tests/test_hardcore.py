@@ -16,6 +16,7 @@ import math
 import numpy as np
 import pytest
 
+from hnaufbau import hardcore
 from hnaufbau.aufbau import (
     SectorError,
     build_spectrum,
@@ -247,6 +248,16 @@ def test_scan_validation():
         delta_E_scan([10], filling=0.3)  # non-integer N
     with pytest.raises(SectorError):
         delta_E_scan([7.5])
+
+
+def test_scan_checks_every_length_before_the_first_fill(monkeypatch):
+    # length 10 (N = 5, odd) is refused before length 8, whose g = 705
+    # energy would be filled, or any other length is
+    fills = []
+    monkeypatch.setattr(hardcore, "_fill", lambda *args: fills.append(args))
+    with pytest.raises(SectorError, match=r"even N \(got N=5 at L=10\)"):
+        delta_E_scan([8, 10], 0.5, 705.0)
+    assert len(fills) == 0
 
 
 def test_scan_returns_a_non_real_hardcore_energy():
