@@ -37,7 +37,8 @@ index the modes of the image chain.
 A configuration's energy has one rule: a compensated (Kahan) sum in filling
 order over the occupied modes, adding e for n = 1 and n * e above.
 _config_energy sums one configuration (energy_of_config, the ground fill),
-kernels.config_energies_boson every row of a sector at once.
+kernels.config_energies_boson every row of a sector at once, and
+kernels.column_sums the ground fills of a block of gap-scan lengths.
 """
 
 from __future__ import annotations
@@ -274,13 +275,15 @@ def _occupation_rows(L, N, statistics):
     return kernels.fermion_occupations(L, N)
 
 
-def _config_energy(levels, filled, counts):
-    """Energy of counts[i] particles on level filled[i] (int arrays, in
-    sort_levels order): kernels.config_energies_boson's recursion on one
-    configuration, so it has the bits of the configuration's spectrum row."""
-    terms = levels.energies[filled].tolist()
-    for i in np.flatnonzero(counts > 1).tolist():
-        terms[i] *= complex(counts[i])  # n + 0j, the kernel's product
+def _config_energy(terms, counts=None):
+    """Energy of counts[i] particles on the level of energy terms[i] (arrays
+    in sort_levels order; counts None puts one on each, with no weight
+    pass): kernels.config_energies_boson's recursion on one configuration,
+    so it has the bits of the configuration's spectrum row."""
+    terms = terms.tolist()
+    if counts is not None:
+        for i in np.flatnonzero(counts > 1).tolist():
+            terms[i] *= complex(counts[i])  # n + 0j, the kernel's product
     acc = comp = 0j
     for term in terms:
         y = term - comp
@@ -318,18 +321,20 @@ def build_spectrum(levels, statistics, N, tie_tol=None):
     return Spectrum(statistics, L, energies[colex], rows, colex, groups)
 
 
-def _fill(levels, statistics, N):
-    """The ground_state fill as (energy, filled positions in filling order,
-    occupation of each)."""
+def _ground_fill(levels, statistics, N):
+    """The ground_state fill as (filled positions in filling order, their
+    level energies), taken from the image's levels for a hard-core sector."""
     _check_sector(len(levels), N, statistics)
     levels = _sector_levels(levels, statistics, N)
-    positions = sort_levels(levels)
-    filled = positions[: min(N, 1) if statistics == "boson" else N]
-    counts = np.full(filled.size, N if statistics == "boson" else 1)
-    energy = _config_energy(levels, filled, counts)
+    filled = sort_levels(levels)[: min(N, 1) if statistics == "boson" else N]
+    return filled, levels.energies[filled]
+
+
+def _finite_ground(energy):
+    """A ground energy, once it is finite; raises OverflowError otherwise."""
     if not cmath.isfinite(energy):
         raise OverflowError(f"ground energy {energy} is not finite")
-    return energy, filled, counts
+    return energy
 
 
 def ground_state(levels, statistics, N) -> ManyBodyLevel:
@@ -340,9 +345,11 @@ def ground_state(levels, statistics, N) -> ManyBodyLevel:
     bosons put all N particles in rank 0. Cost is the level sort,
     O(L log L). The energy matches rank 0 of build_spectrum bit for bit.
     """
-    energy, filled, counts = _fill(levels, statistics, N)
+    filled, terms = _ground_fill(levels, statistics, N)
+    boson = statistics == "boson"
+    energy = _finite_ground(_config_energy(terms, np.full(filled.size, N) if boson else None))
     occ = np.zeros(len(levels), dtype=np.int64)
-    occ[filled] = counts
+    occ[filled] = N if boson else 1
     config = OccupationConfig(statistics, tuple(occ.tolist()))
     return ManyBodyLevel(energy=energy, config=config, rank=0, degeneracy_group=0)
 
@@ -374,7 +381,8 @@ def energy_of_config(levels, statistics, occupations) -> complex:
     levels = _sector_levels(levels, statistics, int(occ.sum()))
     positions = sort_levels(levels)
     filled = positions[occ[positions] > 0]
-    energy = _config_energy(levels, filled, occ[filled])
+    counts = occ[filled] if statistics == "boson" else None
+    energy = _config_energy(levels.energies[filled], counts)
     if not cmath.isfinite(energy):
         raise OverflowError(f"configuration energy {energy} is not finite")
     return energy

@@ -51,7 +51,7 @@ import numpy as np
 from . import verify as verify_mod
 from .aufbau import STATISTICS, build_spectrum, occupation_strings
 from .fock import eigenstate_from_config, get_basis
-from .hardcore import _scan_size, delta_E_scan, im_delta_closed_form
+from .hardcore import _scan_gaps, im_delta_closed_form
 from .lattice import HNParams, hardcore_image, single_particle_levels
 from .observables import (
     correlation_matrix,
@@ -505,11 +505,10 @@ def cmd_hcb_compare(args) -> int:
     lengths = sorted(_parse_lengths(args.lengths))
     g, t, filling = float(args.g), float(args.t), float(args.filling)
     tol = verify_mod.TOLERANCES["closed_form"]
-    for L in lengths:  # every length is checked before the first is filled
-        _scan_size(L, filling)
     gaps = []
-    for L in lengths:  # the first failing length decides the message
-        (gap,) = delta_E_scan([L], filling, g, t)
+    # every length is checked before the first is filled, and each gap is
+    # judged before the next is taken: the first failing length decides
+    for gap in _scan_gaps(lengths, filling, g, t):
         if abs(gap.E0_hcb.imag) >= tol:
             raise ArithmeticError(
                 f"hard-core ground energy has Im = {gap.E0_hcb.imag:.3e}, expected |Im| < {tol}"

@@ -8,9 +8,12 @@ _colex_rank maps rows back to their colex positions, and a whole sector's
 configuration energies are one compensated sum per row, for every
 statistics, over blocks of BLOCK_ROWS rows whose transposed occupations
 are copied once into cache-sized buffers (aufbau._config_energy runs the
-same recursion on one configuration). The Fock-space operators do not
-live here: they are gathers and scatters over each basis's lowering
-table, whose indices are colex ranks (see ``fock.FockBasis``).
+same recursion on one configuration). column_sums runs it down the columns
+of a buffer of many configurations' filled-level energies at once, one
+step per row and no mask, which the gap scan's ground fills use. The
+Fock-space operators do not live here: they are gathers and scatters over
+each basis's lowering table, whose indices are colex ranks (see
+``fock.FockBasis``).
 
 Kernels never raise; input checks live in the calling modules.
 """
@@ -21,7 +24,7 @@ import math
 
 import numpy as np
 
-__all__ = ["boson_states", "fermion_occupations", "config_energies_boson"]
+__all__ = ["boson_states", "fermion_occupations", "config_energies_boson", "column_sums"]
 
 # no compiled backend; kept so tools that record the backend can read it
 JIT_ENABLED = NUMBA_AVAILABLE = False
@@ -131,3 +134,22 @@ def config_energies_boson(occupations, perm, eps):
             np.subtract(comp, y, out=comp, where=hit)
             np.copyto(acc, t, where=hit)
     return out
+
+
+def column_sums(terms):
+    """Compensated (Kahan) sum down each column of a 2-D complex128 array,
+    one step per row across every column: the recursion of
+    ``aufbau._config_energy``, so a column whose leading rows are zero has
+    the bits of the scalar sum of the rest (zeros leave the accumulator and
+    its compensation at +0, where the scalar loop starts). The rows are
+    overwritten. Unlike config_energies_boson there is no occupation, so no
+    row is masked; the two keep their own steps for that reason.
+    """
+    acc, t, comp = np.zeros((3, terms.shape[1]), np.complex128)
+    for y in terms:
+        y -= comp
+        np.add(acc, y, out=t)
+        np.subtract(t, acc, out=comp)
+        comp -= y
+        acc, t = t, acc
+    return acc

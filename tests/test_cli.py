@@ -35,7 +35,7 @@ from hnaufbau.aufbau import (
     sort_complex_spectrum,
 )
 from hnaufbau.fock import build_dense_hamiltonian
-from hnaufbau.hardcore import im_delta_closed_form
+from hnaufbau.hardcore import delta_E_scan, im_delta_closed_form
 from hnaufbau.lattice import HNParams, hopping_matrix, single_particle_levels
 from hnaufbau.numerics import eigenvalues
 from hnaufbau.observables import DistributionProfile
@@ -1275,6 +1275,36 @@ def test_hcb_compare_judges_each_length_before_filling_the_next(capsys):
     ]
 
 
+@pytest.mark.parametrize("seam, hit", [
+    ("single_particle_levels", lambda p: p.L == 440),
+    ("_ground_fill", lambda levels, stats, N: stats == "hardcore" and len(levels) == 440),
+])
+def test_hcb_compare_reports_an_earlier_length_before_a_later_one_raises(
+        monkeypatch, capsys, seam, hit):
+    # 400..460 is one wide block; length 440 raises while its ring levels
+    # (or its hard-core fill, after its fermion fill) are built, but length
+    # 400, which fails the Im bound at g = 20, comes first and decides
+    real = getattr(hardcore, seam)
+
+    def faulty(*args):
+        if hit(*args):
+            raise OverflowError("injected at L=440")
+        return real(*args)
+
+    monkeypatch.setattr(hardcore, seam, faulty)
+    assert run_cli(["hcb-compare", "--lengths", "400:460:4", "-g", "20"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "computation failed: hard-core ground energy has Im = 5.186e-06, expected |Im| < 1e-10"
+    ]
+    with pytest.raises(OverflowError, match="injected at L=440"):
+        delta_E_scan(range(400, 461, 4), 0.5, 20.0)
+    gaps = []
+    with pytest.raises(OverflowError, match="injected at L=440"):
+        for gap in hardcore._scan_gaps(range(400, 461, 4), 0.5, 20.0, 1.0):
+            gaps.append(gap)
+    assert [gap.L for gap in gaps] == list(range(400, 440, 4))
+
+
 def test_hcb_compare_checks_every_length_before_the_first_fill(tmp_path, capsys):
     # length 10 has odd N: a usage error before length 8, whose g = 705
     # energy fails the Im bound, is filled; no file or part file is left
@@ -1482,16 +1512,25 @@ def test_verify_closedform_reports_a_non_real_hardcore_energy(g, t):
 
 
 def test_verify_closedform_catches_an_imaginary_hardcore_fill(monkeypatch):
-    fill = hardcore._fill
+    # every scan fill, wide block or narrow, takes its terms from _ground_fill:
+    # the 21-length scan sums in one wide block, its 6-length g = 0 part
+    # length by length, and the fault reaches every hard-core fill of both
+    fill = hardcore._ground_fill
+    faults = []
 
     def faulty(levels, statistics, N):
-        energy, filled, counts = fill(levels, statistics, N)
-        return energy + (1e-9j if statistics == "hardcore" else 0), filled, counts
+        filled, terms = fill(levels, statistics, N)
+        if statistics == "hardcore":
+            terms[0] += 1e-9j
+            faults.append(len(levels))
+        return filled, terms
 
-    monkeypatch.setattr(hardcore, "_fill", faulty)
+    monkeypatch.setattr(hardcore, "_ground_fill", faulty)
     rows = {r.name: r for r in run_checks(suites=["closedform"])}
     assert list(rows) == CLOSEDFORM_ROWS
+    assert faults == list(range(160, 481, 16)) + list(range(160, 241, 16))
     assert not rows["hardcore-ground-real"].passed
+    assert not rows["reciprocal-limit-gap-real"].passed
     assert rows["hardcore-ground-real"].detail.startswith("max |Im E0_hcb| = 1.000e-09")
 
 

@@ -12,6 +12,7 @@ diagonalization at L=8.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,21 +219,33 @@ def test_scan_decay_exponent_is_one():
     assert slope == pytest.approx(-1.0, abs=0.05)
 
 
-def test_scan_matches_ground_state_fill_bitwise():
-    # the scan's energy-only fill against the public ground-state route
-    lengths = [400, 1000, 2400]
-    gaps = delta_E_scan(lengths, filling=0.5, g=0.5)
-    for L, gap in zip(lengths, gaps):
-        energies = []
-        for p in (
-            HNParams(L=L, t=1.0, g=0.5, boundary="periodic"),
-            HNParams(L=L, t=1.0, g=0.5, boundary="twisted", twist=math.pi),
-        ):
-            energies.append(ground_state(single_particle_levels(p), "fermion", L // 2).energy)
-        e0f, e0b = energies
+@pytest.mark.parametrize("lengths, filling, g, t", [
+    # wide blocks, crossing block boundaries, and a narrow tail block
+    (list(range(400, 2401, 4)), 0.5, 0.5, 1.0),
+    # narrow route: one length, two long rings, a 6-length scan
+    ([8], 0.5, 0.5, 1.0),
+    ([5000, 8000], 0.5, 0.5, 1.0),
+    (list(range(160, 241, 16)), 0.5, 0.5, 1.0),
+    # unsorted, so a block's lanes hold fills of mixed N
+    ([*range(2000, 399, -16), *range(404, 2001, 16)], 0.5, 0.5, 1.0),
+    (SCAN_LENGTHS, 0.5, 0.0, 1.0),
+    (list(range(400, 1201, 8)), 0.5, -3.0, 1.0),
+    (list(range(400, 1201, 8)), 0.5, 20.0, 1.0),
+    (list(range(400, 1201, 8)), 0.5, 0.5, 1e4),
+    (list(range(400, 2401, 8)), 0.25, 0.5, 1.0),
+])
+def test_scan_matches_ground_state_fill_bitwise(lengths, filling, g, t):
+    # the scan's block sums against the public ground-state route
+    gaps = delta_E_scan(lengths, filling=filling, g=g, t=t)
+    assert [(gap.L, gap.g, gap.t) for gap in gaps] == [(L, g, t) for L in lengths]
+    for gap in gaps:
+        N = round(filling * gap.L)
+        ring = single_particle_levels(HNParams(L=gap.L, t=t, g=g))
+        e0f, e0b = (ground_state(ring, stats, N).energy for stats in ("fermion", "hardcore"))
+        assert gap.N == N
         assert np.array(gap.E0_fermion).tobytes() == np.array(e0f).tobytes()
         assert np.array(gap.E0_hcb).tobytes() == np.array(e0b).tobytes()
-        assert gap.delta == e0f - e0b
+        assert np.array(gap.delta).tobytes() == np.array(e0f - e0b).tobytes()
 
 
 def test_scan_hermitian_limit():
@@ -252,12 +265,23 @@ def test_scan_validation():
 
 def test_scan_checks_every_length_before_the_first_fill(monkeypatch):
     # length 10 (N = 5, odd) is refused before length 8, whose g = 705
-    # energy would be filled, or any other length is
+    # energy would be filled, or any other length is; every fill of either
+    # route, narrow or wide block, goes through _ground_fill
+    fill = hardcore._ground_fill
     fills = []
-    monkeypatch.setattr(hardcore, "_fill", lambda *args: fills.append(args))
+
+    def counted(levels, statistics, N):
+        fills.append(len(levels))
+        return fill(levels, statistics, N)
+
+    monkeypatch.setattr(hardcore, "_ground_fill", counted)
     with pytest.raises(SectorError, match=r"even N \(got N=5 at L=10\)"):
         delta_E_scan([8, 10], 0.5, 705.0)
-    assert len(fills) == 0
+    assert fills == []
+    for lengths in ([8, 12], list(range(400, 441, 4))):
+        fills.clear()
+        delta_E_scan(lengths, 0.5, 0.5)
+        assert fills == [L for L in lengths for _ in range(2)]
 
 
 def test_scan_returns_a_non_real_hardcore_energy():
@@ -267,6 +291,18 @@ def test_scan_returns_a_non_real_hardcore_energy():
     assert isinstance(gap, EnergyGap)
     assert f"{gap.E0_hcb.imag:.3e}" == "5.186e-06"
     assert gap.delta == gap.E0_fermion - gap.E0_hcb
+
+
+def test_scan_memory_stays_under_a_megabyte():
+    # the wide blocks' one buffer is capped at BLOCK_CELLS cells (512 KB)
+    delta_E_scan([400, 404])  # imports and caches outside the measurement
+    tracemalloc.start()
+    try:
+        delta_E_scan(range(400, 2401, 4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # -------------------------------------------------------- OBC equivalence
