@@ -219,7 +219,7 @@ def test_scan_decay_exponent_is_one():
     assert slope == pytest.approx(-1.0, abs=0.05)
 
 
-@pytest.mark.parametrize("lengths, filling, g, t", [
+BITWISE_SCAN_CASES = [
     # wide blocks, crossing block boundaries, and a narrow tail block
     (list(range(400, 2401, 4)), 0.5, 0.5, 1.0),
     # narrow route: one length, two long rings, a 6-length scan
@@ -233,19 +233,23 @@ def test_scan_decay_exponent_is_one():
     (list(range(400, 1201, 8)), 0.5, 20.0, 1.0),
     (list(range(400, 1201, 8)), 0.5, 0.5, 1e4),
     (list(range(400, 2401, 8)), 0.25, 0.5, 1.0),
-])
-def test_scan_matches_ground_state_fill_bitwise(lengths, filling, g, t):
-    # the scan's block sums against the public ground-state route
-    gaps = delta_E_scan(lengths, filling=filling, g=g, t=t)
-    assert [(gap.L, gap.g, gap.t) for gap in gaps] == [(L, g, t) for L in lengths]
-    for gap in gaps:
-        N = round(filling * gap.L)
-        ring = single_particle_levels(HNParams(L=gap.L, t=t, g=g))
-        e0f, e0b = (ground_state(ring, stats, N).energy for stats in ("fermion", "hardcore"))
-        assert gap.N == N
-        assert np.array(gap.E0_fermion).tobytes() == np.array(e0f).tobytes()
-        assert np.array(gap.E0_hcb).tobytes() == np.array(e0b).tobytes()
-        assert np.array(gap.delta).tobytes() == np.array(e0f - e0b).tobytes()
+]
+
+
+def test_scan_matches_ground_state_fill_bitwise():
+    # the scan's block sums against the public ground-state route, case by case
+    for lengths, filling, g, t in BITWISE_SCAN_CASES:
+        case = (lengths[:3], len(lengths), filling, g, t)
+        gaps = delta_E_scan(lengths, filling=filling, g=g, t=t)
+        assert [(gap.L, gap.g, gap.t) for gap in gaps] == [(L, g, t) for L in lengths], case
+        for gap in gaps:
+            N = round(filling * gap.L)
+            ring = single_particle_levels(HNParams(L=gap.L, t=t, g=g))
+            e0f, e0b = (ground_state(ring, stats, N).energy for stats in ("fermion", "hardcore"))
+            assert gap.N == N, case
+            assert np.array(gap.E0_fermion).tobytes() == np.array(e0f).tobytes(), (case, gap.L)
+            assert np.array(gap.E0_hcb).tobytes() == np.array(e0b).tobytes(), (case, gap.L)
+            assert np.array(gap.delta).tobytes() == np.array(e0f - e0b).tobytes(), (case, gap.L)
 
 
 def test_scan_hermitian_limit():
