@@ -354,21 +354,23 @@ def ground_state(levels, statistics, N) -> ManyBodyLevel:
     return ManyBodyLevel(energy=energy, config=config, rank=0, degeneracy_group=0)
 
 
-def _check_occupations(L, statistics, occupations) -> np.ndarray:
-    """The occupation row as int64, once it is a state of L modes of the
-    statistics: L integers, none negative, at most 1 per mode for fermions
-    and hard-core bosons. Raises SectorError otherwise."""
+def _check_occupations(L, statistics, occupations, ndim=1) -> np.ndarray:
+    """The occupation row (ndim 1), or matrix of rows (ndim 2), as int64,
+    once each row is a state of L modes of the statistics: L integers, none
+    negative, at most 1 per mode for fermions and hard-core bosons. Raises
+    SectorError otherwise."""
     if statistics not in STATISTICS:
         raise ValueError(f"statistics must be one of {STATISTICS}, got {statistics!r}")
     occ = np.asarray(occupations)
     if occ.dtype.kind not in "iu":  # a cast would truncate 0.5 to 0
         raise SectorError(f"occupations must be integers, got {occ.dtype}")
     occ = occ.astype(np.int64, copy=False)
-    if occ.shape != (L,):
-        raise SectorError(f"occupations have shape {occ.shape}, expected ({L},)")
-    if occ.min() < 0:
+    if occ.ndim != ndim or occ.shape[-1:] != (L,):
+        want = f"({L},)" if ndim == 1 else f"(rows, {L})"
+        raise SectorError(f"occupations have shape {occ.shape}, expected {want}")
+    if occ.min(initial=0) < 0:
         raise SectorError("occupations must be non-negative")
-    if statistics != "boson" and occ.max() > 1:
+    if statistics != "boson" and occ.max(initial=0) > 1:
         raise SectorError(f"{statistics} occupations must be 0 or 1")
     return occ
 

@@ -30,7 +30,9 @@ Nothing time- or host-dependent is ever written, so identical inputs give
 byte-identical files. Everything runs serially; --workers, on observables
 only, is accepted for old command lines and has no effect. The commands
 read a state straight off the spectrum arrays (spec.occupations(r),
-spec.energies[r]); no per-state record is built.
+spec.energies[r]); no per-state record is built, and observables and skin
+build their product states in one fock.eigenstates_from_configs pass over
+the selected ranks, one state held at a time.
 
 Exit codes: 0 success, 1 verification/computation failure or out of memory,
 2 usage error, which includes an --out that cannot be written.
@@ -50,7 +52,7 @@ import numpy as np
 
 from . import verify as verify_mod
 from .aufbau import STATISTICS, build_spectrum, occupation_strings
-from .fock import eigenstate_from_config, get_basis
+from .fock import eigenstates_from_configs, get_basis
 from .hardcore import _scan_gaps, im_delta_closed_form
 from .lattice import HNParams, hardcore_image, single_particle_levels
 from .observables import (
@@ -449,8 +451,8 @@ def cmd_observables(args) -> int:
     columns = ["rank", "kind", "index", "grid", "value"]
     data = rank_col, kind_col, index_col, grid_col, value_col = [[] for _ in columns]
     metrics = {}
-    for rank in ranks:
-        v = eigenstate_from_config(p, args.stats, spec.occupations(rank))
+    states = eigenstates_from_configs(p, args.stats, spec.occupations(ranks))
+    for rank, v in zip(ranks, states):
         nj = density_from_fock(v)
         nk = momentum_distribution(correlation_matrix(v))
         for profile in (nj, nk):
@@ -470,7 +472,7 @@ def cmd_skin(args) -> int:
     ranks = _select_ranks(args.ranks, len(spec))
     header = _base_header(args, "skin", p)
     columns = ["rank", "energy_re", "energy_im", "left_fraction", "ipr", "log_slope"]
-    states = (eigenstate_from_config(p, args.stats, spec.occupations(r)) for r in ranks)
+    states = eigenstates_from_configs(p, args.stats, spec.occupations(ranks))
     mets = [skin_metrics(density_from_fock(v)) for v in states]
     energies = spec.energies[ranks]
     data = [

@@ -10,7 +10,8 @@ arithmetic at any L, and no lookup searches the basis.
 The Hamiltonian is H = sum_ij h[i, j] c_i^dag c_j for the L x L hopping
 matrix h of lattice.hopping_matrix, so H v is apply_hopping(v,
 hopping_matrix(p)). Every operator goes through one lowering table per
-basis: c_j|s> = coef[s, j] |down[s, j]> in the N-1 sector. The factor is the
+basis: c_j|s> = coef[s, j] |down[s, j]> in the N-1 sector, held as the flat
+index lowering[s, j] = down[s, j] * L + j. The factor is the
 Jordan-Wigner sign (-1)^(occupied sites below j) for fermions and sqrt(n_j)
 for bosons and hard-core bosons; hard-core bosons thus follow bosonic rules
 with occupancy capped at 1 and no sign, which is exactly where the two
@@ -19,17 +20,22 @@ scatter over the table, creation a gather, so H v, the dense sector
 Hamiltonian, correlation matrices and product states are all numpy array
 operations.
 
-Product states are built by applying creation operators sequentially to the
-vacuum, one sector at a time; determinant antisymmetry and permanent
-symmetrization come out automatically; a hard-core product state is the
-Jordan-Wigner image of the fermion one, read in the hard-core basis (same
-rows). eigenstate_from_config and FockBasis.index_of take a state as its
-occupation row and raise SectorError for a row that is not one.
+Product states are built by applying creation operators one orbital after
+another to the vacuum, for a batch of rows at once (eigenstates_from_configs
+runs the steps over the rows' stacked vectors, at most STATE_CELLS cells a
+batch, and yields one state at a time); determinant antisymmetry and
+permanent symmetrization come out automatically; a hard-core product state
+is the Jordan-Wigner image of the fermion one, read in the hard-core basis
+(same rows). eigenstate_from_config and construct_product_state are its
+one-row case. eigenstate_from_config, eigenstates_from_configs and
+FockBasis.index_of take states as occupation rows and raise SectorError for
+a row that is not one.
 residual(v, h, E) is the norm of H v - E v for a hopping matrix h.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -37,6 +43,7 @@ import numpy as np
 
 from . import kernels
 from .aufbau import (
+    SectorError,
     SectorTooLargeError,
     _capped_dim,
     _check_occupations,
@@ -57,6 +64,7 @@ __all__ = [
     "build_dense_hamiltonian",
     "construct_product_state",
     "eigenstate_from_config",
+    "eigenstates_from_configs",
     "get_basis",
     "residual",
 ]
@@ -68,6 +76,16 @@ DENSE_DIM_CAP = 2500
 # (265,762,728 cells) fit
 MAX_FOCK_CELLS = 1 << 28
 NULL_NORM_TOL = 1e-12
+# rows x basis dim x L complex cells of one creation batch (256 KB), so a
+# batch's vectors stay in cache; a basis wider than that goes row by row
+STATE_CELLS = 1 << 14
+# a boson row is scaled down by an exact power of two once its largest
+# amplitude passes 2**RESCALE_EXP: n creations of unit orbitals give a norm
+# of at most sqrt(n!), which overflows from n = 171, the amplitudes near
+# n = 300, and no row is looked at while lgamma(n + 1) stays below
+# RESCALE_LGAMMA
+RESCALE_EXP = 256
+RESCALE_LGAMMA = 2 * RESCALE_EXP * math.log(2)
 
 
 class BasisMismatchError(ValueError):
@@ -83,10 +101,11 @@ class FockBasis:
 
     ``occupations`` is the dim x L occupation matrix in colex order, of the
     spectrum's dtype (int8, or int16 for bosons with N > 127); a state's
-    index is its colex rank. The lowering table ``down``/``coef``
-    (dim x L each) is built on first use and kept on the basis; ``down``
-    points at ``lower_dim``, one past the last state of the N-1 sector,
-    where n_j = 0.
+    index is its colex rank. The lowering table ``lowering``/``coef``
+    (dim x L each) is built on first use and kept on the basis:
+    ``lowering[s, j]`` is ``down[s, j] * L + j``, the flat position of
+    c_j|s> in an N-1 sector array of ``lower_dim + 1`` rows of L, where
+    ``down`` is ``lower_dim``, the zero row past the last state, for n_j = 0.
     """
 
     def __init__(self, statistics, L, N):
@@ -127,10 +146,16 @@ class FockBasis:
         return np.sqrt(occ.astype(np.float64))
 
     @cached_property
+    def lowering(self) -> np.ndarray:
+        """Flat index down[s, j] * L + j of c_j|s> (see ``down``)."""
+        lowered = kernels._colex_rank(self.occupations, self._counts)[1]
+        down = np.where(self.occupations == 0, self.lower_dim, lowered)
+        return down * self.L + np.arange(self.L)
+
+    @property
     def down(self) -> np.ndarray:
         """Index of c_j|s> in the N-1 sector; lower_dim where n_j = 0."""
-        lowered = kernels._colex_rank(self.occupations, self._counts)[1]
-        return np.where(self.occupations == 0, self.lower_dim, lowered)
+        return self.lowering // self.L
 
     def index_of(self, occ) -> int:
         """Position of an occupation row in the basis: SectorError for a row
@@ -184,14 +209,20 @@ def annihilate(v: FockVector) -> np.ndarray:
     """Matrix A of shape (dim_{N-1}, L) whose column j is c_j v."""
     basis = v.basis
     A = np.zeros((basis.lower_dim + 1, basis.L), dtype=np.complex128)
-    A[basis.down, np.arange(basis.L)] = basis.coef * v.amplitudes[:, None]
+    A.ravel()[basis.lowering] = basis.coef * v.amplitudes[:, None]
     return A[:-1]
 
 
 def _create(basis: FockBasis, A) -> np.ndarray:
-    """Amplitudes of sum_j c_j^dag A[:, j] in basis, A indexed by its N-1 sector."""
-    padded = np.vstack([A, np.zeros((1, basis.L), dtype=A.dtype)])
-    return np.sum(basis.coef * padded[basis.down, np.arange(basis.L)], axis=1)
+    """Amplitudes of sum_j c_j^dag A[..., :, j] in basis, for A of shape
+    (..., lower_dim, L) indexed by the N-1 sector. The gather through the
+    flat lowering index is C-contiguous at any batch shape, so every row's
+    product and sum round as they do alone."""
+    batch = A.shape[:-2]
+    padded = np.zeros((*batch, basis.lower_dim + 1, basis.L), dtype=A.dtype)
+    padded[..., :-1, :] = A
+    gathered = np.take(padded.reshape(*batch, -1), basis.lowering, axis=-1)
+    return np.sum(np.multiply(basis.coef, gathered, out=gathered), axis=-1)
 
 
 def apply_hopping(v: FockVector, h: np.ndarray) -> FockVector:
@@ -226,9 +257,59 @@ def build_dense_hamiltonian(p: HNParams, statistics, N) -> np.ndarray:
     return H
 
 
+def _unit_orbital(o) -> np.ndarray:
+    """o scaled to unit norm; an o whose norm overflows is first divided by
+    its largest real or imaginary part. NullStateError for a zero orbital."""
+    with np.errstate(over="ignore"):
+        nn = np.linalg.norm(o)
+        if not np.isfinite(nn):  # finite entries, norm beyond float range
+            o = o / max(np.abs(o.real).max(), np.abs(o.imag).max())
+            nn = np.linalg.norm(o)
+    if nn < 1e-300:
+        raise NullStateError("zero orbital")
+    return o / nn
+
+
+def _product_states(statistics, L, orbitals, picks):
+    """Yield, for each row i of picks (R x N), the normalized product of the
+    creation operators of the unit orbitals orbitals[picks[i, 0]],
+    orbitals[picks[i, 1]], ... applied in turn to the vacuum.
+
+    The rows go through the creation steps in batches of at most
+    STATE_CELLS cells of the sector basis (at least one row). A boson row
+    whose largest amplitude passes 2**RESCALE_EXP is scaled down by an
+    exact power of two, which changes no bit of its normalized state, and
+    NullStateError judges each norm with that scale put back.
+    """
+    rows, N = picks.shape
+    basis = get_basis(statistics, L, N)
+    creation = "fermion" if statistics == "hardcore" else statistics
+    size = max(1, STATE_CELLS // (basis.dim * L))
+    for lo in range(0, rows, size):
+        batch = picks[lo : lo + size]
+        vec = np.ones((len(batch), 1), dtype=np.complex128)
+        scale = np.zeros(len(batch), dtype=np.int64)
+        for n, orb in enumerate(orbitals[batch.T], 1):
+            vec = _create(get_basis(creation, L, n), vec[:, :, None] * orb[:, None, :])
+            if creation == "boson" and math.lgamma(n + 1) > RESCALE_LGAMMA:
+                peak = np.abs(vec).max(axis=1)
+                big = peak > 2.0**RESCALE_EXP
+                if big.any():
+                    shift = np.frexp(peak[big])[1]
+                    vec[big] *= np.ldexp(1.0, -shift)[:, None]
+                    scale[big] += shift
+        for amps, shift in zip(vec, scale.tolist()):
+            norm = float(np.linalg.norm(amps))
+            if norm < math.ldexp(NULL_NORM_TOL, -shift):
+                raise NullStateError(
+                    f"vector norm {math.ldexp(norm, shift):.3e} below {NULL_NORM_TOL}")
+            yield FockVector(basis, amps / norm)
+
+
 def construct_product_state(orbitals, statistics, L=None) -> FockVector:
     """Apply creation operators sum_j orb[j] c_j^dag for each orbital in turn
-    to the vacuum, then normalize.
+    to the vacuum, then normalize: the one-row case of the creation loop of
+    eigenstates_from_configs.
 
     A hard-core state is the Jordan-Wigner image of the fermion product, its
     amplitudes read in the hard-core basis, not a symmetrized product.
@@ -252,23 +333,8 @@ def construct_product_state(orbitals, statistics, L=None) -> FockVector:
             raise ValueError("orbital contains non-finite entries")
     N = len(orbs)
     _check_sector(L, N, statistics)
-
-    normed = []
-    with np.errstate(over="ignore"):
-        for o in orbs:
-            nn = np.linalg.norm(o)
-            if not np.isfinite(nn):  # finite entries, norm beyond float range
-                o = o / max(np.abs(o.real).max(), np.abs(o.imag).max())
-                nn = np.linalg.norm(o)
-            if nn < 1e-300:
-                raise NullStateError("zero orbital")
-            normed.append(o / nn)
-
-    creation = "fermion" if statistics == "hardcore" else statistics
-    vec = np.ones(1, dtype=np.complex128)
-    for n, orb in enumerate(normed):
-        vec = _create(get_basis(creation, L, n + 1), np.outer(vec, orb))
-    return FockVector(get_basis(statistics, L, N), vec).normalized()
+    unit = np.array([_unit_orbital(o) for o in orbs]).reshape(N, L)
+    return next(_product_states(statistics, L, unit, np.arange(N)[None]))
 
 
 def residual(v: FockVector, h: np.ndarray, E) -> float:
@@ -278,18 +344,44 @@ def residual(v: FockVector, h: np.ndarray, E) -> float:
     return float(np.linalg.norm(w.amplitudes - complex(E) * v.amplitudes))
 
 
-def eigenstate_from_config(p: HNParams, statistics, occupations) -> FockVector:
-    """Product eigenstate of one occupation row (mode m occupied n_m times,
-    at position m-1), using the analytic orbitals of the boundary at hand.
+def eigenstates_from_configs(p: HNParams, statistics, rows):
+    """Generator of the product eigenstate of each occupation row of rows
+    (R x L, one sector), in row order, using the analytic orbitals of the
+    boundary at hand: mode m occupied n_m times, at position m-1.
 
-    The row indexes the levels its sector fills (aufbau._sector_levels): for
+    The rows index the levels their sector fills (aufbau._sector_levels): for
     hard-core bosons those of the Jordan-Wigner image of p, whose fermion
-    Hamiltonian is the hard-core one of p entry by entry. A row that is not
-    a state of p raises SectorError, orbitals beyond float range OverflowError.
+    Hamiltonian is the hard-core one of p entry by entry. The levels are
+    built once and each occupied level's orbital is normalized once; only
+    the occupied levels' orbitals are read, so the vacuum needs none. The
+    states are built in batches (_product_states) and never all held. A
+    row that is not a state of p, or rows of different particle numbers,
+    raise SectorError, occupied orbitals beyond float range OverflowError,
+    both in the call itself, before the first state.
     """
-    occ = _check_occupations(p.L, statistics, occupations)
-    levels = _sector_levels(single_particle_levels(p), statistics, int(occ.sum()))
-    orbitals = np.repeat(levels.orbitals, occ, axis=0)
+    occ = _check_occupations(p.L, statistics, rows, ndim=2)
+    counts = occ.sum(axis=1)
+    N = int(counts[0]) if counts.size else 0
+    if (counts != N).any():
+        raise SectorError(f"occupation rows hold different particle numbers: {counts.tolist()}")
+    _check_sector(p.L, N, statistics)
+    levels = _sector_levels(single_particle_levels(p), statistics, N)
+    used = np.flatnonzero(occ.any(axis=0))
+    orbitals = levels.orbitals[used]
     if not np.isfinite(orbitals).all():
         raise OverflowError(f"orbitals of the chain at g={p.g} leave float range")
-    return construct_product_state(orbitals, statistics, L=p.L)
+    unit = np.array([_unit_orbital(o) for o in orbitals]).reshape(used.size, p.L)
+    # row r creates its occupied levels in mode order, n_m times each; the
+    # picks are positions in used, one byte each below 256 levels
+    positions = np.arange(used.size, dtype=np.min_scalar_type(used.size))
+    picks = np.repeat(np.tile(positions, len(occ)), occ[:, used].ravel()).reshape(len(occ), N)
+    return _product_states(statistics, p.L, unit, picks)
+
+
+def eigenstate_from_config(p: HNParams, statistics, occupations) -> FockVector:
+    """Product eigenstate of one occupation row: the one-row case of
+    eigenstates_from_configs. A row that is not a state of p raises
+    SectorError, orbitals beyond float range OverflowError.
+    """
+    occ = _check_occupations(p.L, statistics, occupations)
+    return next(eigenstates_from_configs(p, statistics, occ[None]))

@@ -35,7 +35,13 @@ from .aufbau import (
     ground_state,
     sort_complex_spectrum,
 )
-from .fock import build_dense_hamiltonian, eigenstate_from_config, get_basis, residual
+from .fock import (
+    build_dense_hamiltonian,
+    eigenstate_from_config,
+    eigenstates_from_configs,
+    get_basis,
+    residual,
+)
 from .hardcore import delta_E_scan, im_delta_closed_form, obc_equivalence_check
 from .lattice import HNParams, hopping_matrix, single_particle_levels
 
@@ -189,10 +195,9 @@ def _suite_residuals(g, t, bond_transform):
             h = hopping_matrix(p)
             if bond_transform is not None:
                 h = bond_transform(h)
+            states = eigenstates_from_configs(p, stats, spec.occupations(ranks))
             worst = float(np.max([
-                residual(eigenstate_from_config(p, stats, spec.occupations(r)), h,
-                         spec.energies[r])
-                for r in ranks
+                residual(v, h, spec.energies[r]) for v, r in zip(states, ranks)
             ]))
             yield (f"{stats}-{boundary}-L8-N4", worst < tol,
                    f"max ||Hv - Ev|| = {worst:.3e} over ranks {ranks}")
@@ -208,8 +213,8 @@ def _suite_sumrules(g, t, bond_transform):
             spec = specs[stats, boundary] = build_spectrum(levels, stats, 3)
             ok = True
             detail = "sum rules hold"
-            for r in (0, 1, len(spec) - 1):
-                v = eigenstate_from_config(p, stats, spec.occupations(r))
+            ranks = [0, 1, len(spec) - 1]
+            for r, v in zip(ranks, eigenstates_from_configs(p, stats, spec.occupations(ranks))):
                 nj = observables.density_from_fock(v)
                 nk = observables.momentum_distribution(observables.correlation_matrix(v))
                 if abs(nj.total - 3) > tol or abs(nk.total - 3) > tol:

@@ -801,6 +801,46 @@ def test_spectrum_command_memory_holds_one_bit_rows(tmp_path):
     assert out.read_bytes().count(b"\n") == 9 + 184_756  # header lines, then the rows
 
 
+def test_skin_all_ranks_memory_holds_one_batch(tmp_path):
+    # Fig. 3's metrics build 2,002 product states, one creation batch and
+    # one state at a time. Traced peak with the sector's bases already
+    # cached (the --ranks 0 run), Python 3.11 and numpy 2.4: 1,271,378
+    # bytes when each rank was built on its own, 1,268,394 batched
+    out = tmp_path / "skin.csv"
+    argv = ["skin", "-L", "10", "-N", "5", "-g", "1.5", "--bc", "obc", "--stats", "boson",
+            "--out", str(out)]
+    assert run_cli([*argv, "--ranks", "0"]) == 0
+    tracemalloc.start()
+    try:
+        code = run_cli([*argv, "--ranks", "all"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 1_300_000
+    assert len(cli.read_table(str(out))[2]) == 2002
+
+
+@pytest.mark.parametrize("L,N", [(2, 400), (3, 200)])
+def test_few_mode_boson_condensate_profiles(tmp_path, capsys, L, N):
+    # (a^dag)^N |0> has norm sqrt(N!), beyond float range from N = 171 and
+    # its amplitudes from about N = 300; the ring ground state is still a
+    # condensate: N / L on every site and all N at one momentum
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out = run_to_file(tmp_path, "condensate.csv", [
+            "observables", "-L", str(L), "-N", str(N), "--stats", "boson", "--ranks", "0"])
+    assert code == 0 and capsys.readouterr().err == ""
+    header, _, rows = cli.read_table(str(out))
+    nj = np.array([float(row[4]) for row in rows if row[1] == "position"])
+    nk = np.sort([float(row[4]) for row in rows if row[1] == "momentum"])
+    assert nj.sum() == pytest.approx(N, rel=1e-12)
+    np.testing.assert_allclose(nj, N / L, rtol=1e-12)
+    assert nk[-1] == pytest.approx(N, rel=1e-12)
+    np.testing.assert_allclose(nk[:-1], 0.0, atol=1e-9)
+    assert float(header["metrics"]["0"]["ipr"]) == pytest.approx(1 / L, rel=1e-12)
+
+
 @pytest.mark.parametrize("command,cap", [("spectrum", 1 << 30), ("observables", 1 << 28)])
 def test_sector_beyond_occupation_cells_exits_2_unallocated(tmp_path, capsys, command, cap):
     # 1e5 states of 1e5 modes pass the state cap but would take 20 GB of

@@ -24,6 +24,7 @@ from hnaufbau.aufbau import (
     MAX_OCCUPATION_CELLS,
     _capped_dim,
     _occupation_rows,
+    _sector_levels,
     SectorError,
     SectorTooLargeError,
     build_spectrum,
@@ -39,6 +40,7 @@ from hnaufbau.fock import (
     build_dense_hamiltonian,
     construct_product_state,
     eigenstate_from_config,
+    eigenstates_from_configs,
     get_basis,
     residual,
 )
@@ -582,6 +584,76 @@ def test_boson_same_orbital_pair_open_ground():
     ratio = a1100 / a2000
     expect = math.sqrt(2.0) * orb[1] / orb[0]
     assert ratio == pytest.approx(expect, abs=1e-12)
+
+
+# ------------------------------------------------- batched product states
+
+
+def _row_by_row(p, stats, occ):
+    """One row's amplitudes by the plain sequential loop: each occupied
+    level's orbital scaled to unit norm, created one at a time through
+    fock._create on a 1-D vector, then the vector normalized."""
+    levels = _sector_levels(single_particle_levels(p), stats, int(occ.sum()))
+    creation = "fermion" if stats == "hardcore" else stats
+    vec = np.ones(1, dtype=np.complex128)
+    for n, m in enumerate(np.repeat(np.arange(p.L), occ), 1):
+        orb = levels.orbitals[m]
+        vec = fock._create(get_basis(creation, p.L, n), np.outer(vec, orb / np.linalg.norm(orb)))
+    return vec / float(np.linalg.norm(vec))
+
+
+# (statistics, L, N, chain): sectors whose rows cross the default
+# STATE_CELLS cut (rows > STATE_CELLS // (dim * L)), a hard-core ring of
+# even N (the twisted image) and of odd N; a full fermion sector; boson
+# rows past 2**RESCALE_EXP whose norms still fit a float, two ranks each
+BATCH_SECTORS = [
+    (stats, L, N, chain)
+    for stats, L, N in (("fermion", 9, 4), ("boson", 6, 4), ("hardcore", 9, 4), ("hardcore", 8, 3))
+    for chain in (dict(boundary="periodic"), dict(boundary="open", g=1.5),
+                  dict(boundary="twisted", twist=0.7, g=0.3))
+] + [("fermion", 5, 5, dict(boundary="open")), ("boson", 2, 150, dict(boundary="periodic")),
+     ("boson", 3, 100, dict(boundary="open", g=0.2))]
+
+
+@pytest.mark.parametrize("stats,L,N,chain", BATCH_SECTORS)
+def test_batched_states_match_row_by_row_bitwise(monkeypatch, stats, L, N, chain):
+    p = HNParams(L=L, **chain)
+    spec = build_spectrum(single_particle_levels(p), stats, N)
+    few = N > L + 10
+    rows = spec.occupations([0, len(spec) - 1] if few else slice(None))
+    want = [_row_by_row(p, stats, occ).tobytes() for occ in rows]
+    cells = get_basis(stats, L, N).dim * L
+    default = fock.STATE_CELLS
+    assert few or len(rows) == 1 or len(rows) > default // cells
+    for state_cells in (1, 2 * cells, default):  # batches of 1, of 2, at the cut
+        monkeypatch.setattr(fock, "STATE_CELLS", state_cells)
+        got = [v.amplitudes.tobytes() for v in eigenstates_from_configs(p, stats, rows)]
+        assert got == want, state_cells
+    for occ, amps in zip(rows[:3], want):
+        assert eigenstate_from_config(p, stats, occ).amplitudes.tobytes() == amps
+
+
+@pytest.mark.parametrize("stats", ["fermion", "boson", "hardcore"])
+def test_batched_vacuum_reads_no_orbital(stats):
+    # at g = -70 the open-chain orbitals leave float range; the vacuum
+    # occupies none of them, so it is built, and a row that occupies one
+    # is refused before any state
+    p = HNParams(L=12, g=-70.0, boundary="open")
+    (v,) = eigenstates_from_configs(p, stats, np.zeros((1, 12), dtype=np.int8))
+    assert v.basis.dim == 1 and v.amplitudes.tobytes() == np.ones(1, complex).tobytes()
+    with pytest.raises(OverflowError, match="leave float range"):
+        eigenstates_from_configs(p, stats, np.eye(12, dtype=np.int8)[:1])
+
+
+def test_batched_states_check_their_rows():
+    p = HNParams(L=4)
+    assert list(eigenstates_from_configs(p, "fermion", np.zeros((0, 4), dtype=int))) == []
+    with pytest.raises(SectorError, match="different particle numbers"):
+        eigenstates_from_configs(p, "fermion", [[1, 0, 0, 0], [1, 1, 0, 0]])
+    with pytest.raises(SectorError, match="shape"):
+        eigenstates_from_configs(p, "fermion", [1, 0, 0, 0])
+    with pytest.raises(SectorError, match="0 or 1"):
+        eigenstates_from_configs(p, "hardcore", [[2, 0, 0, 0]])
 
 
 # -------------------------------------------------------- residual checks

@@ -16,7 +16,10 @@ in every row and, for a spectrum, as many rows as its states header. A
 spectrum that sets --tol and exits 0 is run again without it, and both
 files give every occupation the same energy text; TOL_DRAWS more spectrum
 draws set --tol on sectors of a few hundred states, so that comparison
-sees enough rows for a tolerance-dependent filling order to show. Full-rank
+sees enough rows for a tolerance-dependent filling order to show.
+FEW_MODE_DRAWS more draws put 100 to 400 bosons on two modes, where a
+product state's norm sqrt(N!) and, near N = 300, its amplitudes pass float
+range unless the creation loop rescales them; each must exit 0. Full-rank
 selections are drawn only on sectors of at most 100 states, which keeps the
 sweep to seconds.
 """
@@ -33,6 +36,7 @@ from hnaufbau.aufbau import STATISTICS
 SEED = 20261019
 DRAWS = 400
 TOL_DRAWS = 16
+FEW_MODE_DRAWS = 2
 
 
 def _g(rng):
@@ -98,6 +102,14 @@ def _tol_spectrum(rng):
             "--tol", repr(float(rng.choice([0.0, 1e-3, 1.0, 10.0])))]
 
 
+def _few_mode_bosons(rng):
+    """observables or skin of 100 to 400 bosons on two modes, lowest8."""
+    bc = str(rng.choice(["pbc", "obc", f"twist={rng.uniform(-7.0, 7.0)!r}"]))
+    return [str(rng.choice(["observables", "skin"])), "-L", "2",
+            "-N", str(int(rng.integers(100, 401))), "-g", repr(float(rng.uniform(-3.0, 3.0))),
+            "--bc", bc, "--stats", "boson", "--format", str(rng.choice(["csv", "json"]))]
+
+
 def _hcb_compare(rng):
     if rng.integers(3):
         lengths = ",".join(str(int(L)) for L in rng.integers(2, 11, size=rng.integers(1, 4)) * 4)
@@ -125,7 +137,8 @@ def _argvs():
             draws.append(_hcb_compare(rng))
         else:
             draws.append(_verify(rng))
-    return draws + [_tol_spectrum(rng) for _ in range(TOL_DRAWS)]
+    draws += [_tol_spectrum(rng) for _ in range(TOL_DRAWS)]
+    return draws + [_few_mode_bosons(rng) for _ in range(FEW_MODE_DRAWS)]
 
 
 def _run(argv, out, capsys):
@@ -178,11 +191,14 @@ def test_contract_sweep(tmp_path, capsys):
     out = tmp_path / "out.dat"
     codes = set()
     tol_runs = wide_tol_runs = 0
-    for argv in _argvs():
+    argvs = _argvs()
+    for argv in argvs:
         code, stdout, stderr, data, caught = _run(argv, out, capsys)
         codes.add(code)
         assert code in (0, 1, 2), argv
         assert caught == [], argv
+        if argv in argvs[-FEW_MODE_DRAWS:]:
+            assert code == 0, (argv, stderr)
         if argv[0] == "verify":
             assert stderr == "", argv
             _check_verify_table(argv, code, stdout)
