@@ -76,16 +76,14 @@ DENSE_DIM_CAP = 2500
 # (265,762,728 cells) fit
 MAX_FOCK_CELLS = 1 << 28
 NULL_NORM_TOL = 1e-12
-# rows x basis dim x L complex cells of one creation batch (256 KB), so a
-# batch's vectors stay in cache; a basis wider than that goes row by row
+# rows x basis dim x L complex cells of one creation batch (256 KB); a
+# basis wider than that goes row by row
 STATE_CELLS = 1 << 14
-# a boson row is scaled down by an exact power of two once its largest
-# amplitude passes 2**RESCALE_EXP: n creations of unit orbitals give a norm
-# of at most sqrt(n!), which overflows from n = 171, the amplitudes near
-# n = 300, and no row is looked at while lgamma(n + 1) stays below
-# RESCALE_LGAMMA
+# n boson creations of unit orbitals reach a norm of at most sqrt(n!), past
+# float range from n = 171; a row is scaled down by a power of two once its
+# largest amplitude passes 2**RESCALE_EXP, checked from the step where
+# sqrt(n!) first can
 RESCALE_EXP = 256
-RESCALE_LGAMMA = 2 * RESCALE_EXP * math.log(2)
 
 
 class BasisMismatchError(ValueError):
@@ -215,9 +213,8 @@ def annihilate(v: FockVector) -> np.ndarray:
 
 def _create(basis: FockBasis, A) -> np.ndarray:
     """Amplitudes of sum_j c_j^dag A[..., :, j] in basis, for A of shape
-    (..., lower_dim, L) indexed by the N-1 sector. The gather through the
-    flat lowering index is C-contiguous at any batch shape, so every row's
-    product and sum round as they do alone."""
+    (..., lower_dim, L) indexed by the N-1 sector. The gather is
+    C-contiguous, so a row in a batch rounds as it does alone."""
     batch = A.shape[:-2]
     padded = np.zeros((*batch, basis.lower_dim + 1, basis.L), dtype=A.dtype)
     padded[..., :-1, :] = A
@@ -291,7 +288,7 @@ def _product_states(statistics, L, orbitals, picks):
         scale = np.zeros(len(batch), dtype=np.int64)
         for n, orb in enumerate(orbitals[batch.T], 1):
             vec = _create(get_basis(creation, L, n), vec[:, :, None] * orb[:, None, :])
-            if creation == "boson" and math.lgamma(n + 1) > RESCALE_LGAMMA:
+            if creation == "boson" and math.lgamma(n + 1) > 2 * RESCALE_EXP * math.log(2):
                 peak = np.abs(vec).max(axis=1)
                 big = peak > 2.0**RESCALE_EXP
                 if big.any():
@@ -363,7 +360,7 @@ def eigenstates_from_configs(p: HNParams, statistics, rows):
     counts = occ.sum(axis=1)
     N = int(counts[0]) if counts.size else 0
     if (counts != N).any():
-        raise SectorError(f"occupation rows hold different particle numbers: {counts.tolist()}")
+        raise SectorError(f"rows hold different particle numbers {sorted(set(counts.tolist()))}")
     _check_sector(p.L, N, statistics)
     levels = _sector_levels(single_particle_levels(p), statistics, N)
     used = np.flatnonzero(occ.any(axis=0))
