@@ -604,15 +604,18 @@ def _row_by_row(p, stats, occ):
 
 # (statistics, L, N, chain): sectors whose rows cross the default
 # STATE_CELLS cut (rows > STATE_CELLS // (dim * L)), a hard-core ring of
-# even N (the twisted image) and of odd N; a full fermion sector; boson
-# rows past 2**RESCALE_EXP whose norms still fit a float, two ranks each
+# even N (the twisted image) and of odd N; a full fermion sector; the
+# vacuum of each statistics at g = -70, where the open-chain orbitals leave
+# float range; boson rows past 2**RESCALE_EXP whose norms still fit a
+# float, two ranks each
 BATCH_SECTORS = [
     (stats, L, N, chain)
     for stats, L, N in (("fermion", 9, 4), ("boson", 6, 4), ("hardcore", 9, 4), ("hardcore", 8, 3))
     for chain in (dict(boundary="periodic"), dict(boundary="open", g=1.5),
                   dict(boundary="twisted", twist=0.7, g=0.3))
-] + [("fermion", 5, 5, dict(boundary="open")), ("boson", 2, 150, dict(boundary="periodic")),
-     ("boson", 3, 100, dict(boundary="open", g=0.2))]
+] + [("fermion", 5, 5, dict(boundary="open"))] + [
+    (stats, 12, 0, dict(boundary="open", g=-70.0)) for stats in ("fermion", "boson", "hardcore")
+] + [("boson", 2, 150, dict(boundary="periodic")), ("boson", 3, 100, dict(boundary="open", g=0.2))]
 
 
 @pytest.mark.parametrize("stats,L,N,chain", BATCH_SECTORS)
@@ -634,15 +637,15 @@ def test_batched_states_match_row_by_row_bitwise(monkeypatch, stats, L, N, chain
 
 
 @pytest.mark.parametrize("stats", ["fermion", "boson", "hardcore"])
-def test_batched_vacuum_reads_no_orbital(stats):
-    # at g = -70 the open-chain orbitals leave float range; the vacuum
-    # occupies none of them, so it is built, and a row that occupies one
-    # is refused before any state
+def test_batched_states_refuse_occupied_orbitals_beyond_float_range(stats):
+    # at g = -70 the open-chain orbitals leave float range: the vacuum
+    # (in BATCH_SECTORS) reads none of them, a row that occupies one is
+    # refused in the call, before any state
     p = HNParams(L=12, g=-70.0, boundary="open")
-    (v,) = eigenstates_from_configs(p, stats, np.zeros((1, 12), dtype=np.int8))
-    assert v.basis.dim == 1 and v.amplitudes.tobytes() == np.ones(1, complex).tobytes()
+    rows = np.zeros((2, 12), dtype=np.int8)
+    rows[:, 0] = 1
     with pytest.raises(OverflowError, match="leave float range"):
-        eigenstates_from_configs(p, stats, np.eye(12, dtype=np.int8)[:1])
+        eigenstates_from_configs(p, stats, rows)
 
 
 def test_batched_states_check_their_rows():
